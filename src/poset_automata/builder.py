@@ -28,9 +28,6 @@ class NfaBuilder:
             self._accepting.add(idx)
         return idx
 
-    def has_state(self, name: str) -> bool:
-        return name in self._index
-
     def arc(self, src: str, letter: int, dst: str) -> None:
         for name in (src, dst):
             if name not in self._index:

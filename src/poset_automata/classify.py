@@ -95,37 +95,55 @@ def self_loop_letters(a: Nfa) -> list[set[int]]:
 def _pairs_meet(a: Nfa, s: int, t: int, letters: tuple[int, int],
                 memo: dict) -> bool:
     """Does some w over ``letters`` send {s} and {t} to intersecting sets?
-    Fixpoint over unordered pairs of state sets; finite, hence terminating."""
+    Fixpoint over unordered pairs of state sets; finite, hence terminating.
+
+    ``memo`` maps pairs to their answer and may be shared by every call for
+    the same automaton and letters.  A pair it marks as not meeting is not
+    expanded: no pair reachable from it meets either.  When a meeting pair
+    is found, every pair on its search path is marked as meeting."""
     start = (1 << s, 1 << t) if s <= t else (1 << t, 1 << s)
     known = memo.get(start)
     if known is not None:
         return known
-    seen = {start}
+    parent: dict = {start: None}  # search tree: pair -> pair it was reached from
     queue = deque([start])
     alphabet = sorted(set(letters))
+    step = a.step_mask
     while queue:
-        (ms, mt) = queue.popleft()
+        node = queue.popleft()
+        (ms, mt) = node
         if ms & mt:
-            memo[start] = True
-            return True
-        if memo.get((ms, mt)) is True:
-            memo[start] = True
-            return True
+            return _record_meet(memo, parent, node)
         for x in alphabet:
-            ns, nt = a.step_mask(ms, x), a.step_mask(mt, x)
+            ns, nt = step(ms, x), step(mt, x)
             if not ns or not nt:
                 continue
             pair = (ns, nt) if ns <= nt else (nt, ns)
-            if pair not in seen:
-                seen.add(pair)
+            if pair in parent:
+                continue
+            parent[pair] = node
+            known = memo.get(pair)
+            if known is None:
                 queue.append(pair)
-    for pair in seen:
+            elif known:
+                return _record_meet(memo, parent, pair)
+    for pair in parent:
         memo[pair] = False
     return False
 
 
+def _record_meet(memo: dict, parent: dict, pair) -> bool:
+    """Mark ``pair`` and its ancestors in the search tree as meeting: each
+    reaches ``pair`` under some word, then the word that makes it meet."""
+    while pair is not None:
+        memo[pair] = True
+        pair = parent[pair]
+    return True
+
+
 def _confluent_raw(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
     succ = a.succ
+    memos: dict[tuple[int, int], dict] = {}  # one _pairs_meet memo per letter pair
     for q in range(a.n_states):
         for ax in range(a.n_letters):
             sa = succ.get((q, ax), ())
@@ -135,7 +153,7 @@ def _confluent_raw(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int
                 sb = succ.get((q, bx), ())
                 if not sb:
                     continue
-                memo: dict = {}
+                memo = memos.setdefault((ax, bx), {})
                 for s in sa:
                     for t in sb:
                         if s == t:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 meaningful negative (non-universal, class mismatch
-against --expect, failed selftest), 2 input error, 3 resource-cap error.
+against --expect, failed selftest), 2 input error, 3 resource-cap error or
+an exhausted interpreter resource (MemoryError, RecursionError).
 ``-`` names stdin for any file argument.  Resource caps come from the
 POSET_AUTOMATA_CAPS environment variable (comma-separated key=value pairs).
 """
@@ -172,6 +173,13 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"resource limit: {args.command} ran out of memory", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(f"resource limit: {args.command} exceeded the recursion limit",
+              file=sys.stderr)
         return 3
     raise AssertionError("unreachable")
 

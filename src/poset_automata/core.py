@@ -1,9 +1,17 @@
 """Representation and basic semantics of NFAs.
 
-State sets are kept as sorted index tuples (or int bitmasks in the search
-routines) so that every operation is deterministic and outputs are
-diff-stable.  All values are immutable after construction; operations are
-pure functions.
+State sets are kept as sorted index tuples in the validating API (``step``,
+``run``) and as int bitmasks (bit q set for state q) in the search routines,
+so that every operation is deterministic and outputs are diff-stable.  The
+searches step a bitmask with ``Nfa.step_mask``, which ORs together rows of
+one letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q
+under a.  The table is built whole from ``transitions`` on first use.
+
+All values are immutable after construction.  Derived tables (``succ``,
+``step_rows``, the masks) are cached properties: each is a pure function of
+the fields, built complete on first use and never modified afterwards.  Two
+threads that race on first use build equal tables, one of which is kept, so
+a value can be shared between threads.  Operations are pure functions.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ class Nfa:
     """A = (Q, Sigma, transitions, I, F) with named states.
 
     Transitions are stored duplicate-free and sorted by (src, letter, dst).
+    The search routines read the automaton through ``step_rows``, one tuple
+    of successor bitmasks per letter indexed by state, via ``step_mask``
+    (one state set, one letter) and ``succ_mask`` (one state, one letter).
     """
 
     n_states: int
@@ -126,39 +137,27 @@ class Nfa:
         return sum(1 << q for q in self.accepting)
 
     @cached_property
-    def _succ_masks(self) -> dict[tuple[int, int], int]:
-        return {}
+    def step_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Letter-major step table: ``step_rows[a][q]`` is the bitmask of the
+        successors of state q under letter a (0 when there are none)."""
+        rows = [[0] * self.n_states for _ in self.alphabet]
+        for (q, a, r) in self.transitions:
+            rows[a][q] |= 1 << r
+        return tuple(map(tuple, rows))
 
     def succ_mask(self, q: int, a: int) -> int:
-        cache = self._succ_masks
-        key = (q, a)
-        m = cache.get(key)
-        if m is None:
-            m = 0
-            for r in self.succ.get(key, ()):
-                m |= 1 << r
-            cache[key] = m
-        return m
+        return self.step_rows[a][q]
 
     def step_mask(self, mask: int, a: int) -> int:
+        """Image of the state set ``mask`` under letter a: the union of the
+        step-table rows of its members."""
+        row = self.step_rows[a]
         out = 0
         while mask:
-            low = mask & -mask
-            mask ^= low
-            out |= self.succ_mask(low.bit_length() - 1, a)
+            q = mask.bit_length() - 1  # highest first: mask shrinks as it goes
+            out |= row[q]
+            mask ^= 1 << q
         return out
-
-    def states_of_mask(self, mask: int) -> tuple[int, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(low.bit_length() - 1)
-        return tuple(out)
-
-
-def mask_of(states: Iterable[int]) -> int:
-    return sum(1 << q for q in set(states))
 
 
 @dataclass(frozen=True)

@@ -476,9 +476,6 @@ class ReductionArtifact:
     def project1(self, word: Sequence[int]) -> Word:
         return tuple(self.pair_alphabet.first(pi) for pi in word)
 
-    def project2(self, word: Sequence[int]) -> Word:
-        return tuple(self.pair_alphabet.second(pi) for pi in word)
-
 
 def choose_n(m: Dtm, x: Sequence[str], pval: int) -> int:
     """Least n with |W_{n,n}| = C(2n,n)-1 >= 1 + C(x)(p+1)."""

@@ -20,9 +20,6 @@ from .classify import is_partially_ordered, is_saturated
 from .core import Nfa, Word, accepts
 from .errors import InputError, ResourceLimitError
 
-METHODS = ("spoNFA-constant", "unary-pumping", "antichain", "subset", "brute-force")
-
-
 @dataclass(frozen=True)
 class UniversalityResult:
     universal: bool
@@ -108,9 +105,20 @@ def accepts_with_cutoff(a: Nfa, word, u_mask: int | None = None) -> bool:
 
 
 def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
-    """BFS over subset-construction states keeping only subset-minimal
-    frontier elements.  Pruning a superset is sound: the smaller visited set
-    reaches a rejecting subset whenever the larger one does, no later."""
+    """BFS over subset-construction states that skips every new image
+    containing an already kept subset.  Skipping a superset is sound: the
+    smaller kept set reaches a rejecting subset whenever the larger one does,
+    no later.
+
+    Kept subsets are bucketed by their lowest state.  A kept v with v <= img
+    has its lowest state in img, so the domination test reads only the
+    buckets of img's states that are some kept set's lowest state.  Kept
+    supersets of a newly kept set are not removed: each still contains a
+    kept set, so "some kept v <= img" has the same answer with or without
+    them, and the queue, ``parents``, the counts and the counterexample are
+    those of a search that keeps only the subset-minimal sets.  Every kept
+    set is a key of ``parents`` too, so the buckets hold no set that the
+    search does not hold anyway."""
     caps = caps or default_caps()
     acc = a.accepting_mask
     start = a.initial_mask
@@ -120,7 +128,10 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     u_mask = universal_state_mask(a)
     if start & u_mask:
         return UniversalityResult(True, None, "antichain", 0, 0)
-    minimal: list[int] = [start]
+    step = a.step_mask
+    low = start & -start
+    buckets: dict[int, list[int]] = {low: [start]}  # lowest bit -> kept sets
+    lows = low  # union of the bucket keys
     queue = deque([start])
     explored = 0
     max_frontier = 1
@@ -131,7 +142,7 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
             raise ResourceLimitError(
                 f"antichain search exceeded antichain_nodes cap ({caps.antichain_nodes})")
         for x in range(a.n_letters):
-            img = a.step_mask(mask, x)
+            img = step(mask, x)
             if img in parents:
                 continue
             parents[img] = (mask, x)
@@ -141,18 +152,21 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
             if img & u_mask:
                 continue  # a universal member: no rejecting subset below it
             dominated = False
-            keep = []
-            for v in minimal:
-                if v & img == v:
-                    dominated = True
+            rest = img & lows
+            while rest:
+                low = 1 << (rest.bit_length() - 1)
+                rest ^= low
+                for v in buckets[low]:
+                    if v & img == v:
+                        dominated = True
+                        break
+                if dominated:
                     break
-                if img & v == img:
-                    continue  # strict superset of the new set, drop it
-                keep.append(v)
             if dominated:
                 continue
-            keep.append(img)
-            minimal = keep
+            low = img & -img
+            buckets.setdefault(low, []).append(img)
+            lows |= low
             queue.append(img)
             max_frontier = max(max_frontier, len(queue))
     return UniversalityResult(True, None, "antichain", explored, max_frontier)

@@ -238,6 +238,64 @@ def test_witness_replay(seed):
                 assert all(r == p for r in a.succ.get((p, x), ()))
 
 
+def _random_po_nfa(rng, max_states=6, max_letters=3):
+    """Partially ordered NFAs with no further restriction: arcs only go to
+    states of equal or higher index, with any density."""
+    n = rng.randint(1, max_states)
+    L = rng.randint(1, max_letters)
+    density = rng.choice([0.15, 0.3, 0.6])
+    trans = [(q, x, r) for q in range(n) for x in range(L) for r in range(q, n)
+             if rng.random() < density]
+    return simple_nfa(n, L, trans, [0], [])
+
+
+def _confluent_brute(a):
+    """Every (q, a, b, s, t) with s in q.a and t in q.b, checked with the
+    independent replay oracle; no memo is shared between checks."""
+    return all(_pairs_meet_independent(a, s, t, sorted({ax, bx}))
+               for q in range(a.n_states)
+               for ax in range(a.n_letters) for bx in range(ax, a.n_letters)
+               for s in a.succ.get((q, ax), ()) for t in a.succ.get((q, bx), ()))
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_confluence_agrees_with_brute_check(seed):
+    """Both directions: a shared memo that wrongly answers "meets" would make
+    is_confluent say yes where the brute check says no."""
+    rng = random.Random(seed)
+    if seed % 2:
+        a = random_complete_po_sld(rng)
+    else:
+        a = _random_po_nfa(rng)
+    assert is_confluent(a)[0] == _confluent_brute(a)
+
+
+def test_confluence_memo_marks_only_the_meeting_path():
+    """(s, t) meets under a (both go to m), but its b-image (x, y) does not:
+    m, x and y are distinct sinks.  A memo that marked every pair searched
+    from (s, t) as meeting would then pass p, whose a- and b-successors are
+    x and y."""
+    q, p, s, t, m, x, y = range(7)
+    arcs = [(q, 0, s), (q, 1, t), (p, 0, x), (p, 1, y),
+            (s, 0, m), (s, 1, x), (t, 0, m), (t, 1, y)]
+    arcs += [(z, letter, z) for z in (m, x, y) for letter in (0, 1)]
+    a = simple_nfa(7, 2, arcs, [q, p], [])
+    assert not _confluent_brute(a)
+    assert is_confluent(a) == (False, (p, 0, 1, x, y))
+
+
+def test_confluence_brute_battery_has_both_verdicts():
+    rng = random.Random(5)
+    verdicts = set()
+    for i in range(200):
+        a = random_complete_po_sld(rng) if i % 2 else _random_po_nfa(rng)
+        brute = _confluent_brute(a)
+        assert is_confluent(a)[0] == brute
+        verdicts.add(brute)
+    assert verdicts == {True, False}
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=80, deadline=None)
 def test_adding_transitions_never_creates_partial_order(seed):

@@ -141,6 +141,22 @@ def test_caps_env_resource_exit_three(capsys, monkeypatch, tmp_path):
     assert "resource limit:" in err
 
 
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_interpreter_exhaustion_exit_three(capsys, monkeypatch, tmp_path, exc):
+    path = tmp_path / "g.dag"
+    path.write_text(DAG_TEXT)
+
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr("poset_automata.cli._cmd_gen_dag", exhausted)
+    code, out, err = run_main(capsys, ["gen-dag", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: gen-dag ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_caps_env_bad_key_exit_two(capsys, monkeypatch, tmp_path):
     path = tmp_path / "a.aut"
     path.write_text(print_automaton(build_aknn(1, 1)))

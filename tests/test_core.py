@@ -49,6 +49,41 @@ def small_nfas(draw, max_states=6, max_letters=3):
 # step / accepts
 
 
+def _mask(states):
+    return sum(1 << q for q in set(states))
+
+
+def _image(a, states, x):
+    """One-letter image straight from the transition list."""
+    return frozenset(r for (q, y, r) in a.transitions if y == x and q in states)
+
+
+@given(small_nfas(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_step_table_matches_transition_images(a, data):
+    top = a.n_states - 1
+    everything = frozenset(range(a.n_states))
+    for x in range(a.n_letters):
+        assert a.step_mask(0, x) == 0
+        for q in range(a.n_states):
+            assert a.succ_mask(q, x) == _mask(_image(a, {q}, x))
+        subset = data.draw(st.frozensets(st.integers(0, top)))
+        for states in (subset, subset | {top}, everything):
+            assert a.step_mask(_mask(states), x) == _mask(_image(a, states, x))
+
+
+def test_step_table_letter_without_arcs_and_top_state():
+    # letter a2 has no arcs; the highest state is both a source and a target,
+    # and 70 states make the masks wider than a machine word
+    a = simple_nfa(70, 2, [(0, 0, 69), (69, 0, 0), (69, 0, 69), (5, 0, 6)], [0], [])
+    assert a.step_rows[1] == (0,) * 70
+    assert a.step_mask((1 << 70) - 1, 1) == 0
+    assert a.succ_mask(69, 0) == 1 | 1 << 69
+    assert a.step_mask(1 << 69, 0) == 1 | 1 << 69
+    assert a.step_mask(1 | 1 << 5 | 1 << 69, 0) == 1 | 1 << 6 | 1 << 69
+    assert a.step_mask(0, 0) == 0
+
+
 def test_step_empty_set_is_empty():
     a = build_aknn(1, 1)
     assert step(a, [], 0) == ()

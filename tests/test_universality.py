@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 from poset_automata.caps import Caps
 from poset_automata.core import Nfa, accepts, make_alphabet
 from poset_automata.errors import InputError, ResourceLimitError
-from poset_automata.hardness import Dag, build_aknn, dag_gadget, w_word
+from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn, w_word
 from poset_automata.sampling import (random_nfa, random_saturated,
                                      random_unary_po)
-from poset_automata.universality import (format_result, universal,
-                                         universal_antichain, universal_brute,
-                                         universal_sponfa, universal_state_mask,
-                                         universal_subset, universal_unary_po)
+from poset_automata.universality import (UniversalityResult, format_result,
+                                         universal, universal_antichain,
+                                         universal_brute, universal_sponfa,
+                                         universal_state_mask, universal_subset,
+                                         universal_unary_po)
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
@@ -230,3 +232,76 @@ def test_sponfa_agrees_with_oracle(seed):
     rng = random.Random(seed)
     a = random_saturated(rng, max_states=6)
     assert universal_sponfa(a).universal == universal_subset(a).universal
+
+
+# ---------------------------------------------------------------------------
+# the bucketed antichain against the linear-scan search it replaced
+
+
+def _linear_scan_antichain(a):
+    """Reference copy of the antichain search with one list of
+    subset-minimal kept sets, scanned whole for each new image and rebuilt
+    without the image's supersets."""
+    acc = a.accepting_mask
+    start = a.initial_mask
+    parents = {start: None}
+    if not start & acc:
+        return UniversalityResult(False, (), "antichain", 0, 0)
+    u_mask = universal_state_mask(a)
+    if start & u_mask:
+        return UniversalityResult(True, None, "antichain", 0, 0)
+    minimal = [start]
+    queue = deque([start])
+    explored = 0
+    max_frontier = 1
+    while queue:
+        mask = queue.popleft()
+        explored += 1
+        for x in range(a.n_letters):
+            img = a.step_mask(mask, x)
+            if img in parents:
+                continue
+            parents[img] = (mask, x)
+            if not img & acc:
+                word = []
+                node = img
+                while parents[node] is not None:
+                    node, letter = parents[node]
+                    word.append(letter)
+                return UniversalityResult(False, tuple(reversed(word)), "antichain",
+                                          explored, max_frontier)
+            if img & u_mask:
+                continue
+            dominated = False
+            keep = []
+            for v in minimal:
+                if v & img == v:
+                    dominated = True
+                    break
+                if img & v == img:
+                    continue
+                keep.append(v)
+            if dominated:
+                continue
+            keep.append(img)
+            minimal = keep
+            queue.append(img)
+            max_frontier = max(max_frontier, len(queue))
+    return UniversalityResult(True, None, "antichain", explored, max_frontier)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=300, deadline=None)
+def test_antichain_matches_linear_scan_reference(seed):
+    """Verdict, counterexample, explored and max_frontier all equal."""
+    rng = random.Random(seed)
+    a = random_nfa(rng, max_states=8, max_letters=3)
+    assert universal_antichain(a) == _linear_scan_antichain(a)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 5) for n in range(1, 5)])
+def test_antichain_matches_linear_scan_reference_on_aknn(k, n):
+    a = build_aknn(k, n)
+    assert universal_antichain(a) == _linear_scan_antichain(a)
+    t = trim_aknn(a, k, n)
+    assert universal_antichain(t) == _linear_scan_antichain(t)
