@@ -36,7 +36,7 @@ def main():
               f"{art.automaton.n_states} states, "
               f"{len(art.automaton.alphabet)} pair letters")
         for name, offset, count in art.components:
-            print(f"  {name:<8} offset={offset:<6} states={count}")
+            print(f"  {name:<12} offset={offset:<6} states={count}")
         ok, failures = is_ptnfa(art.automaton)
         print(f"is_ptnfa: {ok}")
         if label == "accepting":

@@ -15,8 +15,8 @@ from .hardness import (Dag, build_aknn, check_suffix_rejection, dag_gadget,
                        dag_reachable, parse_dag, sigma_alphabet, trim_aknn,
                        w_word)
 from .reduction import (PairAlphabet, ReductionArtifact, build_part_a,
-                        build_part_b, build_part_c, choose_n, encode_run,
-                        expected_next, pair_alphabet, reduce)
+                        build_part_b, choose_n, encode_run, expected_next,
+                        reduce)
 from .universality import (UniversalityResult, format_result, universal,
                            universal_antichain, universal_brute,
                            universal_sponfa, universal_subset,

@@ -28,6 +28,10 @@ class NfaBuilder:
             self._accepting.add(idx)
         return idx
 
+    @property
+    def n_states(self) -> int:
+        return len(self._names)
+
     def arc(self, src: str, letter: int, dst: str) -> None:
         for name in (src, dst):
             if name not in self._index:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .core import _strip_comment
 from .errors import InputError, SimulationError
 
 MOVES = ("L", "R", "S")
@@ -119,11 +120,7 @@ def parse_dtm(text: str) -> Dtm:
     single: dict[str, list[str]] = {}
     rules: list[tuple[str, str, str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        for i, tok in enumerate(tokens):
-            if tok.startswith("#"):
-                tokens = tokens[:i]
-                break
+        tokens = _strip_comment(raw.split())
         if not tokens:
             continue
         head, rest = tokens[0], tokens[1:]

@@ -20,7 +20,7 @@ from math import comb
 
 from .builder import NfaBuilder
 from .caps import Caps, default_caps
-from .core import Letter, Nfa, Word, make_alphabet, step
+from .core import Letter, Nfa, Word, _strip_comment, make_alphabet, step
 from .errors import InputError, ResourceLimitError
 
 
@@ -185,11 +185,7 @@ def parse_dag(text: str) -> Dag:
     n_nodes = source = target = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        for i, tok in enumerate(tokens):
-            if tok.startswith("#"):
-                tokens = tokens[:i]
-                break
+        tokens = _strip_comment(raw.split())
         if not tokens:
             continue
         head, rest = tokens[0], tokens[1:]

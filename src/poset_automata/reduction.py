@@ -7,23 +7,67 @@ word except the ones spelling W_{n,n} in their first components while
 encoding an accepting run of M on x in their second components.  Hence the
 output is universal iff M does not accept x within space p.
 
-Components:
-  (A)  words shorter than the initial configuration, or differing from it
-       at some position 0..p+1 (chain automata, one per position);
+Components, in the output's state order:
+  enc-backbone  enc(A_{n,n}): A_{n,n} with every a_i transition duplicated
+       over all second components; it accepts every word whose first
+       projection is not W_{n,n}.
+  (A)  words differing from the initial configuration at some position
+       0..p+1 (one chain c_0..c_{p+1});
   (B)  windows of three consecutive symbols whose successor cell, one
        configuration later, is not the one forced by M's transition
-       function (a tree over all windows plus a length p-1 delay line);
+       function (a tree over the window's first two symbols, then one delay
+       line of p states per verdict of ``expected_next``);
   (C)  runs that end prematurely (C.1), in a non-accepting state (C.2),
        with more than p trailing $ (C.3), or with $ followed by another
        symbol (C.4).
 
-Parts A-C cannot simply end in a fresh accepting sink (that would break the
-unique-maximal-state property), so every leading Pi* is realized by a copy
-of the W-rejecting backbone enc(A_{n,n}) and every missing transition is
-completed into its states (n+1;i), from which the unread rest of W_{n,n}
-is never accepted.  Check entries are attached to every accepting backbone
-state through exactly those letters that do not collide with its
-self-loops, which keeps the result self-loop deterministic.
+A check cannot simply end in a fresh accepting sink (that would break the
+unique-maximal-state property), so every leading Pi* is read by the
+backbone and every missing transition is completed into a state (n+1;i),
+from which the unread rest of W_{n,n} is never accepted.  Checks start at
+the hosts (i;m), i < n: accepting backbone states whose self-loops are
+exactly the letters with first component a_1..a_{m-1}, so entries through
+a_m..a_n keep the result self-loop deterministic.
+
+Deviation from the paper.  The paper gives every check its own copy of the
+backbone and takes the disjoint union of the parts (p+6 copies here).  This
+module builds one copy and attaches every check to it, shares part B's
+delay lines by verdict, folds part A's p+2 position chains into one, and
+drops part A's automaton for words shorter than the initial configuration.
+The language stays the same:
+
+(1) One backbone accepts the union of the parts.  Let U hold the states
+    (i;m) with i > n, and max.  Every arc of A_{n,n} from U stays in U
+    (``build_aknn`` with k = n: rule 1 is a self-loop, rule 2 leads from
+    (i;m) to (i+1;m), rules 3 and 6 lead to max and (n+1;m), rules 4 and 5
+    leave only states with i < n), and no check is entered from U, so no
+    host and no check state is reachable from U.  The arcs of a check P
+    lead to P's own states, to the completion targets (n+1;i) and to max,
+    all but the first in U.  So an accepting run starts in the backbone or
+    in a check, enters at most one check P, and from then on stays in P
+    and U: every arc it takes belongs to "backbone + P" on its own.
+    Conversely each part's runs are runs of the whole.  The language is
+    therefore the union of the parts' languages, as in the paper.
+(2) Window states with equal verdicts have equal futures.  The paper's
+    state for the window (dl, dc, dr) reads p-1 arbitrary letters, then
+    exits under (a_i, d) to (n+1;i) when the verdict
+    v = expected_next(dl, dc, dr) permits d, and to max otherwise.  That
+    future depends on v alone, so all windows with one verdict may share
+    one delay line.
+(3) One chain does the work of part A.  c_t reads any letter into c_{t+1}
+    (t <= p) and exits under (a_i, d) to (n+1;i) when d is the forced
+    symbol of position t and to max otherwise.  No c_t is accepting, so an
+    accepting run leaves the chain at some c_t, and from there on it is a
+    run of the paper's chain for position t.  Words of length <= p+1 need
+    no automaton of their own: ``choose_n`` makes |W_{n,n}| >= 1 +
+    C(x)(p+1) > p+1, so the backbone accepts them.
+
+The ptNFA property carries over from the parts: arcs lead from the backbone
+into the checks and from the checks into U, never back, so the order stays
+partial; a host's entries, from every part alike, avoid its self-loop
+letters, so self-loop determinism holds; and every state keeps all the
+arcs it has in its own part, so the result is complete.  The tests check
+``is_ptnfa`` (UMS included) on the outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +78,7 @@ from typing import Optional, Sequence
 
 from .builder import NfaBuilder
 from .caps import Caps, default_caps
-from .core import Letter, Nfa, Word, union_disjoint
+from .core import Letter, Nfa, Word
 from .dtm import Dtm, simulate_dtm
 from .errors import InputError, ResourceLimitError
 from .hardness import build_aknn, w_word
@@ -94,10 +138,6 @@ class PairAlphabet:
         """Cells carrying a state marker other than ``exclude``."""
         return [i for i, entry in enumerate(self.decode)
                 if entry[0] == "cell" and entry[2] is not None and entry[2] != exclude]
-
-
-def pair_alphabet(m: Dtm, n: int) -> PairAlphabet:
-    return PairAlphabet(m, n)
 
 
 def expected_next(m: Dtm, pa: PairAlphabet, dl: int, dc: int, dr: int):
@@ -180,170 +220,127 @@ def encode_run(m: Dtm, x: Sequence[str], pval: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# backbone embedding
+# the shared backbone
 
 
 @dataclass
 class _Backbone:
-    prefix: str
-    n: int
+    pa: PairAlphabet
     hosts: tuple[tuple[str, int], ...]  # (state name, minimal conflict-free a_idx)
+    max = "max"  # the accepting sink (a class attribute, not a field)
 
     def target(self, a_idx: int) -> str:
         """Completion state (n+1;i) for first component a_i: the rest of
         W_{n,n} is never accepted from it (suffix-rejection corollary)."""
-        return f"{self.prefix}({self.n + 1};{a_idx + 1})"
-
-    @property
-    def max(self) -> str:
-        return f"{self.prefix}max"
+        return f"({self.pa.n_sigma + 1};{a_idx + 1})"
 
 
-def _add_backbone(b: NfaBuilder, pa: PairAlphabet, n: int, prefix: str) -> _Backbone:
-    """Embed enc(A_{n,n}): every a_i transition is duplicated over all second
-    components.  The copy keeps its initial states, so each part accepts
-    Pi^* minus the W_{n,n} encodings on its own."""
+def _add_backbone(b: NfaBuilder, pa: PairAlphabet) -> _Backbone:
+    """Embed enc(A_{n,n}) under A_{n,n}'s own state names: every a_i
+    transition is duplicated over all second components, and the initial
+    states are kept, so the backbone accepts Pi^* minus the W_{n,n}
+    encodings on its own."""
+    n = pa.n_sigma
     base = build_aknn(n, n)
     for idx, name in enumerate(base.state_names):
-        b.state(prefix + name, initial=idx in base.initial_set,
+        b.state(name, initial=idx in base.initial_set,
                 accepting=idx in base.accepting_set)
     for (q, a_idx, r) in base.transitions:
-        src, dst = prefix + base.state_names[q], prefix + base.state_names[r]
+        src, dst = base.state_names[q], base.state_names[r]
         for d in range(pa.n_delta):
             b.arc(src, pa.pi_id(a_idx, d), dst)
     # (i;m) with i < n is accepting and carries self-loops exactly under
     # a_1..a_{m-1}; entries through a_m..a_n cannot create the forbidden
     # self-loop/exit pattern.  max never hosts entries.
-    hosts = tuple((f"{prefix}({i};{m})", m - 1)
-                  for m in range(1, n + 1) for i in range(n))
-    return _Backbone(prefix, n, hosts)
+    hosts = tuple((f"({i};{m})", m - 1) for m in range(1, n + 1) for i in range(n))
+    return _Backbone(pa, hosts)
 
 
-def _host_entries(b: NfaBuilder, pa: PairAlphabet, backbone: _Backbone,
-                  entry_of) -> None:
-    """Attach a check entry at every host: host --(a,d)--> entry_of(d) for
-    every conflict-free first component a."""
-    for (host, min_a) in backbone.hosts:
-        for a_idx in range(min_a, pa.n_sigma):
-            for d in range(pa.n_delta):
-                tgt = entry_of(d)
-                if tgt is not None:
-                    b.arc(host, pa.pi_id(a_idx, d), tgt)
-
-
-def _all_pairs(pa: PairAlphabet):
+def _fan(b: NfaBuilder, pa: PairAlphabet, src: str, dst_of) -> None:
+    """Arcs src --(a_i, d)--> dst_of(i, d) over every pair letter; a None
+    destination adds no arc."""
     for a_idx in range(pa.n_sigma):
         for d in range(pa.n_delta):
-            yield a_idx, d, pa.pi_id(a_idx, d)
+            dst = dst_of(a_idx, d)
+            if dst is not None:
+                b.arc(src, pa.pi_id(a_idx, d), dst)
+
+
+def _host_entries(b: NfaBuilder, bb: _Backbone, entry_of) -> None:
+    """Attach a check entry at every host: host --(a,d)--> entry_of(d) for
+    every conflict-free first component a."""
+    for (host, min_a) in bb.hosts:
+        _fan(b, bb.pa, host, lambda a_idx, d: entry_of(d) if a_idx >= min_a else None)
 
 
 # ---------------------------------------------------------------------------
-# part (A): wrong or missing initial configuration
+# part (A): a wrong initial configuration
 
 
-def build_part_a(m: Dtm, x: Sequence[str], pval: int, n: int,
-                 pa: PairAlphabet | None = None) -> Nfa:
-    """Union of a confluent DFA for all words of length <= p+1 and, per
-    position j <= p+1, a chain that accepts Pi^j (anything but the forced
-    initial-configuration symbol) Pi^*."""
-    pa = pa or PairAlphabet(m, n)
+def build_part_a(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
+                 pval: int) -> None:
+    """The chain c_0..c_{p+1}: c_t reads any letter into c_{t+1} and exits
+    into max on anything but the forced initial-configuration symbol of
+    position t.  Shorter words than the initial configuration are accepted
+    by the backbone."""
+    pa = bb.pa
     forced = initial_config_symbols(m, x, pval, pa)
-    parts = []
-
-    short = NfaBuilder(pa.alphabet)
-    for i in range(pval + 2):
-        short.state(f"Alen:{i}", initial=(i == 0), accepting=True)
-    short.state("Alen:dead")
-    for i in range(pval + 2):
-        dst = f"Alen:{i + 1}" if i < pval + 1 else "Alen:dead"
-        for (_a, _d, pi) in _all_pairs(pa):
-            short.arc(f"Alen:{i}", pi, dst)
-    for (_a, _d, pi) in _all_pairs(pa):
-        short.arc("Alen:dead", pi, "Alen:dead")
-    parts.append(short.build())
-
-    for j in range(pval + 2):
-        b = NfaBuilder(pa.alphabet)
-        bb = _add_backbone(b, pa, n, f"A{j}:")
-        for t in range(j + 1):
-            b.state(f"A{j}:c{t}", initial=(t == 0))
-        for t in range(j):
-            for (_a, _d, pi) in _all_pairs(pa):
-                b.arc(f"A{j}:c{t}", pi, f"A{j}:c{t + 1}")
-        for (a_idx, d, pi) in _all_pairs(pa):
-            dst = bb.target(a_idx) if d == forced[j] else bb.max
-            b.arc(f"A{j}:c{j}", pi, dst)
-        parts.append(b.build())
-    return union_disjoint(parts)
+    chain = [f"A:c{t}" for t in range(pval + 2)]
+    for t, name in enumerate(chain):
+        b.state(name, initial=(t == 0))
+    for t, name in enumerate(chain):
+        if t + 1 < len(chain):
+            _fan(b, pa, name, lambda a_idx, d: chain[t + 1])
+        _fan(b, pa, name,
+             lambda a_idx, d: bb.target(a_idx) if d == forced[t] else bb.max)
 
 
 # ---------------------------------------------------------------------------
 # part (B): a window whose forced successor symbol is violated
 
 
-def build_part_b(m: Dtm, x: Sequence[str], pval: int, n: int,
-                 pa: PairAlphabet | None = None) -> Nfa:
-    """Backbone plus the window-check tree: three levels keyed by the second
-    components of a window, a delay line of length p-1, then an exit that
-    accepts (into max) exactly the symbols differing from the forced
-    successor (with $ always permitted)."""
-    pa = pa or PairAlphabet(m, n)
-    b = NfaBuilder(pa.alphabet)
-    bb = _add_backbone(b, pa, n, "B:")
+def build_part_b(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
+                 pval: int) -> None:
+    """The window-check tree: two levels keyed by the second components of
+    a window's first two symbols; the third symbol leads to the delay line
+    of the window's verdict, p states whose last one accepts (into max)
+    exactly the symbols differing from the forced successor, with $ always
+    permitted."""
+    pa = bb.pa
     nd = pa.n_delta
-
     for dl in range(nd):
         b.state(f"B:w[{dl}]")
     for dl in range(nd):
         for dc in range(nd):
             b.state(f"B:w[{dl},{dc}]")
-    exits = {}
-    for dl in range(nd):
-        for dc in range(nd):
-            for dr in range(nd):
-                b.state(f"B:w[{dl},{dc},{dr}]")
-                last = f"B:w[{dl},{dc},{dr}]"
-                for step_i in range(1, pval):
-                    b.state(f"B:w[{dl},{dc},{dr}]+{step_i}")
-                    last = f"B:w[{dl},{dc},{dr}]+{step_i}"
-                exits[(dl, dc, dr)] = last
+    verdict = {(dl, dc, dr): expected_next(m, pa, dl, dc, dr)
+               for dl in range(nd) for dc in range(nd) for dr in range(nd)}
+    head = {}
+    for v in dict.fromkeys(verdict.values()):
+        line = [f"B:next[{v}]"] + [f"B:next[{v}]+{i}" for i in range(1, pval)]
+        for name in line:
+            b.state(name)
+        for prev, nxt in zip(line, line[1:]):
+            _fan(b, pa, prev, lambda a_idx, d: nxt)
+        _fan(b, pa, line[-1],
+             lambda a_idx, d: (bb.target(a_idx) if v == VACUOUS or d in (v, pa.dollar_id)
+                               else bb.max))
+        head[v] = line[0]
 
-    _host_entries(b, pa, bb, lambda d: f"B:w[{d}]")
+    _host_entries(b, bb, lambda d: f"B:w[{d}]")
     for dl in range(nd):
-        for (_a, dc, pi) in _all_pairs(pa):
-            b.arc(f"B:w[{dl}]", pi, f"B:w[{dl},{dc}]")
-    for dl in range(nd):
+        _fan(b, pa, f"B:w[{dl}]", lambda a_idx, dc: f"B:w[{dl},{dc}]")
         for dc in range(nd):
-            for (_a, dr, pi) in _all_pairs(pa):
-                b.arc(f"B:w[{dl},{dc}]", pi, f"B:w[{dl},{dc},{dr}]")
-    for dl in range(nd):
-        for dc in range(nd):
-            for dr in range(nd):
-                prev = f"B:w[{dl},{dc},{dr}]"
-                for step_i in range(1, pval):
-                    nxt = f"B:w[{dl},{dc},{dr}]+{step_i}"
-                    for (_a, _d, pi) in _all_pairs(pa):
-                        b.arc(prev, pi, nxt)
-                    prev = nxt
-                verdict = expected_next(m, pa, dl, dc, dr)
-                for (a_idx, d, pi) in _all_pairs(pa):
-                    if verdict == VACUOUS:
-                        dst = bb.target(a_idx)
-                    elif verdict == IMPOSSIBLE:
-                        dst = bb.target(a_idx) if d == pa.dollar_id else bb.max
-                    else:
-                        dst = (bb.target(a_idx) if d in (verdict, pa.dollar_id)
-                               else bb.max)
-                    b.arc(prev, pi, dst)
-    return b.build()
+            _fan(b, pa, f"B:w[{dl},{dc}]",
+                 lambda a_idx, dr: head[verdict[dl, dc, dr]])
 
 
 # ---------------------------------------------------------------------------
 # part (C): wrong run endings
 
 
-def build_part_c1(m: Dtm, x: Sequence[str], pval: int, n: int,
-                  pa: PairAlphabet | None = None) -> Nfa:
+def build_part_c1(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
+                  pval: int) -> None:
     """Run ends in an incomplete configuration: a # followed by 1..p symbols
     starting with a non-$ one, then up to p trailing $.
 
@@ -351,113 +348,79 @@ def build_part_c1(m: Dtm, x: Sequence[str], pval: int, n: int,
     a non-$ first symbol: otherwise the check would fire on the valid
     encoding's own '# $^j' padding tail (all-$ middles are covered by the
     trailing-$ and $-before-symbol checks)."""
-    pa = pa or PairAlphabet(m, n)
-    b = NfaBuilder(pa.alphabet)
-    bb = _add_backbone(b, pa, n, "C1:")
+    pa = bb.pa
+    dollar = pa.dollar_id
     b.state("C1:u0")
     for i in range(1, pval + 1):
         b.state(f"C1:u{i}", accepting=True)
         b.state(f"C1:d{i}", accepting=True)
-    _host_entries(b, pa, bb, lambda d: "C1:u0" if d == pa.hash_id else None)
-    for (a_idx, d, pi) in _all_pairs(pa):
-        b.arc("C1:u0", pi, "C1:u1" if d != pa.dollar_id else bb.target(a_idx))
+    _host_entries(b, bb, lambda d: "C1:u0" if d == pa.hash_id else None)
+    _fan(b, pa, "C1:u0", lambda a_idx, d: bb.target(a_idx) if d == dollar else "C1:u1")
     for i in range(1, pval + 1):
-        for (a_idx, d, pi) in _all_pairs(pa):
-            if d == pa.dollar_id:
-                b.arc(f"C1:u{i}", pi, "C1:d1")
-                if i < pval:
-                    b.arc(f"C1:u{i}", pi, f"C1:u{i + 1}")
-            elif i < pval:
-                b.arc(f"C1:u{i}", pi, f"C1:u{i + 1}")
-            else:
-                b.arc(f"C1:u{i}", pi, bb.target(a_idx))
+        if i < pval:
+            _fan(b, pa, f"C1:u{i}", lambda a_idx, d: f"C1:u{i + 1}")
+        else:
+            _fan(b, pa, f"C1:u{i}",
+                 lambda a_idx, d: None if d == dollar else bb.target(a_idx))
+        _fan(b, pa, f"C1:u{i}", lambda a_idx, d: "C1:d1" if d == dollar else None)
     for j in range(1, pval + 1):
-        for (a_idx, d, pi) in _all_pairs(pa):
-            if d == pa.dollar_id and j < pval:
-                b.arc(f"C1:d{j}", pi, f"C1:d{j + 1}")
-            else:
-                b.arc(f"C1:d{j}", pi, bb.target(a_idx))
-    return b.build()
+        _fan(b, pa, f"C1:d{j}", lambda a_idx, d: (
+            f"C1:d{j + 1}" if d == dollar and j < pval else bb.target(a_idx)))
 
 
-def build_part_c2(m: Dtm, x: Sequence[str], pval: int, n: int,
-                  pa: PairAlphabet | None = None) -> Nfa:
+def build_part_c2(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
+                  pval: int) -> None:
     """Run ends in a configuration whose state marker is not the accepting
     one: a non-accepting marker, at most p-1 filler symbols, the closing #,
     then up to p trailing $."""
-    pa = pa or PairAlphabet(m, n)
-    b = NfaBuilder(pa.alphabet)
-    bb = _add_backbone(b, pa, n, "C2:")
+    pa = bb.pa
+    hash_, dollar = pa.hash_id, pa.dollar_id
     bad_markers = set(pa.marker_ids(exclude=m.accepting))
     for i in range(pval):
         b.state(f"C2:e{i}")
     b.state("C2:h", accepting=True)
     for j in range(1, pval + 1):
         b.state(f"C2:g{j}", accepting=True)
-    _host_entries(b, pa, bb, lambda d: "C2:e0" if d in bad_markers else None)
+    _host_entries(b, bb, lambda d: "C2:e0" if d in bad_markers else None)
     for i in range(pval):
-        for (a_idx, d, pi) in _all_pairs(pa):
-            if d == pa.hash_id:
-                b.arc(f"C2:e{i}", pi, "C2:h")
-                if i < pval - 1:
-                    b.arc(f"C2:e{i}", pi, f"C2:e{i + 1}")
-            elif i < pval - 1:
-                b.arc(f"C2:e{i}", pi, f"C2:e{i + 1}")
-            else:
-                b.arc(f"C2:e{i}", pi, bb.target(a_idx))
-    for (a_idx, d, pi) in _all_pairs(pa):
-        b.arc("C2:h", pi, "C2:g1" if d == pa.dollar_id else bb.target(a_idx))
+        if i < pval - 1:
+            _fan(b, pa, f"C2:e{i}", lambda a_idx, d: f"C2:e{i + 1}")
+        else:
+            _fan(b, pa, f"C2:e{i}",
+                 lambda a_idx, d: None if d == hash_ else bb.target(a_idx))
+        _fan(b, pa, f"C2:e{i}", lambda a_idx, d: "C2:h" if d == hash_ else None)
+    _fan(b, pa, "C2:h", lambda a_idx, d: "C2:g1" if d == dollar else bb.target(a_idx))
     for j in range(1, pval + 1):
-        for (a_idx, d, pi) in _all_pairs(pa):
-            if d == pa.dollar_id and j < pval:
-                b.arc(f"C2:g{j}", pi, f"C2:g{j + 1}")
-            else:
-                b.arc(f"C2:g{j}", pi, bb.target(a_idx))
-    return b.build()
+        _fan(b, pa, f"C2:g{j}", lambda a_idx, d: (
+            f"C2:g{j + 1}" if d == dollar and j < pval else bb.target(a_idx)))
 
 
-def build_part_c3(m: Dtm, x: Sequence[str], pval: int, n: int,
-                  pa: PairAlphabet | None = None) -> Nfa:
+def build_part_c3(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
+                  pval: int) -> None:
     """More than p trailing $: a chain of p+1 $-transitions whose end state
     is accepting."""
-    pa = pa or PairAlphabet(m, n)
-    b = NfaBuilder(pa.alphabet)
-    bb = _add_backbone(b, pa, n, "C3:")
+    pa = bb.pa
     for j in range(1, pval + 2):
         b.state(f"C3:s{j}", accepting=(j == pval + 1))
-    _host_entries(b, pa, bb, lambda d: "C3:s1" if d == pa.dollar_id else None)
+    _host_entries(b, bb, lambda d: "C3:s1" if d == pa.dollar_id else None)
     for j in range(1, pval + 2):
-        for (a_idx, d, pi) in _all_pairs(pa):
-            if d == pa.dollar_id and j <= pval:
-                b.arc(f"C3:s{j}", pi, f"C3:s{j + 1}")
-            else:
-                b.arc(f"C3:s{j}", pi, bb.target(a_idx))
-    return b.build()
+        _fan(b, pa, f"C3:s{j}", lambda a_idx, d: (
+            f"C3:s{j + 1}" if d == pa.dollar_id and j <= pval else bb.target(a_idx)))
 
 
-def build_part_c4(m: Dtm, x: Sequence[str], pval: int, n: int,
-                  pa: PairAlphabet | None = None) -> Nfa:
+def build_part_c4(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
+                  pval: int) -> None:
     """$ followed by a different symbol: a three-state partially ordered,
-    confluent DFA."""
-    pa = pa or PairAlphabet(m, n)
-    b = NfaBuilder(pa.alphabet)
+    confluent DFA of its own (it needs no backbone)."""
+    pa = bb.pa
     b.state("C4:scan", initial=True)
     b.state("C4:dollar")
     b.state("C4:hit", accepting=True)
-    for (_a, d, pi) in _all_pairs(pa):
-        b.arc("C4:scan", pi, "C4:dollar" if d == pa.dollar_id else "C4:scan")
-        b.arc("C4:dollar", pi, "C4:dollar" if d == pa.dollar_id else "C4:hit")
-        b.arc("C4:hit", pi, "C4:hit")
-    return b.build()
-
-
-def build_part_c(m: Dtm, x: Sequence[str], pval: int, n: int,
-                 pa: PairAlphabet | None = None) -> Nfa:
-    pa = pa or PairAlphabet(m, n)
-    return union_disjoint([build_part_c1(m, x, pval, n, pa),
-                           build_part_c2(m, x, pval, n, pa),
-                           build_part_c3(m, x, pval, n, pa),
-                           build_part_c4(m, x, pval, n, pa)])
+    _fan(b, pa, "C4:scan",
+         lambda a_idx, d: "C4:dollar" if d == pa.dollar_id else "C4:scan")
+    _fan(b, pa, "C4:dollar",
+         lambda a_idx, d: "C4:dollar" if d == pa.dollar_id else "C4:hit")
+    _fan(b, pa, "C4:hit", lambda a_idx, d: "C4:hit")
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +465,14 @@ def reduce(m: Dtm, x: Sequence[str], pval: int,
         raise ResourceLimitError(f"reduction needs n={n}, above the reduce_n cap "
                                  f"({caps.reduce_n})")
     pa = PairAlphabet(m, n)
-    named_parts = [
-        ("part-a", build_part_a(m, x, pval, n, pa)),
-        ("part-b", build_part_b(m, x, pval, n, pa)),
-        ("part-c1", build_part_c1(m, x, pval, n, pa)),
-        ("part-c2", build_part_c2(m, x, pval, n, pa)),
-        ("part-c3", build_part_c3(m, x, pval, n, pa)),
-        ("part-c4", build_part_c4(m, x, pval, n, pa)),
-    ]
-    components = []
-    offset = 0
-    for name, part in named_parts:
-        components.append((name, offset, part.n_states))
-        if name == "part-b":
-            # the backbone copy is laid down first inside part B
-            components.append(("enc-backbone", offset, n * (2 * n + 1) + 1))
-        offset += part.n_states
-    automaton = union_disjoint([part for _, part in named_parts])
-    hosts = tuple(f"B:({i};{mlev})" for mlev in range(1, n + 1) for i in range(n))
-    return ReductionArtifact(automaton, n, pval, pa, tuple(components), hosts)
+    b = NfaBuilder(pa.alphabet)
+    bb = _add_backbone(b, pa)
+    components = [("enc-backbone", 0, b.n_states)]
+    for name, build_part in (("part-a", build_part_a), ("part-b", build_part_b),
+                             ("part-c1", build_part_c1), ("part-c2", build_part_c2),
+                             ("part-c3", build_part_c3), ("part-c4", build_part_c4)):
+        offset = b.n_states
+        build_part(b, bb, m, x, pval)
+        components.append((name, offset, b.n_states - offset))
+    hosts = tuple(host for host, _min_a in bb.hosts)
+    return ReductionArtifact(b.build(), n, pval, pa, tuple(components), hosts)

@@ -210,6 +210,8 @@ def universal_brute(a: Nfa, max_len: int, caps: Caps | None = None) -> Universal
     A 'universal' verdict only certifies the explored bound; with
     max_len >= 2^|Q| it is exact."""
     caps = caps or default_caps()
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
     if max_len > caps.enum_len:
         raise ResourceLimitError(f"brute-force length {max_len} exceeds enum_len cap "
                                  f"({caps.enum_len})")

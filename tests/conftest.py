@@ -24,6 +24,16 @@ def incrementing_machine() -> Dtm:
                rules=(("q0", "1", "q0", "1", "R"), ("q0", "_", "qf", "1", "S")))
 
 
+def head_moving_machine() -> Dtm:
+    """Steps right, then back left into the accepting state."""
+    return Dtm(states=("q0", "q1", "qf"), initial="q0", accepting="qf",
+               tape_alphabet=("_", "1"), input_alphabet=("1",), blank="_",
+               rules=(("q0", "1", "q1", "1", "R"),
+                      ("q1", "1", "qf", "1", "L"),
+                      ("q1", "_", "qf", "_", "L"),
+                      ("q0", "_", "q0", "_", "S")))
+
+
 @pytest.fixture
 def tm_accepting():
     return accepting_machine()

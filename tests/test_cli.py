@@ -66,6 +66,15 @@ def test_universal_methods_and_max_len(capsys, tmp_path):
     assert code == 0  # epsilon is accepted; bounded verdict
 
 
+def test_universal_brute_negative_max_len_exit_two(capsys, tmp_path):
+    path = tmp_path / "a.aut"
+    path.write_text(print_automaton(build_aknn(2, 2)))
+    code, out, err = run_main(capsys, ["universal", "--method", "brute",
+                                       "--max-len", "-1", str(path)])
+    assert code == 2 and out == ""
+    assert "max_len must be nonnegative" in err
+
+
 def test_classify_expect_mismatch(capsys, tmp_path):
     path = tmp_path / "a.aut"
     path.write_text(print_automaton(build_aknn(2, 2)))
@@ -111,7 +120,11 @@ def test_reduce_cli(capsys, monkeypatch, tmp_path):
                                      "--input", "1", "--space", "1"])
     assert code == 0
     assert out.startswith("# reduction: n=3")
-    assert "# component part-b:" in out
+    components = [line.split(":")[0].removeprefix("# component ")
+                  for line in out.splitlines() if line.startswith("# component ")]
+    assert components == ["enc-backbone", "part-a", "part-b", "part-c1",
+                          "part-c2", "part-c3", "part-c4"]
+    assert "# component enc-backbone: offset=0 states=22\n" in out
     automaton = parse_automaton(out)
     code, out2, _ = run_main(capsys, ["universal", "-"], stdin=out,
                              monkeypatch=monkeypatch)

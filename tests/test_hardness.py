@@ -210,3 +210,12 @@ def test_parse_dag():
         parse_dag("nodes: 2\nsource: 0\n")
     with pytest.raises(InputError):
         parse_dag("nodes: two\nsource: 0\ntarget: 1\n")
+
+
+def test_parse_dag_comments():
+    g = parse_dag("nodes: 3  # three\nedge: 0 1 # first\nedge: 1 2\n"
+                  "source: 0\ntarget: 2 #\n")
+    assert g == Dag(3, ((0, 1), (1, 2)), 0, 2)
+    # '#' inside a token does not start a comment
+    with pytest.raises(InputError, match="line 2: expected integers"):
+        parse_dag("nodes: 3\nedge: 0 1#2\nsource: 0\ntarget: 2\n")

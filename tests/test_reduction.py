@@ -3,22 +3,25 @@ from math import comb
 
 import pytest
 
+from poset_automata.builder import NfaBuilder
 from poset_automata.caps import Caps
 from poset_automata.classify import is_ptnfa
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
 from poset_automata.errors import InputError, ResourceLimitError, SimulationError
 from poset_automata.hardness import build_aknn, w_word
-from poset_automata.reduction import (PairAlphabet, build_part_a, build_part_b,
-                                      build_part_c, build_part_c2,
-                                      build_part_c4, choose_n, config_count,
-                                      encode_run, expected_next,
+from poset_automata.reduction import (PairAlphabet, _add_backbone,
+                                      build_part_a, build_part_b,
+                                      build_part_c1, build_part_c2,
+                                      build_part_c3, build_part_c4, choose_n,
+                                      config_count, encode_run, expected_next,
                                       initial_config_symbols, reduce)
 from poset_automata.universality import (accepts_with_cutoff,
                                          universal_antichain,
                                          universal_state_mask)
 
-from conftest import accepting_machine, incrementing_machine
+from conftest import (accepting_machine, head_moving_machine,
+                      incrementing_machine, rejecting_machine)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +43,14 @@ delta: q0 _ -> qf 1 S
 def test_parse_dtm_roundtrip_semantics():
     m = parse_dtm(TM_TEXT)
     assert m == incrementing_machine()
+
+
+def test_parse_dtm_comments():
+    text = TM_TEXT.replace("delta: q0 1 -> q0 1 R", "delta: q0 1 -> q0 1 R  # walk on")
+    assert parse_dtm(text) == incrementing_machine()
+    # '#' inside a token does not start a comment
+    m = parse_dtm(TM_TEXT.replace("_", "b#k"))
+    assert m.blank == "b#k" and m.tape_alphabet == ("b#k", "1")
 
 
 def test_parse_dtm_errors():
@@ -170,6 +181,16 @@ def test_expected_next_impossible_on_halt():
 # the parts, each on its own
 
 
+def parts_alone(m, x, pval, n, *builders):
+    """The given parts on a fresh builder holding one backbone."""
+    pa = PairAlphabet(m, n)
+    b = NfaBuilder(pa.alphabet)
+    bb = _add_backbone(b, pa)
+    for build_part in builders:
+        build_part(b, bb, m, x, pval)
+    return b.build()
+
+
 @pytest.fixture(scope="module")
 def setup_p1():
     m = accepting_machine()
@@ -181,7 +202,7 @@ def setup_p1():
 
 def test_part_a_behaviour(setup_p1):
     m, n, pa, word = setup_p1
-    part = build_part_a(m, "1", 1, n, pa)
+    part = parts_alone(m, "1", 1, n, build_part_a)
     ok, failures = is_ptnfa(part)
     assert ok, failures
     assert not accepts(part, word)
@@ -195,7 +216,7 @@ def test_part_a_behaviour(setup_p1):
 
 def test_part_b_behaviour(setup_p1):
     m, n, pa, word = setup_p1
-    part = build_part_b(m, "1", 1, n, pa)
+    part = parts_alone(m, "1", 1, n, build_part_b)
     ok, failures = is_ptnfa(part)
     assert ok, failures
     assert not accepts(part, word)
@@ -212,28 +233,28 @@ def test_part_b_behaviour(setup_p1):
 
 
 def test_each_c_part_is_ptnfa(setup_p1):
-    from poset_automata.reduction import build_part_c1, build_part_c3
     m, n, pa, _word = setup_p1
     for builder in (build_part_c1, build_part_c2, build_part_c3, build_part_c4):
-        ok, failures = is_ptnfa(builder(m, "1", 1, n, pa))
+        ok, failures = is_ptnfa(parts_alone(m, "1", 1, n, builder))
         assert ok, (builder.__name__, failures)
 
 
 def test_part_c_behaviour(setup_p1):
     m, n, pa, word = setup_p1
-    part = build_part_c(m, "1", 1, n, pa)
+    part = parts_alone(m, "1", 1, n, build_part_c1, build_part_c2,
+                       build_part_c3, build_part_c4)
     ok, failures = is_ptnfa(part)
     assert ok, failures
     assert not accepts(part, word)
     # final configuration not in the accepting state -> accepted via C.2
-    c2 = build_part_c2(m, "1", 1, n, pa)
+    c2 = parts_alone(m, "1", 1, n, build_part_c2)
     pos = len(word) - 2
     assert pa.second(word[pos]) == pa.cell_id("1", "qf")
     ending_bad = word[:pos] + (pa.pi_id(pa.first(word[pos]), pa.cell_id("1", "q0")),) + word[pos + 1:]
     assert accepts(c2, ending_bad)
     assert accepts(part, ending_bad)
     # $ followed by a different symbol -> accepted via C.4
-    c4 = build_part_c4(m, "1", 1, n, pa)
+    c4 = parts_alone(m, "1", 1, n, build_part_c4)
     mid = len(word) // 2
     dollar_mid = word[:mid] + (pa.pi_id(pa.first(word[mid]), pa.dollar_id),) + word[mid + 1:]
     assert accepts(c4, dollar_mid)
@@ -257,19 +278,21 @@ def test_reduce_artifact_inventory(tm_accepting):
     art = reduce(tm_accepting, "1", 1)
     assert art.n == 3 and art.pval == 1
     names = [name for (name, _o, _c) in art.components]
-    assert names == ["part-a", "part-b", "enc-backbone", "part-c1", "part-c2",
+    assert names == ["enc-backbone", "part-a", "part-b", "part-c1", "part-c2",
                      "part-c3", "part-c4"]
     inventory = {name: (o, c) for (name, o, c) in art.components}
     offsets = [o for (_n, o, _c) in art.components]
     assert offsets == sorted(offsets) and offsets[0] == 0
+    for (_n, o, c), (_n2, o2, _c2) in zip(art.components, art.components[1:]):
+        assert o + c == o2
     total = offsets[-1] + art.components[-1][2]
     assert total == art.automaton.n_states
-    # the backbone copy sits at the start of part B and spells A_{n,n} names
+    # the one backbone comes first and spells A_{n,n}'s state names
     bb_off, bb_count = inventory["enc-backbone"]
+    assert bb_off == 0
     assert bb_count == art.n * (2 * art.n + 1) + 1
     base = build_aknn(art.n, art.n)
-    assert art.automaton.state_names[bb_off:bb_off + bb_count] == \
-        tuple("B:" + s for s in base.state_names)
+    assert art.automaton.state_names[:bb_count] == base.state_names
     assert len(art.attachment_states) == art.n * art.n
     for name in art.attachment_states:
         assert name in art.automaton.state_index
@@ -289,13 +312,14 @@ def test_reduce_is_ptnfa(tm_accepting, tm_rejecting):
 
 
 def test_reduce_accepting_machine_witness(tm_accepting):
-    art = reduce(tm_accepting, "1", 1)
-    word = encode_run(tm_accepting, "1", 1, art.n)
-    assert art.project1(word) == w_word(art.n, art.n)
-    assert not accepts(art.automaton, word)
-    res = universal_antichain(art.automaton)
-    assert not res.universal
-    assert res.counterexample == word
+    for pval in (1, 2):
+        art = reduce(tm_accepting, "1", pval)
+        word = encode_run(tm_accepting, "1", pval, art.n)
+        assert art.project1(word) == w_word(art.n, art.n)
+        assert not accepts(art.automaton, word)
+        res = universal_antichain(art.automaton)
+        assert not res.universal
+        assert res.counterexample == word
 
 
 def test_reduce_rejecting_machine_universal(tm_rejecting):
@@ -348,12 +372,7 @@ def test_backbone_law_first_projection_perturbations(tm_accepting):
 def test_reduce_machine_with_head_movement():
     """The window checks must track markers across R and L moves, which the
     stay-put fixtures never exercise."""
-    lr = Dtm(states=("q0", "q1", "qf"), initial="q0", accepting="qf",
-             tape_alphabet=("_", "1"), input_alphabet=("1",), blank="_",
-             rules=(("q0", "1", "q1", "1", "R"),
-                    ("q1", "1", "qf", "1", "L"),
-                    ("q1", "_", "qf", "_", "L"),
-                    ("q0", "_", "q0", "_", "S")))
+    lr = head_moving_machine()
     art = reduce(lr, "11", 2)
     ok, failures = is_ptnfa(art.automaton)
     assert ok, failures
@@ -412,6 +431,55 @@ def test_reduce_out_of_bounds_run_is_reported():
     inc = incrementing_machine()
     with pytest.raises(SimulationError):
         encode_run(inc, "1", 1, 3)  # walks right off a 1-cell tape
+
+
+# ---------------------------------------------------------------------------
+# the shared backbone: the premise of the module docstring's proof
+
+
+STRUCTURE_MACHINES = [accepting_machine, rejecting_machine, head_moving_machine]
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", STRUCTURE_MACHINES)
+def test_completion_targets_reach_no_host(machine, pval):
+    """BFS over the emitted transitions from every (n+1;i) and from max
+    stays among (n+1..2n;i) and max: no attachment state, no check state."""
+    art = reduce(machine(), "1", pval)
+    a, n = art.automaton, art.n
+    succ: dict[int, set[int]] = {}
+    for (q, _x, r) in a.transitions:
+        succ.setdefault(q, set()).add(r)
+    start = {a.state_index[f"({n + 1};{i})"] for i in range(1, n + 1)}
+    start.add(a.state_index["max"])
+    seen, stack = set(start), list(start)
+    while stack:
+        for r in succ.get(stack.pop(), ()):
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    reached = {a.state_names[q] for q in seen}
+    assert not reached & set(art.attachment_states)
+    completion = {f"({i};{m})" for i in range(n + 1, 2 * n + 1) for m in range(1, n + 1)}
+    assert reached <= completion | {"max"}
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", STRUCTURE_MACHINES)
+def test_one_backbone_and_verdict_delay_lines(machine, pval):
+    m = machine()
+    art = reduce(m, "1", pval)
+    a, n, pa = art.automaton, art.n, art.pair_alphabet
+    backbone_names = set(build_aknn(n, n).state_names)
+    assert sum(name in backbone_names for name in a.state_names) == n * (2 * n + 1) + 1
+    nd = pa.n_delta
+    verdicts = {expected_next(m, pa, dl, dc, dr)
+                for dl in range(nd) for dc in range(nd) for dr in range(nd)}
+    delay = [name for name in a.state_names if name.startswith("B:next[")]
+    assert len(delay) == len(verdicts) * pval
+    part_b = {name: count for (name, _o, count) in art.components}["part-b"]
+    assert part_b == nd + nd * nd + len(verdicts) * pval
+    assert is_ptnfa(a)[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

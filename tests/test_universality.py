@@ -142,6 +142,12 @@ def test_brute_caps():
         universal_brute(a, 100, Caps(enum_len=10))
 
 
+def test_brute_rejects_negative_bound():
+    """A negative bound checks no word; it must not certify universality."""
+    with pytest.raises(InputError):
+        universal_brute(build_aknn(2, 2), -1)
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 
