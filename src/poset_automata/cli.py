@@ -64,10 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trim", action="store_true",
                    help="emit the trimmed rpoNFA variant instead")
 
-    p = sub.add_parser("gen-trim", help="generate the trimmed rpoNFA variant of A_{k,n}")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
     p = sub.add_parser("gen-dag", help="unary reachability gadget for a DAG file")
     p.add_argument("file")
 
@@ -120,9 +116,9 @@ def _cmd_gen_word(args) -> int:
     return 0
 
 
-def _cmd_gen_aknn(args, trim: bool) -> int:
+def _cmd_gen_aknn(args) -> int:
     a = build_aknn(args.k, args.n)
-    if trim:
+    if args.trim:
         a = trim_aknn(a, args.k, args.n)
     sys.stdout.write(print_automaton(a))
     return 0
@@ -159,9 +155,7 @@ def main(argv=None) -> int:
         if args.command == "gen-word":
             return _cmd_gen_word(args)
         if args.command == "gen-aknn":
-            return _cmd_gen_aknn(args, trim=args.trim)
-        if args.command == "gen-trim":
-            return _cmd_gen_aknn(args, trim=True)
+            return _cmd_gen_aknn(args)
         if args.command == "gen-dag":
             return _cmd_gen_dag(args)
         if args.command == "reduce":

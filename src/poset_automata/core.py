@@ -1,11 +1,12 @@
 """Representation and basic semantics of NFAs.
 
-State sets are kept as sorted index tuples in the validating API (``step``,
-``run``) and as int bitmasks (bit q set for state q) in the search routines,
-so that every operation is deterministic and outputs are diff-stable.  The
-searches step a bitmask with ``Nfa.step_mask``, which ORs together rows of
-one letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q
-under a.  The table is built whole from ``transitions`` on first use.
+Every search keeps a state set as an int bitmask (bit q set for state q) and
+steps it with ``Nfa.step_mask``, which ORs together rows of one letter-major
+table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under a.  The table
+is built whole from ``transitions`` on first use.  ``Nfa.succ`` maps
+(state, letter) to the successor tuple; it serves the structural queries and
+``accepts``, the membership test that the literal-enumeration oracle runs, so
+that oracle shares no code with the step table it checks.
 
 All values are immutable after construction.  Derived tables (``succ``,
 ``step_rows``, the masks) are cached properties: each is a pure function of
@@ -20,7 +21,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .caps import Caps, default_caps
 from .errors import InputError, ResourceLimitError
@@ -60,8 +61,8 @@ class Nfa:
 
     Transitions are stored duplicate-free and sorted by (src, letter, dst).
     The search routines read the automaton through ``step_rows``, one tuple
-    of successor bitmasks per letter indexed by state, via ``step_mask``
-    (one state set, one letter) and ``succ_mask`` (one state, one letter).
+    of successor bitmasks per letter indexed by state, mostly via
+    ``step_mask`` (the image of one state set under one letter).
     """
 
     n_states: int
@@ -145,9 +146,6 @@ class Nfa:
             rows[a][q] |= 1 << r
         return tuple(map(tuple, rows))
 
-    def succ_mask(self, q: int, a: int) -> int:
-        return self.step_rows[a][q]
-
     def step_mask(self, mask: int, a: int) -> int:
         """Image of the state set ``mask`` under letter a: the union of the
         step-table rows of its members."""
@@ -161,45 +159,30 @@ class Nfa:
 
 
 @dataclass(frozen=True)
-class ReachOrder:
-    """Reflexive-transitive reachability matrix, one bitmask row per state."""
-
-    rows: tuple[int, ...]
-    is_partial_order: bool
-
-    def reaches(self, p: int, q: int) -> bool:
-        return bool(self.rows[p] >> q & 1)
-
-
-@dataclass(frozen=True)
 class Dfa:
-    """Deterministic automaton: one initial state, at most one successor per
-    (state, letter).  Missing successors are allowed only when ``partial``."""
+    """Total deterministic automaton: one initial state and exactly one
+    successor per (state, letter), ``table[q][a]``.  ``determinize`` builds
+    it; ``complement`` flips its accepting set and ``to_nfa`` converts it
+    back for the language routines."""
 
     n_states: int
     alphabet: tuple[Letter, ...]
-    table: tuple[tuple[Optional[int], ...], ...]
+    table: tuple[tuple[int, ...], ...]
     initial: int
     accepting: tuple[int, ...]
     state_names: tuple[str, ...]
-    partial: bool = False
 
     def __post_init__(self):
         if self.n_states <= 0:
             raise InputError("automaton needs at least one state")
         if len(self.table) != self.n_states:
             raise InputError("transition table must have one row per state")
-        holes = False
         for row in self.table:
             if len(row) != len(self.alphabet):
                 raise InputError("transition table row width must match alphabet")
             for r in row:
-                if r is None:
-                    holes = True
-                elif not 0 <= r < self.n_states:
+                if not 0 <= r < self.n_states:
                     raise InputError(f"transition target {r} out of range")
-        if holes and not self.partial:
-            raise InputError("missing successors in a DFA not marked partial")
         if not 0 <= self.initial < self.n_states:
             raise InputError("initial state out of range")
         object.__setattr__(self, "accepting", tuple(sorted(set(self.accepting))))
@@ -209,8 +192,7 @@ class Dfa:
         return len(self.alphabet)
 
     def to_nfa(self) -> Nfa:
-        trans = [(q, a, r) for q, row in enumerate(self.table)
-                 for a, r in enumerate(row) if r is not None]
+        trans = [(q, a, r) for q, row in enumerate(self.table) for a, r in enumerate(row)]
         return Nfa(self.n_states, self.alphabet, tuple(trans), (self.initial,),
                    self.accepting, self.state_names)
 
@@ -219,67 +201,19 @@ class Dfa:
 # basic semantics
 
 
-def step(a: Nfa, states: Iterable[int], letter: int) -> tuple[int, ...]:
-    """Image of a state set under one letter: union of q.letter, sorted."""
-    if not 0 <= letter < a.n_letters:
-        raise InputError(f"letter id {letter} not in alphabet of size {a.n_letters}")
-    out: set[int] = set()
-    succ = a.succ
-    for q in states:
-        if not 0 <= q < a.n_states:
-            raise InputError(f"state index {q} out of range")
-        out.update(succ.get((q, letter), ()))
-    return tuple(sorted(out))
-
-
-def run(a: Nfa, word: Sequence[int]) -> frozenset[int]:
-    """Set of states reachable from the initial set under ``word``."""
-    current: Iterable[int] = a.initial
-    for x in word:
-        current = step(a, current, x)
-        if not current:
-            return frozenset()
-    return frozenset(current)
-
-
 def accepts(a: Nfa, word: Sequence[int]) -> bool:
+    """Membership by direct simulation over ``succ``; independent of the
+    step table that the searches use."""
     for x in word:
         if not 0 <= x < a.n_letters:
             raise InputError(f"letter id {x} not in alphabet of size {a.n_letters}")
-    return bool(run(a, word) & a.accepting_set)
-
-
-def reach_order(a: Nfa) -> ReachOrder:
-    """Reflexive-transitive closure of the one-step successor relation."""
-    rows = [1 << q for q in range(a.n_states)]
-    for (q, _x, r) in a.transitions:
-        rows[q] |= 1 << r
-    changed = True
-    while changed:
-        changed = False
-        for q in range(a.n_states):
-            acc = rows[q]
-            rest = acc & ~(1 << q)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                acc |= rows[low.bit_length() - 1]
-            if acc != rows[q]:
-                rows[q] = acc
-                changed = True
-    po = True
-    for p in range(a.n_states):
-        row = rows[p] & ~(1 << p)
-        while row:
-            low = row & -row
-            row ^= low
-            q = low.bit_length() - 1
-            if rows[q] >> p & 1:
-                po = False
-                row = 0
-        if not po:
-            break
-    return ReachOrder(tuple(rows), po)
+    succ = a.succ
+    current = set(a.initial)
+    for x in word:
+        current = {r for q in current for r in succ.get((q, x), ())}
+        if not current:
+            return False
+    return bool(current & a.accepting_set)
 
 
 def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
@@ -334,23 +268,23 @@ def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# determinization, boolean operations
+# determinization and complement
 
 
 def determinize(a: Nfa, caps: Caps | None = None) -> Dfa:
     """Accessible subset construction; the empty subset is kept as an explicit
     dead state so the result is always total."""
     caps = caps or default_caps()
-    start = frozenset(a.initial)
-    ids: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    rows: list[list[int]] = []
+    start = a.initial_mask
+    ids: dict[int, int] = {start: 0}
+    order: list[int] = [start]
+    rows: list[tuple[int, ...]] = []
     queue = deque([start])
     while queue:
         subset = queue.popleft()
         row = []
         for x in range(a.n_letters):
-            img = frozenset(step(a, subset, x))
+            img = a.step_mask(subset, x)
             node = ids.get(img)
             if node is None:
                 if len(ids) >= caps.det_states:
@@ -361,116 +295,17 @@ def determinize(a: Nfa, caps: Caps | None = None) -> Dfa:
                 order.append(img)
                 queue.append(img)
             row.append(node)
-        rows.append(row)
-    acc = tuple(i for i, subset in enumerate(order) if subset & a.accepting_set)
-    names = tuple("{%s}" % ",".join(a.state_names[q] for q in sorted(s)) for s in order)
-    return Dfa(len(order), a.alphabet, tuple(map(tuple, rows)), 0, acc, names)
+        rows.append(tuple(row))
+    acc = tuple(i for i, subset in enumerate(order) if subset & a.accepting_mask)
+    names = tuple("{%s}" % ",".join(a.state_names[q] for q in range(a.n_states)
+                                     if subset >> q & 1) for subset in order)
+    return Dfa(len(order), a.alphabet, tuple(rows), 0, acc, names)
 
 
 def complement(d: Dfa) -> Dfa:
-    if d.partial:
-        raise InputError("complement requires a total DFA")
-    acc = tuple(q for q in range(d.n_states) if q not in set(d.accepting))
+    accepting = set(d.accepting)
+    acc = tuple(q for q in range(d.n_states) if q not in accepting)
     return Dfa(d.n_states, d.alphabet, d.table, d.initial, acc, d.state_names)
-
-
-def _require_same_alphabet(parts: Sequence[Nfa]) -> None:
-    first = parts[0].alphabet
-    for p in parts[1:]:
-        if p.alphabet != first:
-            raise InputError("operands must share an identical alphabet")
-
-
-def product(a: Nfa, b: Nfa, mode: str = "intersect") -> Nfa:
-    """Synchronized product (intersect) or language union of two NFAs."""
-    if mode == "union":
-        return union_disjoint([a, b])
-    if mode != "intersect":
-        raise InputError(f"unknown product mode {mode!r}")
-    _require_same_alphabet([a, b])
-    start = [(p, q) for p in a.initial for q in b.initial]
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for pair in start:
-        if pair not in ids:
-            ids[pair] = len(order)
-            order.append(pair)
-    trans = []
-    queue = deque(order)
-    while queue:
-        (p, q) = queue.popleft()
-        src = ids[(p, q)]
-        for x in range(a.n_letters):
-            for p2 in a.succ.get((p, x), ()):
-                for q2 in b.succ.get((q, x), ()):
-                    pair = (p2, q2)
-                    node = ids.get(pair)
-                    if node is None:
-                        node = len(order)
-                        ids[pair] = node
-                        order.append(pair)
-                        queue.append(pair)
-                    trans.append((src, x, node))
-    if not order:
-        # no initial pair: empty-language placeholder state
-        return Nfa(1, a.alphabet, (), (), (), ("dead",))
-    acc = tuple(i for i, (p, q) in enumerate(order)
-                if p in a.accepting_set and q in b.accepting_set)
-    names = tuple(f"({a.state_names[p]},{b.state_names[q]})" for (p, q) in order)
-    init = tuple(ids[pair] for pair in start)
-    return Nfa(len(order), a.alphabet, tuple(trans), init, acc, names)
-
-
-def union_disjoint(parts: Sequence[Nfa]) -> Nfa:
-    """Disjoint union over one alphabet; preserves each operand's structure.
-
-    States are concatenated in operand order (operand i starts at the sum of
-    the earlier operands' state counts).  Colliding state names get a
-    deterministic ``u<i>:`` prefix.
-    """
-    if not parts:
-        raise InputError("union of zero automata is undefined")
-    _require_same_alphabet(parts)
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n_states
-    seen: set[str] = set()
-    names: list[str] = []
-    for i, p in enumerate(parts):
-        for name in p.state_names:
-            if name in seen:
-                name = f"u{i}:{name}"
-            seen.add(name)
-            names.append(name)
-    trans = []
-    initial = []
-    accepting = []
-    for off, p in zip(offsets, parts):
-        trans.extend((q + off, x, r + off) for (q, x, r) in p.transitions)
-        initial.extend(q + off for q in p.initial)
-        accepting.extend(q + off for q in p.accepting)
-    return Nfa(total, parts[0].alphabet, tuple(trans), tuple(initial),
-               tuple(accepting), tuple(names))
-
-
-def complete_nfa(a: Nfa, sink_name: str = "sink") -> Nfa:
-    """Explicit completion: route every undefined (state, letter) to a fresh
-    non-accepting sink.  Returns ``a`` unchanged when already complete."""
-    missing = [(q, x) for q in range(a.n_states) for x in range(a.n_letters)
-               if (q, x) not in a.succ]
-    if not missing:
-        return a
-    sink = a.n_states
-    name = sink_name
-    while name in a.state_index:
-        name += "'"
-    trans = list(a.transitions)
-    trans.extend((q, x, sink) for (q, x) in missing)
-    trans.extend((sink, x, sink) for x in range(a.n_letters))
-    return Nfa(a.n_states + 1, a.alphabet, tuple(trans), a.initial, a.accepting,
-               a.state_names + (name,))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +368,13 @@ def language_equal_bounded(a: Nfa, b: Nfa, max_len: int,
     """First (length-lex) word of length <= max_len on which the two languages
     differ, or None.  Synchronized subset search with dedup."""
     caps = caps or default_caps()
-    _require_same_alphabet([a, b])
+    if a.alphabet != b.alphabet:
+        raise InputError("operands must share an identical alphabet")
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
+    if max_len > caps.enum_len:
+        raise ResourceLimitError(f"bounded comparison length {max_len} exceeds enum_len "
+                                 f"cap ({caps.enum_len})")
     start = (a.initial_mask, b.initial_mask)
     seen = {start}
     level = [((), start)]
@@ -630,15 +471,6 @@ def print_automaton(a: Nfa, header: Sequence[str] = ()) -> str:
     for (q, x, r) in a.transitions:
         lines.append(f"trans: {a.state_names[q]} {a.alphabet[x].name} {a.state_names[r]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_word(a: Nfa, tokens: Sequence[str]) -> Word:
-    out = []
-    for tok in tokens:
-        if tok not in a.letter_index:
-            raise InputError(f"letter {tok!r} not in alphabet")
-        out.append(a.letter_index[tok])
-    return tuple(out)
 
 
 def format_word(a: Nfa, word: Sequence[int]) -> str:

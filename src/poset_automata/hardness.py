@@ -20,7 +20,7 @@ from math import comb
 
 from .builder import NfaBuilder
 from .caps import Caps, default_caps
-from .core import Letter, Nfa, Word, _strip_comment, make_alphabet, step
+from .core import Letter, Nfa, Word, _strip_comment, make_alphabet
 from .errors import InputError, ResourceLimitError
 
 
@@ -129,10 +129,10 @@ def check_suffix_rejection(k: int, n: int, caps: Caps | None = None) -> bool:
     word = w_word(k, n, caps)
     for t, letter in enumerate(word):
         level = letter + 1
-        frontier: tuple[int, ...] = (a.state_index[_st(k + 1, level)],)
+        frontier = 1 << a.state_index[_st(k + 1, level)]
         for x in word[t + 1:]:
-            frontier = step(a, frontier, x)
-        if set(frontier) & a.accepting_set:
+            frontier = a.step_mask(frontier, x)
+        if frontier & a.accepting_mask:
             return False
     return True
 

@@ -128,12 +128,6 @@ class PairAlphabet:
     def pi_id(self, a_idx: int, d_idx: int) -> int:
         return a_idx * self.n_delta + d_idx
 
-    def first(self, pi: int) -> int:
-        return pi // self.n_delta
-
-    def second(self, pi: int) -> int:
-        return pi % self.n_delta
-
     def marker_ids(self, exclude: str) -> list[int]:
         """Cells carrying a state marker other than ``exclude``."""
         return [i for i, entry in enumerate(self.decode)
@@ -435,9 +429,6 @@ class ReductionArtifact:
     pair_alphabet: PairAlphabet
     components: tuple[tuple[str, int, int], ...]  # (name, state offset, state count)
     attachment_states: tuple[str, ...]
-
-    def project1(self, word: Sequence[int]) -> Word:
-        return tuple(self.pair_alphabet.first(pi) for pi in word)
 
 
 def choose_n(m: Dtm, x: Sequence[str], pval: int) -> int:

@@ -8,11 +8,11 @@ from typing import Callable
 
 from .caps import default_caps
 from .classify import classify, is_complete
-from .core import complement, determinize, enumerate_language, language_equal_bounded
+from .core import (accepts, complement, determinize, enumerate_language,
+                   language_equal_bounded)
 from .hardness import build_aknn, dag_gadget, dag_reachable, trim_aknn, w_word
 from .sampling import random_complete_po_sld, random_dag
 from .universality import universal
-from .core import accepts
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .caps import Caps, default_caps
 from .classify import is_partially_ordered, is_saturated
-from .core import Nfa, Word, accepts
+from .core import Nfa, Word, accepts, format_word
 from .errors import InputError, ResourceLimitError
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ def universal_state_mask(a: Nfa) -> int:
     (greatest fixpoint).  A subset containing one accepts every word, so
     searches may discard it; the approximation is sound, not complete."""
     u = a.accepting_mask
+    rows = a.step_rows
     changed = True
     while changed:
         changed = False
@@ -82,7 +83,7 @@ def universal_state_mask(a: Nfa) -> int:
             m ^= low
             q = low.bit_length() - 1
             for x in range(a.n_letters):
-                if not a.succ_mask(q, x) & u:
+                if not rows[x][q] & u:
                     u &= ~low
                     changed = True
                     break
@@ -241,8 +242,7 @@ def universal(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
 def format_result(a: Nfa, res: UniversalityResult) -> str:
     lines = [f"universal: {'yes' if res.universal else 'no'}"]
     if not res.universal:
-        lines.append("counterexample: " +
-                     " ".join(a.alphabet[x].name for x in res.counterexample))
+        lines.append("counterexample: " + format_word(a, res.counterexample))
     lines.append(f"method: {res.method}")
     lines.append(f"explored: {res.explored}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,33 @@
 import pytest
 
+from poset_automata.core import Nfa
 from poset_automata.dtm import Dtm
+
+
+def reach_order(a: Nfa) -> list[set[int]]:
+    """Reachability oracle: row q is the set of states reachable from q in
+    zero or more steps, by a plain graph search over ``transitions``."""
+    rows = []
+    for q in range(a.n_states):
+        seen, todo = {q}, [q]
+        while todo:
+            p = todo.pop()
+            for (s, _x, r) in a.transitions:
+                if s == p and r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        rows.append(seen)
+    return rows
+
+
+def complete_with_fresh_sink(a: Nfa) -> Nfa:
+    """Route every undefined (state, letter) to a new non-accepting sink."""
+    sink = a.n_states
+    trans = list(a.transitions) + [(sink, x, sink) for x in range(a.n_letters)]
+    trans += [(q, x, sink) for q in range(a.n_states) for x in range(a.n_letters)
+              if (q, x) not in a.succ]
+    return Nfa(sink + 1, a.alphabet, tuple(trans), a.initial, a.accepting,
+               a.state_names + ("sink",))
 
 
 def accepting_machine() -> Dtm:

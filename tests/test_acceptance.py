@@ -168,7 +168,7 @@ def test_criterion_8_tm_reduction_end_to_end():
                 pa = art.pair_alphabet
                 missed = 0
                 for pos in range(len(word)):
-                    a_idx, d_orig = pa.first(word[pos]), pa.second(word[pos])
+                    a_idx, d_orig = divmod(word[pos], pa.n_delta)
                     for d in range(pa.n_delta):
                         if d == d_orig:
                             continue

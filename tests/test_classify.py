@@ -9,10 +9,12 @@ from poset_automata.classify import (classify, format_report, is_complete,
                                      is_confluent, is_partially_ordered,
                                      is_ptnfa, is_saturated,
                                      is_self_loop_deterministic, is_ums)
-from poset_automata.core import Nfa, complete_nfa, make_alphabet
+from poset_automata.core import Nfa, make_alphabet
 from poset_automata.errors import InputError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn
 from poset_automata.sampling import random_complete_po_sld, random_nfa
+
+from conftest import complete_with_fresh_sink, reach_order
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
@@ -109,7 +111,7 @@ def test_ums_on_aknn_level3(k):
 def test_ums_fails_for_fresh_sink_completion():
     # completing the trimmed variant into a new sink instead of max breaks UMS
     t = trim_aknn(build_aknn(2, 2), 2, 2)
-    completed = complete_nfa(t)
+    completed = complete_with_fresh_sink(t)
     ok, witness = is_ums(completed)
     assert not ok
     q, comp, maxes = witness
@@ -212,10 +214,9 @@ def test_witness_replay(seed):
         q, x = rep.witnesses["complete"]
         assert a.succ.get((q, x)) is None
     if not rep.partially_ordered:
-        from poset_automata.core import reach_order
         p, q = rep.witnesses["partially_ordered"]
-        ro = reach_order(a)
-        assert p != q and ro.reaches(p, q) and ro.reaches(q, p)
+        rows = reach_order(a)
+        assert p != q and q in rows[p] and p in rows[q]
     if not rep.self_loop_deterministic:
         q, x, s, t = rep.witnesses["self_loop_deterministic"]
         assert s == q and t != q
@@ -236,6 +237,16 @@ def test_witness_replay(seed):
             # maximal: no outgoing edge to a different state inside the subgraph
             for x in loops:
                 assert all(r == p for r in a.succ.get((p, x), ()))
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_partial_order_matches_reachability_oracle(seed):
+    rng = random.Random(seed)
+    a = random_nfa(rng, max_states=rng.choice([3, 6, 9]), max_letters=2)
+    rows = reach_order(a)
+    cyclic = any(p in rows[q] for p in range(a.n_states) for q in rows[p] - {p})
+    assert is_partially_ordered(a)[0] == (not cyclic)
 
 
 def _random_po_nfa(rng, max_states=6, max_letters=3):

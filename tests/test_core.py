@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poset_automata.caps import Caps
-from poset_automata.classify import is_ptnfa
-from poset_automata.core import (Nfa, accepts, complement, complete_nfa,
-                                 determinize, enumerate_language, format_word,
+from poset_automata.classify import is_partially_ordered
+from poset_automata.core import (Nfa, accepts, complement, determinize,
+                                 enumerate_language, format_word,
                                  language_equal_bounded, make_alphabet,
-                                 parse_automaton, parse_word, print_automaton,
-                                 product, reach_order, step, union_disjoint)
+                                 parse_automaton, print_automaton)
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import build_aknn
 from poset_automata.sampling import random_nfa
+
+from conftest import reach_order
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
@@ -46,7 +47,7 @@ def small_nfas(draw, max_states=6, max_letters=3):
 
 
 # ---------------------------------------------------------------------------
-# step / accepts
+# step_mask / accepts
 
 
 def _mask(states):
@@ -66,7 +67,7 @@ def test_step_table_matches_transition_images(a, data):
     for x in range(a.n_letters):
         assert a.step_mask(0, x) == 0
         for q in range(a.n_states):
-            assert a.succ_mask(q, x) == _mask(_image(a, {q}, x))
+            assert a.step_rows[x][q] == _mask(_image(a, {q}, x))
         subset = data.draw(st.frozensets(st.integers(0, top)))
         for states in (subset, subset | {top}, everything):
             assert a.step_mask(_mask(states), x) == _mask(_image(a, states, x))
@@ -78,7 +79,7 @@ def test_step_table_letter_without_arcs_and_top_state():
     a = simple_nfa(70, 2, [(0, 0, 69), (69, 0, 0), (69, 0, 69), (5, 0, 6)], [0], [])
     assert a.step_rows[1] == (0,) * 70
     assert a.step_mask((1 << 70) - 1, 1) == 0
-    assert a.succ_mask(69, 0) == 1 | 1 << 69
+    assert a.step_rows[0][69] == 1 | 1 << 69
     assert a.step_mask(1 << 69, 0) == 1 | 1 << 69
     assert a.step_mask(1 | 1 << 5 | 1 << 69, 0) == 1 | 1 << 6 | 1 << 69
     assert a.step_mask(0, 0) == 0
@@ -86,26 +87,20 @@ def test_step_table_letter_without_arcs_and_top_state():
 
 def test_step_empty_set_is_empty():
     a = build_aknn(1, 1)
-    assert step(a, [], 0) == ()
+    assert a.step_mask(0, 0) == 0
 
 
 def test_step_on_aknn_base_case():
     a = build_aknn(1, 1)
-    got = step(a, [a.state_index["(0;1)"]], 0)
-    assert [a.state_names[q] for q in got] == ["(1;1)"]
+    got = a.step_mask(1 << a.state_index["(0;1)"], 0)
+    assert got == 1 << a.state_index["(1;1)"]
 
 
 def test_step_complete_automaton_nonempty():
     a = build_aknn(2, 2)
-    all_states = range(a.n_states)
+    all_states = (1 << a.n_states) - 1
     for x in range(a.n_letters):
-        assert step(a, all_states, x)
-
-
-def test_step_rejects_foreign_letter():
-    a = build_aknn(1, 1)
-    with pytest.raises(InputError):
-        step(a, [0], 5)
+        assert a.step_mask(all_states, x)
 
 
 def test_accepts_epsilon_iff_initial_accepting():
@@ -130,49 +125,50 @@ def test_accepts_rejects_foreign_letter():
 @given(small_nfas(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_step_distributes_over_union(a, data):
-    s1 = data.draw(st.lists(st.integers(0, a.n_states - 1), max_size=a.n_states))
-    s2 = data.draw(st.lists(st.integers(0, a.n_states - 1), max_size=a.n_states))
+    s1 = _mask(data.draw(st.frozensets(st.integers(0, a.n_states - 1))))
+    s2 = _mask(data.draw(st.frozensets(st.integers(0, a.n_states - 1))))
     x = data.draw(st.integers(0, a.n_letters - 1))
-    joint = set(step(a, set(s1) | set(s2), x))
-    assert joint == set(step(a, s1, x)) | set(step(a, s2, x))
+    assert a.step_mask(s1 | s2, x) == a.step_mask(s1, x) | a.step_mask(s2, x)
 
 
 # ---------------------------------------------------------------------------
-# reach_order
+# reach_order: the reachability oracle of conftest, and the partial-order
+# check it backs
 
 
 def test_reach_order_single_state():
     a = simple_nfa(1, 1, [], [0], [0])
-    assert reach_order(a).is_partial_order
+    assert reach_order(a) == [{0}]
+    assert is_partially_ordered(a)[0]
 
 
 def test_reach_order_two_cycle():
     a = simple_nfa(2, 1, [(0, 0, 1), (1, 0, 0)], [0], [0])
-    ro = reach_order(a)
-    assert not ro.is_partial_order
-    assert ro.reaches(0, 1) and ro.reaches(1, 0)
+    rows = reach_order(a)
+    assert rows == [{0, 1}, {0, 1}]
+    assert is_partially_ordered(a) == (False, (0, 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_reach_order_aknn_level3(k):
-    assert reach_order(build_aknn(k, 3)).is_partial_order
+    a = build_aknn(k, 3)
+    rows = reach_order(a)
+    assert all(p not in rows[q] for p in range(a.n_states) for q in rows[p] - {p})
+    assert is_partially_ordered(a)[0]
 
 
 @given(small_nfas())
 @settings(max_examples=60, deadline=None)
 def test_reach_order_is_transitively_closed(a):
-    ro = reach_order(a)
-    n = a.n_states
-    for p in range(n):
-        for q in range(n):
-            if ro.reaches(p, q):
-                for r in range(n):
-                    if ro.reaches(q, r):
-                        assert ro.reaches(p, r)
+    rows = reach_order(a)
+    for p in range(a.n_states):
+        assert p in rows[p]
+        for q in rows[p]:
+            assert rows[q] <= rows[p]
 
 
 # ---------------------------------------------------------------------------
-# determinize / complement / product
+# determinize / complement
 
 
 def test_determinize_fixpoint_on_total_dfa():
@@ -210,11 +206,42 @@ def test_determinize_preserves_bounded_language(a):
     assert enumerate_language(a, 6) == enumerate_language(d.to_nfa(), 6)
 
 
-def test_complement_requires_total():
-    from poset_automata.core import Dfa
-    d = Dfa(1, make_alphabet(["a1"]), ((None,),), 0, (0,), ("s0",), partial=True)
-    with pytest.raises(InputError):
-        complement(d)
+def _frozenset_subset_construction(a):
+    """Reference determinization: frozenset subsets stepped over the
+    transition list, in the breadth-first order ``determinize`` promises."""
+    start = frozenset(a.initial)
+    order, ids, table = [start], {start: 0}, []
+    for subset in order:  # grows while it is read: breadth-first
+        row = []
+        for x in range(a.n_letters):
+            img = frozenset(r for (q, y, r) in a.transitions if y == x and q in subset)
+            if img not in ids:
+                ids[img] = len(order)
+                order.append(img)
+            row.append(ids[img])
+        table.append(tuple(row))
+    accepting = tuple(i for i, s in enumerate(order) if s & set(a.accepting))
+    names = tuple("{" + ",".join(a.state_names[q] for q in sorted(s)) + "}" for s in order)
+    return len(order), tuple(table), accepting, names
+
+
+def _assert_determinize_matches_reference(a):
+    d = determinize(a)
+    assert (d.n_states, d.table, d.accepting, d.state_names) == \
+        _frozenset_subset_construction(a)
+    assert d.initial == 0 and d.alphabet == a.alphabet
+
+
+@given(small_nfas())
+@settings(max_examples=150, deadline=None)
+def test_determinize_matches_frozenset_construction(a):
+    _assert_determinize_matches_reference(a)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_determinize_matches_frozenset_construction_on_aknn(k, n):
+    _assert_determinize_matches_reference(build_aknn(k, n))
 
 
 def test_complement_is_involution():
@@ -227,52 +254,31 @@ def test_complement_is_involution():
 def test_intersect_with_complement_is_empty():
     a = build_aknn(1, 2)
     comp = complement(determinize(a)).to_nfa()
-    inter = product(a, comp, "intersect")
-    assert enumerate_language(inter, 6) == []
+    both = set(brute_language(a, 6)) & set(brute_language(comp, 6))
+    assert both == set()
 
 
-def test_product_requires_same_alphabet():
+# ---------------------------------------------------------------------------
+# language_equal_bounded
+
+
+def test_bounded_comparison_requires_same_alphabet():
     with pytest.raises(InputError):
-        product(build_aknn(1, 1), build_aknn(1, 2), "intersect")
+        language_equal_bounded(build_aknn(1, 1), build_aknn(1, 2), 3)
 
 
-@given(st.integers(0, 10**9))
-@settings(max_examples=40, deadline=None)
-def test_product_soundness(seed):
-    rng = random.Random(seed)
-    a = random_nfa(rng, max_states=4, max_letters=2)
-    b = random_nfa(rng, max_states=4, max_letters=2)
-    if a.n_letters != b.n_letters:
-        b = simple_nfa(b.n_states, a.n_letters,
-                       [t for t in b.transitions if t[1] < a.n_letters],
-                       b.initial, b.accepting)
-    la, lb = set(brute_language(a, 4)), set(brute_language(b, 4))
-    inter = set(brute_language(product(a, b, "intersect"), 4))
-    union = set(brute_language(product(a, b, "union"), 4))
-    assert inter == la & lb
-    assert union == la | lb
-
-
-def test_union_disjoint_preserves_ptnfa():
-    u = union_disjoint([build_aknn(1, 2), build_aknn(2, 2)])
-    ok, failures = is_ptnfa(u)
-    assert ok, failures
-
-
-def test_union_disjoint_rejects_empty_and_mismatched():
+def test_bounded_comparison_rejects_negative_bound():
+    a, b = build_aknn(1, 1), build_aknn(2, 1)
+    assert language_equal_bounded(a, b, 1) == (0,)  # they differ on a1
     with pytest.raises(InputError):
-        union_disjoint([])
-    with pytest.raises(InputError):
-        union_disjoint([build_aknn(1, 1), build_aknn(1, 2)])
+        language_equal_bounded(a, b, -1)
 
 
-def test_complete_nfa_adds_sink():
-    a = simple_nfa(2, 2, [(0, 0, 1)], [0], [1])
-    c = complete_nfa(a)
-    assert c.n_states == 3
-    assert is_ptnfa(c)[1].get("complete") is None
-    assert language_equal_bounded(a, c, 5) is None
-    assert complete_nfa(c) is c  # already complete
+def test_bounded_comparison_length_cap():
+    a, b = build_aknn(1, 1), build_aknn(2, 1)
+    assert language_equal_bounded(a, b, 4, Caps(enum_len=4)) == (0,)
+    with pytest.raises(ResourceLimitError):
+        language_equal_bounded(a, b, 5, Caps(enum_len=4))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +302,7 @@ def test_enumerate_saturated_with_accepting_initial():
 
 
 def test_enumerate_orders_length_then_lex():
-    a = complete_nfa(simple_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], [0], [0]))
+    a = simple_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], [0], [0])
     got = enumerate_language(a, 3)
     assert got == sorted(got, key=lambda w: (len(w), w))
 
@@ -357,12 +363,10 @@ def test_parse_errors():
         parse_automaton("alphabet: a1\nstates: #bad\ninitial: #bad\naccepting:\n")
 
 
-def test_parse_word_and_format_word():
+def test_format_word():
     a = parse_automaton(GOLDEN)
-    assert parse_word(a, ["a1", "a2"]) == (0, 1)
     assert format_word(a, (0, 1)) == "a1 a2"
-    with pytest.raises(InputError):
-        parse_word(a, ["zz"])
+    assert format_word(a, ()) == ""
 
 
 @given(st.integers(0, 10**9))

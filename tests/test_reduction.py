@@ -127,8 +127,8 @@ def test_encode_run_shape(tm_accepting):
     pa = PairAlphabet(tm_accepting, n)
     word = encode_run(tm_accepting, "1", 1, n)
     assert len(word) == len(w_word(n, n))
-    assert tuple(pa.first(pi) for pi in word) == w_word(n, n)
-    w2 = [pa.second(pi) for pi in word]
+    assert tuple(pi // pa.n_delta for pi in word) == w_word(n, n)
+    w2 = [pi % pa.n_delta for pi in word]
     # begins with the separator-wrapped initial configuration
     assert w2[:3] == [pa.hash_id, pa.cell_id("1", "q0"), pa.hash_id]
     assert w2.count(pa.dollar_id) <= 1  # trailing $ count <= pval
@@ -207,7 +207,7 @@ def test_part_a_behaviour(setup_p1):
     assert ok, failures
     assert not accepts(part, word)
     # wrong letter at position 0 (not #) -> accepted
-    bad0 = (pa.pi_id(pa.first(word[0]), pa.dollar_id),) + word[1:]
+    bad0 = (pa.pi_id(word[0] // pa.n_delta, pa.dollar_id),) + word[1:]
     assert accepts(part, bad0)
     # any word of length <= pval+1 accepted
     assert accepts(part, ())
@@ -224,11 +224,11 @@ def test_part_b_behaviour(setup_p1):
     # config cells sit at odd positions for pval=1; flip a marker cell to
     # an unmarked one, contradicting the forced successor
     pos = 7
-    assert pa.second(word[pos]) == pa.cell_id("1", "qf")
-    corrupted = word[:pos] + (pa.pi_id(pa.first(word[pos]), pa.cell_id("1", None)),) + word[pos + 1:]
+    assert word[pos] % pa.n_delta == pa.cell_id("1", "qf")
+    corrupted = word[:pos] + (pa.pi_id(word[pos] // pa.n_delta, pa.cell_id("1", None)),) + word[pos + 1:]
     assert accepts(part, corrupted)
     # first projection off the W-track -> accepted by the backbone
-    other = (word[0] + pa.n_delta,) if pa.first(word[0]) == 0 else (word[0] - pa.n_delta,)
+    other = (word[0] + pa.n_delta,) if word[0] // pa.n_delta == 0 else (word[0] - pa.n_delta,)
     assert accepts(part, other + word[1:])
 
 
@@ -249,14 +249,14 @@ def test_part_c_behaviour(setup_p1):
     # final configuration not in the accepting state -> accepted via C.2
     c2 = parts_alone(m, "1", 1, n, build_part_c2)
     pos = len(word) - 2
-    assert pa.second(word[pos]) == pa.cell_id("1", "qf")
-    ending_bad = word[:pos] + (pa.pi_id(pa.first(word[pos]), pa.cell_id("1", "q0")),) + word[pos + 1:]
+    assert word[pos] % pa.n_delta == pa.cell_id("1", "qf")
+    ending_bad = word[:pos] + (pa.pi_id(word[pos] // pa.n_delta, pa.cell_id("1", "q0")),) + word[pos + 1:]
     assert accepts(c2, ending_bad)
     assert accepts(part, ending_bad)
     # $ followed by a different symbol -> accepted via C.4
     c4 = parts_alone(m, "1", 1, n, build_part_c4)
     mid = len(word) // 2
-    dollar_mid = word[:mid] + (pa.pi_id(pa.first(word[mid]), pa.dollar_id),) + word[mid + 1:]
+    dollar_mid = word[:mid] + (pa.pi_id(word[mid] // pa.n_delta, pa.dollar_id),) + word[mid + 1:]
     assert accepts(c4, dollar_mid)
     assert accepts(part, dollar_mid)
 
@@ -315,7 +315,7 @@ def test_reduce_accepting_machine_witness(tm_accepting):
     for pval in (1, 2):
         art = reduce(tm_accepting, "1", pval)
         word = encode_run(tm_accepting, "1", pval, art.n)
-        assert art.project1(word) == w_word(art.n, art.n)
+        assert tuple(pi // art.pair_alphabet.n_delta for pi in word) == w_word(art.n, art.n)
         assert not accepts(art.automaton, word)
         res = universal_antichain(art.automaton)
         assert not res.universal
@@ -347,7 +347,7 @@ def test_reduce_corruption_sample(tm_accepting):
     word = encode_run(tm_accepting, "1", 1, art.n)
     u = universal_state_mask(art.automaton)
     for pos in (0, 1, 2, 9, len(word) - 2, len(word) - 1):
-        a_idx, d_orig = pa.first(word[pos]), pa.second(word[pos])
+        a_idx, d_orig = divmod(word[pos], pa.n_delta)
         for d in range(pa.n_delta):
             if d != d_orig:
                 corrupted = word[:pos] + (pa.pi_id(a_idx, d),) + word[pos + 1:]
@@ -363,7 +363,7 @@ def test_backbone_law_first_projection_perturbations(tm_accepting):
     rng = random.Random(5)
     for _ in range(60):
         pos = rng.randrange(len(word))
-        a_idx, d = pa.first(word[pos]), pa.second(word[pos])
+        a_idx, d = divmod(word[pos], pa.n_delta)
         other = rng.choice([a for a in range(art.n) if a != a_idx])
         perturbed = word[:pos] + (pa.pi_id(other, d),) + word[pos + 1:]
         assert accepts_with_cutoff(art.automaton, perturbed, u)
@@ -382,7 +382,7 @@ def test_reduce_machine_with_head_movement():
     pa = art.pair_alphabet
     rng = random.Random(17)
     for pos in rng.sample(range(len(word)), 30):
-        a_idx, d_orig = pa.first(word[pos]), pa.second(word[pos])
+        a_idx, d_orig = divmod(word[pos], pa.n_delta)
         for d in range(pa.n_delta):
             if d != d_orig:
                 corrupted = word[:pos] + (pa.pi_id(a_idx, d),) + word[pos + 1:]
@@ -416,7 +416,7 @@ def test_reduce_three_state_machine():
     assert not accepts_with_cutoff(art.automaton, word, u)
     pa = art.pair_alphabet
     for pos in range(len(word)):
-        a_idx, d_orig = pa.first(word[pos]), pa.second(word[pos])
+        a_idx, d_orig = divmod(word[pos], pa.n_delta)
         for d in range(pa.n_delta):
             if d != d_orig:
                 corrupted = word[:pos] + (pa.pi_id(a_idx, d),) + word[pos + 1:]
