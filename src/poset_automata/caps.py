@@ -27,6 +27,7 @@ class Caps:
     enum_nodes: int = 10**6      # prefix-tree nodes visited by bounded enumeration
     word_len: int = 10**7        # maximum |W_{k,n}| the word generator will build
     reduce_n: int = 16           # maximum n chosen by the TM reduction
+    dag_nodes: int = 10**6       # nodes a parsed DAG file may declare
 
     def with_overrides(self, spec: str) -> "Caps":
         """Apply a ``key=value,key=value`` override string."""

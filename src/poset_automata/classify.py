@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import and_
 from typing import Optional
 
 from .core import Nfa, strongly_connected_components
@@ -32,15 +33,33 @@ class ClassReport:
     witnesses: dict = field(default_factory=dict)
 
 
+def _first_zero(columns) -> Optional[tuple[int, int]]:
+    """First (state, letter) in (state, letter) order whose entry is 0, where
+    ``columns[x][q]`` is the entry of state q under letter x; None if none."""
+    first = None
+    for x, column in enumerate(columns):
+        if 0 in column:
+            q = column.index(0)
+            if first is None or q < first[0]:
+                first = (q, x)
+    return first
+
+
+def _members(mask: int) -> list[int]:
+    """The states of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def is_complete(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff every (state, letter) has a successor; witness is the first
     failing pair in (state, letter) order."""
-    succ = a.succ
-    for q in range(a.n_states):
-        for x in range(a.n_letters):
-            if (q, x) not in succ:
-                return False, (q, x)
-    return True, None
+    w = _first_zero(a.step_rows)
+    return w is None, w
 
 
 def is_partially_ordered(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -54,37 +73,45 @@ def is_partially_ordered(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
 
 def is_self_loop_deterministic(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """No state may combine a self-loop and an exit under one letter;
-    witness is (q, letter, q, exit-target)."""
-    for (q, x), targets in sorted(a.succ.items()):
-        if q in targets and len(targets) > 1:
-            other = next(r for r in targets if r != q)
-            return False, (q, x, q, other)
-    return True, None
+    witness is (q, letter, q, exit-target) with the first such (q, letter)
+    in (state, letter) order and its lowest exit target."""
+    bits = [1 << q for q in range(a.n_states)]
+    first = None
+    for x, row in enumerate(a.step_rows):
+        for q, r in enumerate(row):
+            if r & bits[q] and r != bits[q]:
+                if first is None or q < first[0]:
+                    first = (q, x, q, _members(r ^ bits[q])[0])
+                break
+    return first is None, first
 
 
 def is_saturated(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
     """Self-loop under every letter in every state; witness is the first
     (state, letter) without one."""
-    succ = a.succ
-    for q in range(a.n_states):
-        for x in range(a.n_letters):
-            if q not in succ.get((q, x), ()):
-                return False, (q, x)
-    return True, None
+    bits = [1 << q for q in range(a.n_states)]
+    w = _first_zero([list(map(and_, row, bits)) for row in a.step_rows])
+    return w is None, w
 
 
 def is_deterministic(a: Nfa) -> bool:
+    """One initial state and at most one successor per (state, letter):
+    the transitions are duplicate-free, so that holds iff there are as many
+    nonzero step-table entries as transitions."""
     if len(a.initial) != 1:
         return False
-    return all(len(t) <= 1 for t in a.succ.values())
+    used = sum(len(row) - row.count(0) for row in a.step_rows)
+    return used == len(a.transitions)
 
 
 def self_loop_letters(a: Nfa) -> list[set[int]]:
     """Per state, the letters labeling self-loops (the alphabet Sigma(q))."""
     out: list[set[int]] = [set() for _ in range(a.n_states)]
-    for (q, x), targets in a.succ.items():
-        if q in targets:
-            out[q].add(x)
+    bits = [1 << q for q in range(a.n_states)]
+    for x, row in enumerate(a.step_rows):
+        for q, loop in enumerate(map(and_, row, bits)):
+            if loop:
+                out[q].add(x)
     return out
 
 
@@ -142,15 +169,16 @@ def _record_meet(memo: dict, parent: dict, pair) -> bool:
 
 
 def _confluent_raw(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
-    succ = a.succ
+    rows = a.step_rows
     memos: dict[tuple[int, int], dict] = {}  # one _pairs_meet memo per letter pair
     for q in range(a.n_states):
+        succ = [_members(row[q]) for row in rows]  # successors of q per letter
         for ax in range(a.n_letters):
-            sa = succ.get((q, ax), ())
+            sa = succ[ax]
             if not sa:
                 continue
             for bx in range(ax, a.n_letters):
-                sb = succ.get((q, bx), ())
+                sb = succ[bx]
                 if not sb:
                     continue
                 memo = memos.setdefault((ax, bx), {})

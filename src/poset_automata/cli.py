@@ -125,7 +125,7 @@ def _cmd_gen_aknn(args) -> int:
 
 
 def _cmd_gen_dag(args) -> int:
-    gadget = dag_gadget(parse_dag(_read(args.file)))
+    gadget = dag_gadget(parse_dag(_read(args.file), default_caps()))
     sys.stdout.write(print_automaton(gadget))
     return 0
 

@@ -1,12 +1,19 @@
 """Representation and basic semantics of NFAs.
 
-Every search keeps a state set as an int bitmask (bit q set for state q) and
-steps it with ``Nfa.step_mask``, which ORs together rows of one letter-major
-table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under a.  The table
-is built whole from ``transitions`` on first use.  ``Nfa.succ`` maps
-(state, letter) to the successor tuple; it serves the structural queries and
-``accepts``, the membership test that the literal-enumeration oracle runs, so
-that oracle shares no code with the step table it checks.
+Text comes in on one path: ``parse_automaton`` splits each line once (the
+shared ``tokenize`` drops comments), resolves names with dict lookups and
+hands the columns to the ``Nfa`` constructor, which validates them with a
+few whole-column tests and re-sorts transitions only when they do not come
+sorted and duplicate-free already.  The slow per-item loops run only to word
+an error, so a rejected text gets the same message either way.
+
+Every search and every structural predicate reads the automaton through one
+letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
+a, built whole from ``transitions`` on first use; a state set is an int
+bitmask (bit q set for state q), stepped with ``Nfa.step_mask``.
+``Nfa.succ`` maps (state, letter) to the successor tuple and feeds only
+``accepts``, the membership test that the literal-enumeration oracle runs,
+so that oracle shares no code with the step table it checks.
 
 All values are immutable after construction.  Derived tables (``succ``,
 ``step_rows``, the masks) are cached properties: each is a pure function of
@@ -21,20 +28,48 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from operator import lt
+from typing import Iterator, Optional, Sequence
 
 from .caps import Caps, default_caps
 from .errors import InputError, ResourceLimitError
 
 Word = tuple[int, ...]  # letter ids
 
-_NAME_RE = re.compile(r"^[^\s#][^\s]*$")
+_NAME_RE = re.compile(r"[^\s#]\S*")
 
 
 def _check_name(name: str, kind: str) -> None:
-    if not _NAME_RE.match(name):
+    if not _NAME_RE.fullmatch(name):
         raise InputError(f"bad {kind} name {name!r}: names are nonempty, whitespace-free "
                          "and must not start with '#'")
+
+
+def _check_names(names: Sequence[str], kind: str) -> None:
+    """Every name passes ``_check_name`` and no name repeats.  ``str.split``
+    and the pattern's ``\\s`` agree on whitespace, so the names are good iff
+    joining them with single spaces and splitting gives them back, no name
+    starts with '#' and a set keeps them all; the loop runs only to word the
+    error about the first bad name."""
+    joined = " ".join(names)
+    if (len(set(names)) == len(names) and joined.split() == list(names)
+            and " #" not in " " + joined):
+        return
+    seen = set()
+    for name in names:
+        _check_name(name, kind)
+        if name in seen:
+            raise InputError(f"duplicate {kind} name {name!r}")
+        seen.add(name)
+
+
+def _sorted_unique(items: Sequence) -> tuple:
+    """``items`` as a sorted, duplicate-free tuple; one linear test skips
+    the sort when they already are."""
+    items = tuple(items)
+    if all(map(lt, items, items[1:])):
+        return items
+    return tuple(sorted(set(items)))
 
 
 @dataclass(frozen=True)
@@ -46,12 +81,7 @@ class Letter:
 
 
 def make_alphabet(names: Sequence[str]) -> tuple[Letter, ...]:
-    seen = set()
-    for name in names:
-        _check_name(name, "letter")
-        if name in seen:
-            raise InputError(f"duplicate letter name {name!r}")
-        seen.add(name)
+    _check_names(names, "letter")
     return tuple(Letter(i, n) for i, n in enumerate(names))
 
 
@@ -60,9 +90,14 @@ class Nfa:
     """A = (Q, Sigma, transitions, I, F) with named states.
 
     Transitions are stored duplicate-free and sorted by (src, letter, dst).
-    The search routines read the automaton through ``step_rows``, one tuple
-    of successor bitmasks per letter indexed by state, mostly via
-    ``step_mask`` (the image of one state set under one letter).
+    The searches and the structural predicates read the automaton through
+    ``step_rows``, one tuple of successor bitmasks per letter indexed by
+    state, the searches mostly via ``step_mask`` (the image of one state set
+    under one letter).  ``succ`` feeds only ``accepts``.
+
+    The constructor checks names, ranges and order over whole columns and
+    sorts only input that is not sorted and duplicate-free already, as
+    ``print_automaton`` text and ``NfaBuilder.build`` always are.
     """
 
     n_states: int
@@ -77,26 +112,29 @@ class Nfa:
             raise InputError("automaton needs at least one state")
         if len(self.state_names) != self.n_states:
             raise InputError("state name count does not match state count")
-        seen = set()
-        for name in self.state_names:
-            _check_name(name, "state")
-            if name in seen:
-                raise InputError(f"duplicate state name {name!r}")
-            seen.add(name)
+        _check_names(self.state_names, "state")
         for i, letter in enumerate(self.alphabet):
             if letter.id != i:
                 raise InputError("alphabet letter ids must be 0..len-1 in order")
         n, L = self.n_states, len(self.alphabet)
-        object.__setattr__(self, "transitions",
-                           tuple(sorted(set(map(tuple, self.transitions)))))
-        for (q, a, r) in self.transitions:
-            if not (0 <= q < n and 0 <= r < n and 0 <= a < L):
-                raise InputError(f"transition {(q, a, r)} out of range")
-        object.__setattr__(self, "initial", tuple(sorted(set(self.initial))))
-        object.__setattr__(self, "accepting", tuple(sorted(set(self.accepting))))
-        for q in self.initial + self.accepting:
-            if not 0 <= q < n:
-                raise InputError(f"state index {q} out of range")
+        trans = _sorted_unique(map(tuple, self.transitions))
+        object.__setattr__(self, "transitions", trans)
+        if trans:
+            if set(map(len, trans)) != {3}:
+                raise InputError("transitions must be (src, letter, dst) triples")
+            qs, xs, rs = zip(*trans)
+            if not (0 <= min(qs) and max(qs) < n and 0 <= min(xs) and max(xs) < L
+                    and 0 <= min(rs) and max(rs) < n):
+                for (q, a, r) in trans:
+                    if not (0 <= q < n and 0 <= r < n and 0 <= a < L):
+                        raise InputError(f"transition {(q, a, r)} out of range")
+        object.__setattr__(self, "initial", _sorted_unique(self.initial))
+        object.__setattr__(self, "accepting", _sorted_unique(self.accepting))
+        ends = self.initial + self.accepting
+        if ends and not (0 <= min(ends) and max(ends) < n):
+            for q in ends:
+                if not 0 <= q < n:
+                    raise InputError(f"state index {q} out of range")
 
     # -- derived lookups ------------------------------------------------
 
@@ -118,10 +156,6 @@ class Nfa:
     @cached_property
     def accepting_set(self) -> frozenset[int]:
         return frozenset(self.accepting)
-
-    @cached_property
-    def letter_index(self) -> dict[str, int]:
-        return {l.name: l.id for l in self.alphabet}
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -186,6 +220,9 @@ class Dfa:
         if not 0 <= self.initial < self.n_states:
             raise InputError("initial state out of range")
         object.__setattr__(self, "accepting", tuple(sorted(set(self.accepting))))
+        for q in self.accepting:
+            if not 0 <= q < self.n_states:
+                raise InputError(f"accepting state {q} out of range")
 
     @property
     def n_letters(self) -> int:
@@ -403,61 +440,76 @@ def language_equal_bounded(a: Nfa, b: Nfa, max_len: int,
 # text format
 
 
-def _strip_comment(tokens: list[str]) -> list[str]:
-    for i, tok in enumerate(tokens):
-        if tok.startswith("#"):
-            return tokens[:i]
-    return tokens
+_COMMENT_RE = re.compile(r"(?:^|\s)#")  # a token that starts with '#'
+
+
+def tokenize(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """The line tokenizer of every text format: (line number, raw line,
+    tokens) for each line that keeps a token once the first token starting
+    with '#' has cut off the rest of its line.  Each line is split once."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            comment = _COMMENT_RE.search(raw)
+            tokens = (raw[:comment.start()] if comment else raw).split()
+        else:
+            tokens = raw.split()
+        if tokens:
+            yield lineno, raw, tokens
+
+
+_DIRECTIVES = ("alphabet", "states", "initial", "accepting")
 
 
 def parse_automaton(text: str) -> Nfa:
     """Parse the line-oriented automaton format (see print_automaton)."""
     directives: dict[str, list[str]] = {}
     trans_lines: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _strip_comment(raw.split())
-        if not tokens:
+    for lineno, _raw, tokens in tokenize(text):
+        head = tokens[0]
+        if head == "trans:" and len(tokens) == 4:
+            trans_lines.append(tokens)
             continue
-        head, rest = tokens[0], tokens[1:]
         if not head.endswith(":"):
             raise InputError(f"line {lineno}: expected a directive, got {head!r}")
         key = head[:-1]
         if key == "trans":
-            if len(rest) != 3:
-                raise InputError(f"line {lineno}: trans needs <src> <letter> <dst>")
-            trans_lines.append(rest)
-        elif key in ("alphabet", "states", "initial", "accepting"):
-            if key in directives:
-                raise InputError(f"line {lineno}: duplicate directive {key!r}")
-            directives[key] = rest
-        else:
+            raise InputError(f"line {lineno}: trans needs <src> <letter> <dst>")
+        if key not in _DIRECTIVES:
             raise InputError(f"line {lineno}: unknown directive {key!r}")
-    for key in ("alphabet", "states", "initial", "accepting"):
+        if key in directives:
+            raise InputError(f"line {lineno}: duplicate directive {key!r}")
+        directives[key] = tokens[1:]
+    for key in _DIRECTIVES:
         if key not in directives:
             raise InputError(f"missing directive {key!r}")
     alphabet = make_alphabet(directives["alphabet"])
     names = tuple(directives["states"])
     letter_of = {l.name: l.id for l in alphabet}
-    state_of: dict[str, int] = {}
-    for i, name in enumerate(names):
-        if name in state_of:
-            raise InputError(f"duplicate state name {name!r}")
-        state_of[name] = i
+    state_of = {name: i for i, name in enumerate(names)}
+    if len(state_of) != len(names):
+        _check_names(names, "state")  # words the duplicate before any lookup fails
+    try:
+        trans = [(state_of[s], letter_of[x], state_of[d]) for (_, s, x, d) in trans_lines]
+        initial = [state_of[tok] for tok in directives["initial"]]
+        accepting = [state_of[tok] for tok in directives["accepting"]]
+    except KeyError:
+        _undeclared(trans_lines, directives, state_of, letter_of)
+        raise  # not reached: _undeclared finds the name the lookup missed
+    return Nfa(len(names), alphabet, trans, initial, accepting, names)
 
-    def state(tok: str) -> int:
+
+def _undeclared(trans_lines, directives, state_of, letter_of) -> None:
+    """Raise about the first undeclared name, in the order the names are
+    resolved: each trans line's source, letter and target, then the
+    initial and the accepting states."""
+    for (_, s, x, d) in trans_lines:
+        for tok, table, kind in ((s, state_of, "state"), (x, letter_of, "letter"),
+                                 (d, state_of, "state")):
+            if tok not in table:
+                raise InputError(f"undeclared {kind} {tok!r}")
+    for tok in directives["initial"] + directives["accepting"]:
         if tok not in state_of:
             raise InputError(f"undeclared state {tok!r}")
-        return state_of[tok]
-
-    def letter(tok: str) -> int:
-        if tok not in letter_of:
-            raise InputError(f"undeclared letter {tok!r}")
-        return letter_of[tok]
-
-    trans = tuple((state(s), letter(x), state(d)) for (s, x, d) in trans_lines)
-    initial = tuple(state(tok) for tok in directives["initial"])
-    accepting = tuple(state(tok) for tok in directives["accepting"])
-    return Nfa(len(names), alphabet, trans, initial, accepting, names)
 
 
 def print_automaton(a: Nfa, header: Sequence[str] = ()) -> str:

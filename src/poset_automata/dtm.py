@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import _strip_comment
+from .core import tokenize
 from .errors import InputError, SimulationError
 
 MOVES = ("L", "R", "S")
@@ -119,10 +119,7 @@ def parse_dtm(text: str) -> Dtm:
     and repeated ``delta: q a -> q' b D`` lines with D in {L,R,S}."""
     single: dict[str, list[str]] = {}
     rules: list[tuple[str, str, str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _strip_comment(raw.split())
-        if not tokens:
-            continue
+    for lineno, _raw, tokens in tokenize(text):
         head, rest = tokens[0], tokens[1:]
         if head == "delta:":
             if len(rest) != 6 or rest[2] != "->":

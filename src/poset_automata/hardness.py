@@ -20,7 +20,7 @@ from math import comb
 
 from .builder import NfaBuilder
 from .caps import Caps, default_caps
-from .core import Letter, Nfa, Word, _strip_comment, make_alphabet
+from .core import Letter, Nfa, Word, make_alphabet, tokenize
 from .errors import InputError, ResourceLimitError
 
 
@@ -179,15 +179,13 @@ class Dag:
             raise InputError("graph has a cycle; a DAG is required")
 
 
-def parse_dag(text: str) -> Dag:
+def parse_dag(text: str, caps: Caps | None = None) -> Dag:
     """Line format: ``nodes: n``, repeated ``edge: u v``, ``source: s``,
-    ``target: t``; '#' starts a comment token."""
+    ``target: t``; '#' starts a comment token.  The node count is checked
+    against the ``dag_nodes`` cap before anything of that size is built."""
     n_nodes = source = target = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _strip_comment(raw.split())
-        if not tokens:
-            continue
+    for lineno, raw, tokens in tokenize(text):
         head, rest = tokens[0], tokens[1:]
         try:
             if head == "nodes:" and len(rest) == 1:
@@ -204,6 +202,10 @@ def parse_dag(text: str) -> Dag:
             raise InputError(f"line {lineno}: expected integers in {raw!r}") from None
     if n_nodes is None or source is None or target is None:
         raise InputError("DAG file needs nodes:, source: and target: lines")
+    caps = caps or default_caps()
+    if n_nodes > caps.dag_nodes:
+        raise ResourceLimitError(f"DAG node count {n_nodes} exceeds dag_nodes cap "
+                                 f"({caps.dag_nodes})")
     return Dag(n_nodes, tuple(edges), source, target)
 
 

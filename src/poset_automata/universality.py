@@ -35,6 +35,10 @@ def universal_sponfa(a: Nfa) -> UniversalityResult:
     saturated, _ = is_saturated(a)
     if not saturated:
         raise InputError("spoNFA decider requires a saturated automaton")
+    return _sponfa_constant(a)
+
+
+def _sponfa_constant(a: Nfa) -> UniversalityResult:
     if a.initial_set & a.accepting_set:
         return UniversalityResult(True, None, "spoNFA-constant", 0, 0)
     return UniversalityResult(False, (), "spoNFA-constant", 0, 0)
@@ -50,6 +54,10 @@ def universal_unary_po(a: Nfa) -> UniversalityResult:
     po, _ = is_partially_ordered(a)
     if not po:
         raise InputError("unary decider requires a partially ordered automaton")
+    return _unary_pumping(a)
+
+
+def _unary_pumping(a: Nfa) -> UniversalityResult:
     mask = a.initial_mask
     acc = a.accepting_mask
     for m in range(a.n_states + 1):
@@ -230,12 +238,12 @@ def universal_brute(a: Nfa, max_len: int, caps: Caps | None = None) -> Universal
 
 def universal(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     """Dispatcher: saturated -> constant check, unary partially ordered ->
-    pumping check, otherwise antichain."""
-    saturated, _ = is_saturated(a)
-    if saturated:
-        return universal_sponfa(a)
+    pumping check, otherwise antichain.  Each class test runs once: the
+    dispatcher calls the deciders' bodies, not their checked entry points."""
+    if is_saturated(a)[0]:
+        return _sponfa_constant(a)
     if a.n_letters == 1 and is_partially_ordered(a)[0]:
-        return universal_unary_po(a)
+        return _unary_pumping(a)
     return universal_antichain(a, caps)
 
 

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
-from poset_automata.core import Nfa
+from poset_automata.core import Nfa, make_alphabet
 from poset_automata.dtm import Dtm
+from poset_automata.errors import InputError
 
 
 def reach_order(a: Nfa) -> list[set[int]]:
@@ -74,3 +77,104 @@ def tm_rejecting():
 @pytest.fixture
 def tm_incrementing():
     return incrementing_machine()
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the line-by-line text parser and the per-item
+# constructor checks that the one-pass ingestion replaced
+
+
+def _strip_comment(tokens: list[str]) -> list[str]:
+    for i, tok in enumerate(tokens):
+        if tok.startswith("#"):
+            return tokens[:i]
+    return tokens
+
+
+def reference_parse_automaton(text: str) -> Nfa:
+    """The automaton parser as it was before the one-pass parser, kept
+    verbatim as the reference the differential parser test checks against."""
+    directives: dict[str, list[str]] = {}
+    trans_lines: list[list[str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _strip_comment(raw.split())
+        if not tokens:
+            continue
+        head, rest = tokens[0], tokens[1:]
+        if not head.endswith(":"):
+            raise InputError(f"line {lineno}: expected a directive, got {head!r}")
+        key = head[:-1]
+        if key == "trans":
+            if len(rest) != 3:
+                raise InputError(f"line {lineno}: trans needs <src> <letter> <dst>")
+            trans_lines.append(rest)
+        elif key in ("alphabet", "states", "initial", "accepting"):
+            if key in directives:
+                raise InputError(f"line {lineno}: duplicate directive {key!r}")
+            directives[key] = rest
+        else:
+            raise InputError(f"line {lineno}: unknown directive {key!r}")
+    for key in ("alphabet", "states", "initial", "accepting"):
+        if key not in directives:
+            raise InputError(f"missing directive {key!r}")
+    alphabet = make_alphabet(directives["alphabet"])
+    names = tuple(directives["states"])
+    letter_of = {l.name: l.id for l in alphabet}
+    state_of: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if name in state_of:
+            raise InputError(f"duplicate state name {name!r}")
+        state_of[name] = i
+
+    def state(tok: str) -> int:
+        if tok not in state_of:
+            raise InputError(f"undeclared state {tok!r}")
+        return state_of[tok]
+
+    def letter(tok: str) -> int:
+        if tok not in letter_of:
+            raise InputError(f"undeclared letter {tok!r}")
+        return letter_of[tok]
+
+    trans = tuple((state(s), letter(x), state(d)) for (s, x, d) in trans_lines)
+    initial = tuple(state(tok) for tok in directives["initial"])
+    accepting = tuple(state(tok) for tok in directives["accepting"])
+    return Nfa(len(names), alphabet, trans, initial, accepting, names)
+
+
+_REFERENCE_NAME_RE = re.compile(r"[^\s#][^\s]*")
+
+
+def reference_nfa_fields(n_states, alphabet, transitions, initial, accepting,
+                         state_names):
+    """The per-item checks and normalisation of ``Nfa.__post_init__`` as they
+    were before the whole-column checks, returning the normalised fields.
+    The name pattern is matched whole (``fullmatch``), so a name ending in a
+    newline is rejected here as well."""
+    if n_states <= 0:
+        raise InputError("automaton needs at least one state")
+    if len(state_names) != n_states:
+        raise InputError("state name count does not match state count")
+    seen = set()
+    for name in state_names:
+        if not _REFERENCE_NAME_RE.fullmatch(name):
+            raise InputError(f"bad state name {name!r}: names are nonempty, "
+                             "whitespace-free and must not start with '#'")
+        if name in seen:
+            raise InputError(f"duplicate state name {name!r}")
+        seen.add(name)
+    for i, letter in enumerate(alphabet):
+        if letter.id != i:
+            raise InputError("alphabet letter ids must be 0..len-1 in order")
+    n, L = n_states, len(alphabet)
+    transitions = tuple(sorted(set(map(tuple, transitions))))
+    for (q, a, r) in transitions:
+        if not (0 <= q < n and 0 <= r < n and 0 <= a < L):
+            raise InputError(f"transition {(q, a, r)} out of range")
+    initial = tuple(sorted(set(initial)))
+    accepting = tuple(sorted(set(accepting)))
+    for q in initial + accepting:
+        if not 0 <= q < n:
+            raise InputError(f"state index {q} out of range")
+    return (n_states, tuple(alphabet), transitions, initial, accepting,
+            tuple(state_names))

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poset_automata.classify import (classify, format_report, is_complete,
-                                     is_confluent, is_partially_ordered,
+from poset_automata.classify import (_confluent_raw, _pairs_meet, classify,
+                                     format_report, is_complete, is_confluent,
+                                     is_deterministic, is_partially_ordered,
                                      is_ptnfa, is_saturated,
-                                     is_self_loop_deterministic, is_ums)
+                                     is_self_loop_deterministic, is_ums,
+                                     self_loop_letters)
 from poset_automata.core import Nfa, make_alphabet
 from poset_automata.errors import InputError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn
-from poset_automata.sampling import random_complete_po_sld, random_nfa
+from poset_automata.sampling import (random_complete_po_sld, random_nfa,
+                                     random_saturated, random_unary_po)
 
 from conftest import complete_with_fresh_sink, reach_order
 
@@ -344,3 +347,77 @@ def test_is_ptnfa_matches_flags():
         rep = classify(a)
         ok, failures = is_ptnfa(a)
         assert ok == (rep.complete and rep.partially_ordered and rep.ums)
+
+
+# ---------------------------------------------------------------------------
+# the predicates that read step_rows against their succ-based reference
+# versions, witnesses included
+
+
+def _ref_complete(a):
+    for q in range(a.n_states):
+        for x in range(a.n_letters):
+            if (q, x) not in a.succ:
+                return False, (q, x)
+    return True, None
+
+
+def _ref_self_loop_deterministic(a):
+    for (q, x), targets in sorted(a.succ.items()):
+        if q in targets and len(targets) > 1:
+            return False, (q, x, q, next(r for r in targets if r != q))
+    return True, None
+
+
+def _ref_saturated(a):
+    for q in range(a.n_states):
+        for x in range(a.n_letters):
+            if q not in a.succ.get((q, x), ()):
+                return False, (q, x)
+    return True, None
+
+
+def _ref_deterministic(a):
+    return len(a.initial) == 1 and all(len(t) <= 1 for t in a.succ.values())
+
+
+def _ref_self_loop_letters(a):
+    out = [set() for _ in range(a.n_states)]
+    for (q, x), targets in a.succ.items():
+        if q in targets:
+            out[q].add(x)
+    return out
+
+
+def _ref_confluent(a):
+    memos = {}
+    for q in range(a.n_states):
+        for ax in range(a.n_letters):
+            for bx in range(ax, a.n_letters):
+                memo = memos.setdefault((ax, bx), {})
+                for s in a.succ.get((q, ax), ()):
+                    for t in a.succ.get((q, bx), ()):
+                        if s != t and not _pairs_meet(a, s, t, (ax, bx), memo):
+                            return False, (q, ax, bx, s, t)
+    return True, None
+
+
+_SAMPLERS = (random_nfa, random_complete_po_sld, random_saturated, random_unary_po)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(_SAMPLERS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_step_table_predicates_match_succ_references(seed, sampler, dense):
+    rng = random.Random(seed)
+    a = sampler(rng)
+    if dense:  # extra arcs make self-loops with exits and nondeterminism common
+        extra = [(rng.randrange(a.n_states), rng.randrange(a.n_letters),
+                  rng.randrange(a.n_states)) for _ in range(a.n_states)]
+        a = Nfa(a.n_states, a.alphabet, a.transitions + tuple(extra), a.initial,
+                a.accepting, a.state_names)
+    assert is_complete(a) == _ref_complete(a)
+    assert is_self_loop_deterministic(a) == _ref_self_loop_deterministic(a)
+    assert is_saturated(a) == _ref_saturated(a)
+    assert is_deterministic(a) == _ref_deterministic(a)
+    assert self_loop_letters(a) == _ref_self_loop_letters(a)
+    assert _confluent_raw(a) == _ref_confluent(a)

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poset_automata.cli import main
 from poset_automata.core import parse_automaton, print_automaton
@@ -200,3 +206,77 @@ def test_subprocess_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "a1 a2 a3"
+
+
+def test_gen_dag_node_cap_exit_three(capsys, monkeypatch):
+    """The node count is checked before anything of that size is built, so
+    a three-hundred-million-node file fails at once and in little memory."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "dag_nodes=1000")
+    code, out, err = run_main(capsys, ["gen-dag", "-"],
+                              stdin="nodes: 300000000\nsource: 0\ntarget: 1\n",
+                              monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err == ("resource limit: DAG node count 300000000 exceeds dag_nodes cap "
+                   "(1000)\n")
+
+
+# ---------------------------------------------------------------------------
+# main() on hostile input: an exit code in {0, 1, 2, 3} and at most a one-line
+# message, never a traceback
+
+
+_AUTOMATON_TEXT = print_automaton(build_aknn(1, 2))
+_VOCABULARY = ["alphabet:", "states:", "initial:", "accepting:", "trans:", "nodes:",
+               "edge:", "source:", "target:", "delta:", "tape:", "input:", "blank:",
+               "->", "L", "R", "S", "q0", "qf", "s0", "s1", "a1", "a2", "_", "1", "0",
+               "2", "-1", "7", "300000000", "99999999999999999999999", "#", "b#k",
+               "x\u00a0y", "\u2028", "\x00", "é"]
+_COMMANDS = ((["universal", "-"], _AUTOMATON_TEXT), (["classify", "-"], _AUTOMATON_TEXT),
+             (["gen-dag", "-"], DAG_TEXT),
+             (["reduce", "--tm", "-", "--input", "1", "--space", "1"], TM_TEXT))
+
+
+@st.composite
+def hostile_runs(draw):
+    """A command and its stdin: raw text, token soup, or the command's own
+    input format with lines dropped, repeated or inserted and tokens
+    swapped."""
+    argv, valid = draw(st.sampled_from(_COMMANDS))
+    kind = draw(st.sampled_from(["raw", "soup", "mutant", "mutant", "mutant"]))
+    if kind == "raw":
+        return argv, draw(st.text(max_size=120))
+    token = st.sampled_from(_VOCABULARY)
+    if kind == "soup":
+        lines = draw(st.lists(st.lists(token, max_size=6), max_size=8))
+        return argv, "\n".join(" ".join(line) for line in lines)
+    lines = [line.split() for line in valid.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "swap", "insert"]))
+        if edit == "drop" and len(lines) > 1:
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(at, list(lines[at]))
+        elif edit == "swap" and lines[at]:
+            lines[at][draw(st.integers(0, len(lines[at]) - 1))] = draw(token)
+        elif edit == "insert":
+            lines.insert(at, draw(st.lists(token, max_size=5)))
+    return argv, "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@given(hostile_runs())
+@settings(max_examples=300, deadline=None)
+def test_main_on_hostile_stdin_never_raises(run):
+    argv, text = run
+    out, err = io.StringIO(), io.StringIO()
+    caps = {"POSET_AUTOMATA_CAPS": "dag_nodes=64,antichain_nodes=20000"}
+    with mock.patch.dict(os.environ, caps), mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    message = err.getvalue()
+    if code in (2, 3):
+        assert message.startswith(("error: ", "resource limit: "))
+        assert message.count("\n") == 1
+    else:
+        assert message == ""

@@ -2,12 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poset_automata.caps import Caps
 from poset_automata.classify import is_partially_ordered
-from poset_automata.core import (Nfa, accepts, complement, determinize,
+from poset_automata.core import (Dfa, Nfa, accepts, complement, determinize,
                                  enumerate_language, format_word,
                                  language_equal_bounded, make_alphabet,
                                  parse_automaton, print_automaton)
@@ -15,7 +15,7 @@ from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import build_aknn
 from poset_automata.sampling import random_nfa
 
-from conftest import reach_order
+from conftest import reach_order, reference_nfa_fields, reference_parse_automaton
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
@@ -376,3 +376,165 @@ def test_roundtrip_on_random_automata(seed):
     text = print_automaton(a)
     assert parse_automaton(text) == a
     assert print_automaton(parse_automaton(text)) == text
+
+
+def test_names_ending_in_newline_are_rejected():
+    with pytest.raises(InputError, match="bad letter name"):
+        make_alphabet(["x\n"])
+    with pytest.raises(InputError, match="bad state name"):
+        Nfa(1, make_alphabet(["x"]), ((0, 0, 0),), (0,), (0,), ("s\n",))
+    with pytest.raises(InputError, match="bad state name"):
+        Nfa(2, make_alphabet(["x"]), (), (0,), (0,), ("s", "t\n"))
+
+
+def test_dfa_accepting_state_out_of_range():
+    with pytest.raises(InputError, match="accepting state 5 out of range"):
+        Dfa(1, make_alphabet(["a"]), ((0,),), 0, (5,), ("s",))
+    with pytest.raises(InputError, match="accepting state -1 out of range"):
+        Dfa(1, make_alphabet(["a"]), ((0,),), 0, (-1,), ("s",))
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the one-pass ingestion against the reference copies
+
+
+def _outcome(f, *args):
+    """The value ``f`` returns, or the message of the ``InputError`` it raises."""
+    try:
+        return f(*args)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+_COMMENTS = ["", "   ", "\t", "# only a comment", "#trans: s0 a s0"]
+_JUNK = _COMMENTS + ["bogus: x", "noColon x", "trans:", "trans: s0 a", "trans: s0 a s0 s1",
+                     "states", "initial: s0 # s1", "alphabet:"]
+
+
+@st.composite
+def automaton_texts(draw):
+    """Automaton texts, valid and not: declared and undeclared names,
+    duplicate and missing directives, wrong token counts, comments at line
+    start and mid-line next to ``b#k`` tokens that are names, tabs, CRLF,
+    blank lines, and unsorted or duplicated ``trans:`` lines.  About half
+    the texts are drawn clean (each directive once, no junk lines), and
+    undeclared names go into at most the trans lines or the initial and
+    accepting lists, so that many texts parse."""
+    clean = draw(st.booleans())
+    spoiled = draw(st.sampled_from([(), (), ("trans",), ("initial",), ("accepting",),
+                                    ("initial", "accepting")]))  # may hold undeclared names
+    size = 1 if clean else 0
+    states = draw(st.lists(st.sampled_from(["s0", "s1", "s2", "b#k"]), min_size=size,
+                           max_size=4, unique=clean))
+    letters = draw(st.lists(st.sampled_from(["a", "b", "b#k"]), min_size=size,
+                            max_size=3, unique=clean))
+
+    def names(pool, max_size, role="trans"):
+        if role in spoiled:
+            pool = pool + ["q", "zz", "ww"]
+        return draw(st.lists(st.sampled_from(pool or ["q"]), max_size=max_size))
+
+    lines = []
+    for key, tokens in (("alphabet", letters), ("states", states),
+                        ("initial", names(states, 2, "initial")),
+                        ("accepting", names(states, 3, "accepting"))):
+        for _ in range(1 if clean else draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            lines.append([key + ":"] + tokens)
+    trans = [["trans:", s, x, d] for s, x, d in zip(names(states, 8), names(letters, 8),
+                                                     names(states, 8))]
+    trans += draw(st.lists(st.sampled_from(trans), max_size=3)) if trans else []
+    if draw(st.booleans()):
+        rank = {name: i for i, name in enumerate(states + letters)}
+        trans.sort(key=lambda t: [rank.get(tok, 99) for tok in t[1:]])
+    else:
+        trans = draw(st.permutations(trans))
+    lines += trans
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_COMMENTS if clean else _JUNK)).split())
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    out = []
+    for tokens in lines:
+        tokens = list(tokens)
+        if tokens and draw(st.integers(0, 5)) == 0:
+            at = len(tokens) if clean else draw(st.integers(0, len(tokens)))
+            tokens.insert(at, draw(st.sampled_from(["#c", "# note", "#", "##x"])))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        out.append(lead + draw(_SEPARATORS).join(tokens) + draw(st.sampled_from(["", "", " "])))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return eol.join(out) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+@given(automaton_texts())
+@example("alphabet: a\nstates: s\ninitial: x\naccepting: y\n")
+@example("alphabet: a\nstates: s\ninitial: s\naccepting: y\ntrans: s b q\n")
+@example("alphabet: a\nstates: s s\ninitial: s\naccepting:\ntrans: s a q\n")
+@example("alphabet: a b#k\r\nstates: s\t#c\ninitial: s\naccepting: s\ntrans: s b#k s #x\n")
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_reference_parser(text):
+    assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_parser_matches_reference_on_printed_automata(seed):
+    a = random_nfa(random.Random(seed))
+    text = print_automaton(a, header=["printed # header"])
+    assert parse_automaton(text) == reference_parse_automaton(text) == a
+
+
+_BAD_NAMES = st.sampled_from(["", "#x", "a b", "t\n", "\tu", "s0"])
+
+
+@st.composite
+def nfa_fields(draw):
+    """Raw constructor arguments: good names with now and then one bad,
+    repeated or missing name, and columns that now and then leave their
+    range, sorted or not."""
+    n = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 3, 4]))
+    names = [f"s{i}" for i in range(n)]
+    flaw = draw(st.sampled_from(["", "", "", "bad", "count"]))
+    if flaw == "bad" and names:
+        names[draw(st.integers(0, n - 1))] = draw(_BAD_NAMES)
+    elif flaw == "count":
+        names = names[1:] if draw(st.booleans()) else names + ["extra"]
+    L = draw(st.integers(0, 2))
+    alphabet = make_alphabet(["a", "b"][:L])
+    wide = draw(st.sampled_from(["", "", "q", "x", "r", "i", "qr"]))  # may leave range
+
+    def column(key, size):
+        inside = st.integers(0, max(size - 1, 0))
+        return st.one_of(st.sampled_from([-1, size]), inside) if key in wide else inside
+
+    trans = draw(st.lists(st.tuples(column("q", n), column("x", L), column("r", n)),
+                          max_size=8))
+    if draw(st.booleans()):
+        trans = sorted(set(trans))
+    initial = draw(st.lists(column("i", n), max_size=3))
+    accepting = draw(st.lists(column("i", n), max_size=3))
+    return n, alphabet, tuple(trans), tuple(initial), tuple(accepting), tuple(names)
+
+
+@given(nfa_fields())
+@settings(max_examples=400, deadline=None)
+def test_constructor_matches_reference_checks(fields):
+    def build(*args):
+        a = Nfa(*args)
+        return (a.n_states, a.alphabet, a.transitions, a.initial, a.accepting,
+                a.state_names)
+    assert _outcome(build, *fields) == _outcome(reference_nfa_fields, *fields)
+
+
+def test_constructor_keeps_sorted_transitions_and_sorts_the_rest():
+    alphabet = make_alphabet(["a"])
+    names = ("p", "q")
+    ordered = Nfa(2, alphabet, ((0, 0, 1), (1, 0, 0)), (0,), (1,), names)
+    shuffled = Nfa(2, alphabet, [[1, 0, 0], (0, 0, 1), (1, 0, 0)], [0, 0], {1}, names)
+    assert shuffled == ordered
+    assert shuffled.transitions == ((0, 0, 1), (1, 0, 0))
+    assert shuffled.initial == (0,) and shuffled.accepting == (1,)
+    for bad in (((0, 0, 1), (0, 0, 1, 0)), ((0, 0),)):
+        with pytest.raises(InputError, match="triples"):
+            Nfa(2, alphabet, bad, (0,), (1,), names)
