@@ -7,6 +7,12 @@ POSET_AUTOMATA_CAPS, a comma-separated list of key=value pairs, e.g.
 
 Library functions take an optional ``caps`` argument; ``None`` means the
 process-wide defaults (environment included).
+
+Memory of the antichain decider: its packed columns hold |Sigma|*|Q|^2 bits,
+as many as the automaton's step table, so they need no cap of their own; its
+domination index holds |Q| bits per kept set, at most
+``antichain_index_bits`` (128 MiB at the default: about 3.4 million kept sets
+of 317 states).
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ ENV_VAR = "POSET_AUTOMATA_CAPS"
 class Caps:
     det_states: int = 2**20      # subset states materialized by determinize()
     antichain_nodes: int = 10**6  # explored nodes in the antichain/subset deciders
+    antichain_index_bits: int = 2**30  # |Q| bits per set the antichain keeps
     enum_len: int = 64           # maximum word length for bounded enumeration
     enum_nodes: int = 10**6      # prefix-tree nodes visited by bounded enumeration
     word_len: int = 10**7        # maximum |W_{k,n}| the word generator will build
     reduce_n: int = 16           # maximum n chosen by the TM reduction
     dag_nodes: int = 10**6       # nodes a parsed DAG file may declare
+    aknn_arcs: int = 10**6       # transitions of an A_{k,n} that build_aknn will build
 
     def with_overrides(self, spec: str) -> "Caps":
         """Apply a ``key=value,key=value`` override string."""

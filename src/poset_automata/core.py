@@ -10,10 +10,12 @@ an error, so a rejected text gets the same message either way.
 Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
 a, built whole from ``transitions`` on first use; a state set is an int
-bitmask (bit q set for state q), stepped with ``Nfa.step_mask``.
-``Nfa.succ`` maps (state, letter) to the successor tuple and feeds only
-``accepts``, the membership test that the literal-enumeration oracle runs,
-so that oracle shares no code with the step table it checks.
+bitmask (bit q set for state q).  The antichain decider packs the rows into
+one column per state and steps a set under all letters at once; the other
+searches step it one letter at a time with ``Nfa.step_mask``.  ``Nfa.succ``
+maps (state, letter) to the successor tuple and feeds only ``accepts`` and
+the literal-enumeration oracle, so that oracle shares no code with the step
+table it checks.
 
 All values are immutable after construction.  Derived tables (``succ``,
 ``step_rows``, the masks) are cached properties: each is a pure function of
@@ -92,8 +94,9 @@ class Nfa:
     Transitions are stored duplicate-free and sorted by (src, letter, dst).
     The searches and the structural predicates read the automaton through
     ``step_rows``, one tuple of successor bitmasks per letter indexed by
-    state, the searches mostly via ``step_mask`` (the image of one state set
-    under one letter).  ``succ`` feeds only ``accepts``.
+    state, most searches via ``step_mask`` (the image of one state set
+    under one letter).  ``succ`` feeds only ``accepts`` and the
+    literal-enumeration oracle.
 
     The constructor checks names, ranges and order over whole columns and
     sorts only input that is not sorted and duplicate-free already, as

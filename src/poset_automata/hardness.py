@@ -61,7 +61,7 @@ def _st(i: int, m: int) -> str:
     return f"({i};{m})"
 
 
-def build_aknn(k: int, n: int) -> Nfa:
+def build_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
     """The ptNFA over a1..an that accepts exactly Sigma_n^* minus {W_{k,n}}.
 
     Level m holds states (0;m)..(2k;m); (0;m) is initial and (i;m) with
@@ -76,6 +76,12 @@ def build_aknn(k: int, n: int) -> Nfa:
     """
     if k < 1 or n < 1:
         raise InputError("A_{k,n} needs k >= 1 and n >= 1")
+    caps = caps or default_caps()
+    # level m adds 2k+2 arcs by items 2-3 and (m-1)(5k+2) by items 1 and 4-6
+    arcs = n * (2 * k + 2) + (5 * k + 2) * n * (n - 1) // 2
+    if arcs > caps.aknn_arcs:
+        raise ResourceLimitError(f"A_{{{k},{n}}} has {arcs} transitions, "
+                                 f"over the aknn_arcs cap ({caps.aknn_arcs})")
     b = NfaBuilder(sigma_alphabet(n))
     for m in range(1, n + 1):
         for i in range(2 * k + 1):
@@ -125,7 +131,7 @@ def trim_aknn(a: Nfa, k: int, n: int) -> Nfa:
 def check_suffix_rejection(k: int, n: int, caps: Caps | None = None) -> bool:
     """For every suffix a_i w of W_{k,n}: simulating w from {(k+1;i)} must
     end outside the accepting set."""
-    a = build_aknn(k, n)
+    a = build_aknn(k, n, caps)
     word = w_word(k, n, caps)
     for t, letter in enumerate(word):
         level = letter + 1

@@ -10,14 +10,13 @@ order, so reported counterexamples are the length-lexicographically first.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .caps import Caps, default_caps
 from .classify import is_partially_ordered, is_saturated
-from .core import Nfa, Word, accepts, format_word
+from .core import Nfa, Word, format_word
 from .errors import InputError, ResourceLimitError
 
 @dataclass(frozen=True)
@@ -119,15 +118,28 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     smaller kept set reaches a rejecting subset whenever the larger one does,
     no later.
 
-    Kept subsets are bucketed by their lowest state.  A kept v with v <= img
-    has its lowest state in img, so the domination test reads only the
-    buckets of img's states that are some kept set's lowest state.  Kept
-    supersets of a newly kept set are not removed: each still contains a
-    kept set, so "some kept v <= img" has the same answer with or without
+    A node's images under all letters come from one OR of packed columns:
+    ``col[q]`` holds the successor masks of q under letters 0, 1, ... side
+    by side, |Q| bits apart, so letter x's image is one shift and mask.
+
+    Domination is answered by an inverted index.  Kept set i is bit i of
+    ``all_kept`` and of ``has[q]`` for each of its members q; ``order``
+    lists the support, the states of some kept set.  A kept v lies inside
+    the support, so v <= img iff no member of v is a support state outside
+    img, and the kept sets with such a member are the OR of ``has[q]`` over
+    those states.  So img is dominated iff that OR leaves a bit of
+    ``all_kept`` unset.  The test is exact, whatever the order of the
+    states: the OR may stop once it covers ``all_kept``, and ``order``
+    puts the states of the most kept sets first (re-sorted whenever the
+    kept count doubles) so that it stops sooner.
+    Kept supersets of a newly kept set are not removed: each still contains
+    a kept set, so "some kept v <= img" has the same answer with or without
     them, and the queue, ``parents``, the counts and the counterexample are
-    those of a search that keeps only the subset-minimal sets.  Every kept
-    set is a key of ``parents`` too, so the buckets hold no set that the
-    search does not hold anyway."""
+    those of a search that keeps only the subset-minimal sets.
+
+    ``col`` holds |Sigma|*|Q|^2 bits, as many as ``Nfa.step_rows``; ``has``
+    holds |Q| bits per kept set, within the ``antichain_index_bits`` cap,
+    which is checked before each set after the start is kept."""
     caps = caps or default_caps()
     acc = a.accepting_mask
     start = a.initial_mask
@@ -137,10 +149,27 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     u_mask = universal_state_mask(a)
     if start & u_mask:
         return UniversalityResult(True, None, "antichain", 0, 0)
-    step = a.step_mask
-    low = start & -start
-    buckets: dict[int, list[int]] = {low: [start]}  # lowest bit -> kept sets
-    lows = low  # union of the bucket keys
+    n = a.n_states
+    full = (1 << n) - 1
+    shifts = range(0, a.n_letters * n, n)
+    col = [0] * n
+    for shift, row in zip(shifts, a.step_rows):
+        for q, succ in enumerate(row):
+            if succ:
+                col[q] |= succ << shift
+    letters = tuple(enumerate(shifts))
+    max_kept = caps.antichain_index_bits // n
+    has = [0] * n
+    order = []  # the support; sorted by kept sets held each time `kept` doubles
+    m = start
+    while m:
+        q = m.bit_length() - 1
+        m ^= 1 << q
+        has[q] = 1
+        order.append(q)
+    all_kept = 1
+    kept = 1
+    resort = 2
     queue = deque([start])
     explored = 0
     max_frontier = 1
@@ -150,8 +179,14 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
         if explored > caps.antichain_nodes:
             raise ResourceLimitError(
                 f"antichain search exceeded antichain_nodes cap ({caps.antichain_nodes})")
-        for x in range(a.n_letters):
-            img = step(mask, x)
+        packed = 0
+        m = mask
+        while m:
+            q = m.bit_length() - 1
+            m ^= 1 << q
+            packed |= col[q]
+        for x, shift in letters:
+            img = packed >> shift & full
             if img in parents:
                 continue
             parents[img] = (mask, x)
@@ -160,22 +195,31 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
                 return UniversalityResult(False, word, "antichain", explored, max_frontier)
             if img & u_mask:
                 continue  # a universal member: no rejecting subset below it
-            dominated = False
-            rest = img & lows
-            while rest:
-                low = 1 << (rest.bit_length() - 1)
-                rest ^= low
-                for v in buckets[low]:
-                    if v & img == v:
-                        dominated = True
+            hit = 0  # kept sets with a member outside img
+            for q in order:
+                if not img >> q & 1:
+                    hit |= has[q]
+                    if hit == all_kept:
                         break
-                if dominated:
-                    break
-            if dominated:
-                continue
-            low = img & -img
-            buckets.setdefault(low, []).append(img)
-            lows |= low
+            else:
+                continue  # some kept set lies inside img
+            if kept >= max_kept:
+                raise ResourceLimitError(
+                    f"antichain index of {kept + 1} sets of {n} states would exceed "
+                    f"antichain_index_bits cap ({caps.antichain_index_bits})")
+            bit = 1 << kept
+            m = img
+            while m:
+                q = m.bit_length() - 1
+                m ^= 1 << q
+                if not has[q]:
+                    order.append(q)
+                has[q] |= bit
+            all_kept |= bit
+            kept += 1
+            if kept == resort:
+                resort *= 2
+                order.sort(key=lambda q: has[q].bit_count(), reverse=True)
             queue.append(img)
             max_frontier = max(max_frontier, len(queue))
     return UniversalityResult(True, None, "antichain", explored, max_frontier)
@@ -214,25 +258,58 @@ def universal_subset(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     return UniversalityResult(True, None, "subset", explored, max_frontier)
 
 
+def _word_at(index: int, length: int, n_letters: int) -> Word:
+    """The word at ``index`` among the words of ``length`` in lex order:
+    ``index`` written in base ``n_letters`` with ``length`` digits."""
+    word = []
+    for _ in range(length):
+        index, x = divmod(index, n_letters)
+        word.append(x)
+    return tuple(reversed(word))
+
+
 def universal_brute(a: Nfa, max_len: int, caps: Caps | None = None) -> UniversalityResult:
     """Literal enumeration of every word up to max_len in length-lex order.
     A 'universal' verdict only certifies the explored bound; with
-    max_len >= 2^|Q| it is exact."""
+    max_len >= 2^|Q| it is exact.
+
+    The words go level by level: ``level`` holds the state sets the words
+    of one length reach, in lex order, so the word at index i is i in base
+    |Sigma|.  Each word of the next length steps its parent's set once
+    through ``Nfa.succ``, never through the step table the searches use, and
+    equal images share one frozenset.  ``enum_nodes`` is checked before a
+    set joins the level, so the list never holds more sets than the cap."""
     caps = caps or default_caps()
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
     if max_len > caps.enum_len:
         raise ResourceLimitError(f"brute-force length {max_len} exceeds enum_len cap "
                                  f"({caps.enum_len})")
+    succ, acc, letters = a.succ, a.accepting_set, range(a.n_letters)
+    images: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+
+    def image(states: frozenset[int], x: int) -> frozenset[int]:
+        img = images.get((states, x))
+        if img is None:
+            img = images[states, x] = frozenset(
+                r for q in states for r in succ.get((q, x), ()))
+        return img
+
     checked = 0
+    level: list[frozenset[int]] = []
+    new = iter((a.initial_set,))  # the one word of length 0
     for length in range(max_len + 1):
-        for word in itertools.product(range(a.n_letters), repeat=length):
+        for states in new:
             checked += 1
             if checked > caps.enum_nodes:
                 raise ResourceLimitError(
                     f"brute-force enumeration exceeded enum_nodes cap ({caps.enum_nodes})")
-            if not accepts(a, word):
+            if not states & acc:
+                word = _word_at(len(level), length, a.n_letters)
                 return UniversalityResult(False, word, "brute-force", checked, 1)
+            level.append(states)
+        parents, level = level, []
+        new = (image(states, x) for states in parents for x in letters)
     return UniversalityResult(True, None, "brute-force", checked, 1)
 
 

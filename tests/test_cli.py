@@ -220,6 +220,15 @@ def test_gen_dag_node_cap_exit_three(capsys, monkeypatch):
                    "(1000)\n")
 
 
+def test_gen_aknn_arc_cap_exit_three(capsys, monkeypatch):
+    """A huge A_{k,n} is refused before it is built: exit 3, one line."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=1000")
+    code, out, err = run_main(capsys, ["gen-aknn", "--k", "100000", "--n", "100000"])
+    assert code == 3 and out == ""
+    assert err == ("resource limit: A_{100000,100000} has 2500005000100000 transitions, "
+                   "over the aknn_arcs cap (1000)\n")
+
+
 # ---------------------------------------------------------------------------
 # main() on hostile input: an exit code in {0, 1, 2, 3} and at most a one-line
 # message, never a traceback

@@ -59,6 +59,17 @@ def test_w_word_caps():
 # A_{k,n}
 
 
+def test_aknn_arc_cap_is_exact_and_checked_first():
+    """The cap counts A_{k,n}'s transitions exactly, and it is checked
+    before anything is built, so a huge k and n fail at once."""
+    arcs = len(build_aknn(3, 4).transitions)
+    assert build_aknn(3, 4, Caps(aknn_arcs=arcs)).transitions
+    with pytest.raises(ResourceLimitError, match="aknn_arcs cap"):
+        build_aknn(3, 4, Caps(aknn_arcs=arcs - 1))
+    with pytest.raises(ResourceLimitError, match="aknn_arcs cap"):
+        build_aknn(10**9, 10**9, Caps(aknn_arcs=10**6))
+
+
 def test_aknn_11_shape_and_rejected_set():
     a = build_aknn(1, 1)
     assert a.n_states == 4

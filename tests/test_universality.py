@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import accepting_machine, reference_bucket_antichain, rejecting_machine
 from poset_automata.caps import Caps
 from poset_automata.core import Nfa, accepts, make_alphabet
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn, w_word
+from poset_automata.reduction import reduce
 from poset_automata.sampling import (random_nfa, random_saturated,
                                      random_unary_po)
 from poset_automata.universality import (UniversalityResult, format_result,
@@ -140,6 +142,25 @@ def test_brute_caps():
     a = saturated_chain(2, accept_initial=True)
     with pytest.raises(ResourceLimitError):
         universal_brute(a, 100, Caps(enum_len=10))
+
+
+def test_brute_node_cap_counts_every_word():
+    """enum_nodes is checked before a word's set joins the level list: a
+    universal two-letter automaton checks 1 + 2 + 4 + 8 words up to length
+    3, so a cap of 15 suffices and a cap of 14 fires."""
+    a = simple_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], [0], [0])
+    res = universal_brute(a, 3, Caps(enum_nodes=15))
+    assert res.universal and res.explored == 15
+    with pytest.raises(ResourceLimitError, match="enum_nodes cap"):
+        universal_brute(a, 3, Caps(enum_nodes=14))
+
+
+def test_brute_counterexample_and_count_in_length_lex_order():
+    """The first rejected word in length-lex order is a2 a1, the sixth word
+    checked after e, a1, a2, a1 a1 and a1 a2."""
+    trans = [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0), (2, 0, 0), (2, 1, 0)]
+    a = simple_nfa(3, 2, trans, [0], [0, 1])
+    assert universal_brute(a, 4) == UniversalityResult(False, (1, 0), "brute-force", 6, 1)
 
 
 def test_brute_rejects_negative_bound():
@@ -311,3 +332,46 @@ def test_antichain_matches_linear_scan_reference_on_aknn(k, n):
     assert universal_antichain(a) == _linear_scan_antichain(a)
     t = trim_aknn(a, k, n)
     assert universal_antichain(t) == _linear_scan_antichain(t)
+
+
+# ---------------------------------------------------------------------------
+# the packed-column, inverted-index antichain against the bucket-scan search
+# it replaced (a verbatim copy in conftest.py)
+
+
+@pytest.mark.parametrize("generator", [random_nfa, random_saturated, random_unary_po])
+def test_antichain_matches_bucket_reference_on_random_instances(generator):
+    """Verdict, counterexample, explored and max_frontier all equal."""
+    rng = random.Random(6)
+    for _ in range(400):
+        a = generator(rng, max_states=8)
+        assert universal_antichain(a) == reference_bucket_antichain(a)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
+def test_antichain_matches_bucket_reference_on_aknn(k, n):
+    a = build_aknn(k, n)
+    assert universal_antichain(a) == reference_bucket_antichain(a)
+    t = trim_aknn(a, k, n)
+    assert universal_antichain(t) == reference_bucket_antichain(t)
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine])
+def test_antichain_matches_bucket_reference_on_reductions(machine, pval):
+    a = reduce(machine(), "1", pval).automaton
+    res = universal_antichain(a)
+    assert res == reference_bucket_antichain(a)
+    assert res.universal == (machine is rejecting_machine)
+
+
+def test_antichain_index_cap_fires_before_keeping_a_set():
+    """The domination index holds |Q| bits per kept set: A(3,3) keeps 19
+    sets, so a cap of 19 sets' bits suffices and one bit less fires when
+    the 19th set would be kept."""
+    a = build_aknn(3, 3)
+    bits = a.n_states * 19
+    assert universal_antichain(a, Caps(antichain_index_bits=bits)) == universal_antichain(a)
+    with pytest.raises(ResourceLimitError, match=r"index of 19 sets of 22 states would "
+                                                 r"exceed antichain_index_bits cap"):
+        universal_antichain(a, Caps(antichain_index_bits=bits - 1))
