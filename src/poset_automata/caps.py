@@ -8,11 +8,12 @@ POSET_AUTOMATA_CAPS, a comma-separated list of key=value pairs, e.g.
 Library functions take an optional ``caps`` argument; ``None`` means the
 process-wide defaults (environment included).
 
-Memory of the antichain decider: its packed columns hold |Sigma|*|Q|^2 bits,
-as many as the automaton's step table, so they need no cap of their own; its
-domination index holds |Q| bits per kept set, at most
-``antichain_index_bits`` (128 MiB at the default: about 3.4 million kept sets
-of 317 states).
+Memory of the antichain decider: its packed columns hold at most
+|Sigma|*|Q|^2 bits, as many as the automaton's step table; its domination
+index holds |Q| bits per kept set, no more than the kept sets themselves take
+as keys of the search's parent map.  That map holds at most |Sigma| sets per
+explored node, so ``antichain_nodes`` bounds both, and neither needs a cap of
+its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ ENV_VAR = "POSET_AUTOMATA_CAPS"
 class Caps:
     det_states: int = 2**20      # subset states materialized by determinize()
     antichain_nodes: int = 10**6  # explored nodes in the antichain/subset deciders
-    antichain_index_bits: int = 2**30  # |Q| bits per set the antichain keeps
     enum_len: int = 64           # maximum word length for bounded enumeration
     enum_nodes: int = 10**6      # prefix-tree nodes visited by bounded enumeration
     word_len: int = 10**7        # maximum |W_{k,n}| the word generator will build

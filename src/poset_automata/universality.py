@@ -137,9 +137,11 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     them, and the queue, ``parents``, the counts and the counterexample are
     those of a search that keeps only the subset-minimal sets.
 
-    ``col`` holds |Sigma|*|Q|^2 bits, as many as ``Nfa.step_rows``; ``has``
-    holds |Q| bits per kept set, within the ``antichain_index_bits`` cap,
-    which is checked before each set after the start is kept."""
+    ``col[q]`` is built when q first turns up in a popped set, so a search
+    that stops at its first node pays only for the start set's columns.
+    ``col`` holds |Sigma|*|Q|^2 bits at most, as many as ``Nfa.step_rows``;
+    ``has`` holds |Q| bits per kept set, no more than the kept sets
+    themselves take as keys of ``parents`` (see ``caps``)."""
     caps = caps or default_caps()
     acc = a.accepting_mask
     start = a.initial_mask
@@ -151,14 +153,9 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
         return UniversalityResult(True, None, "antichain", 0, 0)
     n = a.n_states
     full = (1 << n) - 1
-    shifts = range(0, a.n_letters * n, n)
+    rows = tuple(zip(range(0, a.n_letters * n, n), a.step_rows))  # (shift, row) per letter
     col = [0] * n
-    for shift, row in zip(shifts, a.step_rows):
-        for q, succ in enumerate(row):
-            if succ:
-                col[q] |= succ << shift
-    letters = tuple(enumerate(shifts))
-    max_kept = caps.antichain_index_bits // n
+    built = 0  # the states whose column is filled
     has = [0] * n
     order = []  # the support; sorted by kept sets held each time `kept` doubles
     m = start
@@ -179,13 +176,22 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
         if explored > caps.antichain_nodes:
             raise ResourceLimitError(
                 f"antichain search exceeded antichain_nodes cap ({caps.antichain_nodes})")
+        m = mask & ~built
+        built |= m
+        while m:
+            q = m.bit_length() - 1
+            m ^= 1 << q
+            c = 0
+            for shift, row in rows:
+                c |= row[q] << shift
+            col[q] = c
         packed = 0
         m = mask
         while m:
             q = m.bit_length() - 1
             m ^= 1 << q
             packed |= col[q]
-        for x, shift in letters:
+        for x, (shift, _) in enumerate(rows):
             img = packed >> shift & full
             if img in parents:
                 continue
@@ -203,10 +209,6 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
                         break
             else:
                 continue  # some kept set lies inside img
-            if kept >= max_kept:
-                raise ResourceLimitError(
-                    f"antichain index of {kept + 1} sets of {n} states would exceed "
-                    f"antichain_index_bits cap ({caps.antichain_index_bits})")
             bit = 1 << kept
             m = img
             while m:

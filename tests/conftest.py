@@ -1,15 +1,10 @@
 import re
-from collections import deque
-from typing import Optional
 
 import pytest
 
-from poset_automata.caps import Caps, default_caps
 from poset_automata.core import Nfa, make_alphabet
 from poset_automata.dtm import Dtm
-from poset_automata.errors import InputError, ResourceLimitError
-from poset_automata.universality import (UniversalityResult, _reconstruct,
-                                         universal_state_mask)
+from poset_automata.errors import InputError
 
 
 def reach_order(a: Nfa) -> list[set[int]]:
@@ -183,76 +178,3 @@ def reference_nfa_fields(n_states, alphabet, transitions, initial, accepting,
             raise InputError(f"state index {q} out of range")
     return (n_states, tuple(alphabet), transitions, initial, accepting,
             tuple(state_names))
-
-
-# ---------------------------------------------------------------------------
-# reference copy of the bucketed antichain search that the packed-column,
-# inverted-index kernel replaced
-
-
-def reference_bucket_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
-    """BFS over subset-construction states that skips every new image
-    containing an already kept subset.  Skipping a superset is sound: the
-    smaller kept set reaches a rejecting subset whenever the larger one does,
-    no later.
-
-    Kept subsets are bucketed by their lowest state.  A kept v with v <= img
-    has its lowest state in img, so the domination test reads only the
-    buckets of img's states that are some kept set's lowest state.  Kept
-    supersets of a newly kept set are not removed: each still contains a
-    kept set, so "some kept v <= img" has the same answer with or without
-    them, and the queue, ``parents``, the counts and the counterexample are
-    those of a search that keeps only the subset-minimal sets.  Every kept
-    set is a key of ``parents`` too, so the buckets hold no set that the
-    search does not hold anyway."""
-    caps = caps or default_caps()
-    acc = a.accepting_mask
-    start = a.initial_mask
-    parents: dict[int, Optional[tuple[int, int]]] = {start: None}
-    if not start & acc:
-        return UniversalityResult(False, (), "antichain", 0, 0)
-    u_mask = universal_state_mask(a)
-    if start & u_mask:
-        return UniversalityResult(True, None, "antichain", 0, 0)
-    step = a.step_mask
-    low = start & -start
-    buckets: dict[int, list[int]] = {low: [start]}  # lowest bit -> kept sets
-    lows = low  # union of the bucket keys
-    queue = deque([start])
-    explored = 0
-    max_frontier = 1
-    while queue:
-        mask = queue.popleft()
-        explored += 1
-        if explored > caps.antichain_nodes:
-            raise ResourceLimitError(
-                f"antichain search exceeded antichain_nodes cap ({caps.antichain_nodes})")
-        for x in range(a.n_letters):
-            img = step(mask, x)
-            if img in parents:
-                continue
-            parents[img] = (mask, x)
-            if not img & acc:
-                word = _reconstruct(parents, img)
-                return UniversalityResult(False, word, "antichain", explored, max_frontier)
-            if img & u_mask:
-                continue  # a universal member: no rejecting subset below it
-            dominated = False
-            rest = img & lows
-            while rest:
-                low = 1 << (rest.bit_length() - 1)
-                rest ^= low
-                for v in buckets[low]:
-                    if v & img == v:
-                        dominated = True
-                        break
-                if dominated:
-                    break
-            if dominated:
-                continue
-            low = img & -img
-            buckets.setdefault(low, []).append(img)
-            lows |= low
-            queue.append(img)
-            max_frontier = max(max_frontier, len(queue))
-    return UniversalityResult(True, None, "antichain", explored, max_frontier)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepting_machine, reference_bucket_antichain, rejecting_machine
+from conftest import accepting_machine, rejecting_machine
 from poset_automata.caps import Caps
 from poset_automata.core import Nfa, accepts, make_alphabet
 from poset_automata.errors import InputError, ResourceLimitError
@@ -262,7 +262,8 @@ def test_sponfa_agrees_with_oracle(seed):
 
 
 # ---------------------------------------------------------------------------
-# the bucketed antichain against the linear-scan search it replaced
+# the packed-column, inverted-index antichain against the first antichain
+# search, a linear scan of the subset-minimal kept sets
 
 
 def _linear_scan_antichain(a):
@@ -326,7 +327,17 @@ def test_antichain_matches_linear_scan_reference(seed):
     assert universal_antichain(a) == _linear_scan_antichain(a)
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 5) for n in range(1, 5)])
+@pytest.mark.parametrize("generator", [random_saturated, random_unary_po])
+def test_antichain_matches_linear_scan_reference_on_other_classes(generator):
+    """Saturated and unary partially ordered instances, which the
+    dispatcher never sends to the antichain search."""
+    rng = random.Random(6)
+    for _ in range(400):
+        a = generator(rng, max_states=8)
+        assert universal_antichain(a) == _linear_scan_antichain(a)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
 def test_antichain_matches_linear_scan_reference_on_aknn(k, n):
     a = build_aknn(k, n)
     assert universal_antichain(a) == _linear_scan_antichain(a)
@@ -334,44 +345,10 @@ def test_antichain_matches_linear_scan_reference_on_aknn(k, n):
     assert universal_antichain(t) == _linear_scan_antichain(t)
 
 
-# ---------------------------------------------------------------------------
-# the packed-column, inverted-index antichain against the bucket-scan search
-# it replaced (a verbatim copy in conftest.py)
-
-
-@pytest.mark.parametrize("generator", [random_nfa, random_saturated, random_unary_po])
-def test_antichain_matches_bucket_reference_on_random_instances(generator):
-    """Verdict, counterexample, explored and max_frontier all equal."""
-    rng = random.Random(6)
-    for _ in range(400):
-        a = generator(rng, max_states=8)
-        assert universal_antichain(a) == reference_bucket_antichain(a)
-
-
-@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
-def test_antichain_matches_bucket_reference_on_aknn(k, n):
-    a = build_aknn(k, n)
-    assert universal_antichain(a) == reference_bucket_antichain(a)
-    t = trim_aknn(a, k, n)
-    assert universal_antichain(t) == reference_bucket_antichain(t)
-
-
 @pytest.mark.parametrize("pval", [1, 2])
 @pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine])
-def test_antichain_matches_bucket_reference_on_reductions(machine, pval):
+def test_antichain_matches_linear_scan_reference_on_reductions(machine, pval):
     a = reduce(machine(), "1", pval).automaton
     res = universal_antichain(a)
-    assert res == reference_bucket_antichain(a)
+    assert res == _linear_scan_antichain(a)
     assert res.universal == (machine is rejecting_machine)
-
-
-def test_antichain_index_cap_fires_before_keeping_a_set():
-    """The domination index holds |Q| bits per kept set: A(3,3) keeps 19
-    sets, so a cap of 19 sets' bits suffices and one bit less fires when
-    the 19th set would be kept."""
-    a = build_aknn(3, 3)
-    bits = a.n_states * 19
-    assert universal_antichain(a, Caps(antichain_index_bits=bits)) == universal_antichain(a)
-    with pytest.raises(ResourceLimitError, match=r"index of 19 sets of 22 states would "
-                                                 r"exceed antichain_index_bits cap"):
-        universal_antichain(a, Caps(antichain_index_bits=bits - 1))
