@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time ``reduce | universal_antichain`` on the two micro machines (one
-accepting, one looping) on input ``1`` at space bounds 1..pmax.
+"""Time ``reduce | universal_antichain`` and ``is_confluent`` on the two
+micro machines (one accepting, one looping) on input ``1`` at space bounds
+1..pmax.
 
 Each reduction goes through the printed text and back, as in the shell
-pipeline ``reduce | universal``; only the antichain search is timed.  Prints
-one row per machine and bound: states, explored nodes, counterexample length
-(``-`` for a universal automaton) and seconds.
+pipeline ``reduce | universal``; only the antichain search and, on the same
+parsed automaton, the confluence check are timed.  Prints one row per
+machine and bound: states, explored nodes, counterexample length (``-`` for
+a universal automaton), antichain seconds and confluence seconds.
 
 Usage: python scripts/antichain_scaling.py [pmax]   (default 3)
 """
@@ -15,6 +17,7 @@ import time
 
 from reduce_demo import machines
 
+from poset_automata.classify import is_confluent
 from poset_automata.core import parse_automaton, print_automaton
 from poset_automata.reduction import reduce
 from poset_automata.universality import universal_antichain
@@ -22,7 +25,8 @@ from poset_automata.universality import universal_antichain
 
 def main():
     pmax = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    print(f"{'machine':>9} {'p':>2} {'states':>6} {'explored':>8} {'ce len':>6} {'seconds':>8}")
+    print(f"{'machine':>9} {'p':>2} {'states':>6} {'explored':>8} {'ce len':>6} "
+          f"{'seconds':>8} {'confluence s':>12}")
     for pval in range(1, pmax + 1):
         for label, machine in machines():
             a = parse_automaton(print_automaton(reduce(machine, "1", pval).automaton))
@@ -30,9 +34,13 @@ def main():
             res = universal_antichain(a)
             elapsed = time.perf_counter() - t0
             assert res.universal == (label != "accepting")
+            t0 = time.perf_counter()
+            confluent, _ = is_confluent(a)
+            confluence_s = time.perf_counter() - t0
+            assert confluent
             ce = "-" if res.universal else len(res.counterexample)
             print(f"{label:>9} {pval:>2} {a.n_states:>6} {res.explored:>8} {ce:>6} "
-                  f"{elapsed:>8.2f}", flush=True)
+                  f"{elapsed:>8.2f} {confluence_s:>12.2f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,12 @@ index holds |Q| bits per kept set, no more than the kept sets themselves take
 as keys of the search's parent map.  That map holds at most |Sigma| sets per
 explored node, so ``antichain_nodes`` bounds both, and neither needs a cap of
 its own.
+
+The confluence search holds unordered pairs of distinct states, one memo per
+pair of letters, so at most |Sigma|(|Sigma|+1)/2 * |Q|(|Q|-1)/2, about
+|Sigma|^2*|Q|^2/4, pairs in all; ``confluence_nodes`` bounds them.  The
+reductions of ``scripts/reduce_demo.py`` at space bound 5 hold about 650,000
+pairs (at roughly 50 bytes each); the default leaves three times that.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ class Caps:
     reduce_n: int = 16           # maximum n chosen by the TM reduction
     dag_nodes: int = 10**6       # nodes a parsed DAG file may declare
     aknn_arcs: int = 10**6       # transitions of an A_{k,n} that build_aknn will build
+    confluence_nodes: int = 2 * 10**6  # state pairs held by the confluence search
 
     def with_overrides(self, spec: str) -> "Caps":
         """Apply a ``key=value,key=value`` override string."""
@@ -58,6 +65,9 @@ class Caps:
         return replace(self, **updates)
 
 
+_DEFAULTS = Caps()
+
+
 def default_caps(environ: dict[str, str] | None = None) -> Caps:
     env = os.environ if environ is None else environ
-    return Caps().with_overrides(env.get(ENV_VAR, ""))
+    return _DEFAULTS.with_overrides(env.get(ENV_VAR, ""))

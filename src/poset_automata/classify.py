@@ -5,6 +5,13 @@ confluence, and the unique-maximal-state (UMS) property.  The ptNFA verdict
 is always derived from complete + partially ordered + UMS, never from
 confluence, so the equivalence "complete confluent self-loop deterministic
 poNFA = ptNFA" stays testable as a theorem.
+
+Confluence asks, for pairs of states s, t, whether some w over two letters
+sends both to a common state.  That is reachability of the diagonal in the
+product of the automaton with itself, so it is searched over pairs of
+states, at most |Q|^2/2 per letter pair, not over pairs of state sets;
+``_confluent_raw`` gives the argument and the ``confluence_nodes`` cap that
+bounds the search.
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ from dataclasses import dataclass, field
 from operator import and_
 from typing import Optional
 
+from .caps import Caps, default_caps
 from .core import Nfa, strongly_connected_components
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 LABELS = ("NFA", "poNFA", "rpoNFA", "spoNFA", "ptNFA", "DFA", "poDFA", "confluent-poDFA")
 
@@ -119,86 +127,134 @@ def self_loop_letters(a: Nfa) -> list[set[int]]:
 # confluence
 
 
-def _pairs_meet(a: Nfa, s: int, t: int, letters: tuple[int, int],
-                memo: dict) -> bool:
-    """Does some w over ``letters`` send {s} and {t} to intersecting sets?
-    Fixpoint over unordered pairs of state sets; finite, hence terminating.
-
-    ``memo`` maps pairs to their answer and may be shared by every call for
-    the same automaton and letters.  A pair it marks as not meeting is not
-    expanded: no pair reachable from it meets either.  When a meeting pair
-    is found, every pair on its search path is marked as meeting."""
-    start = (1 << s, 1 << t) if s <= t else (1 << t, 1 << s)
-    known = memo.get(start)
-    if known is not None:
-        return known
-    parent: dict = {start: None}  # search tree: pair -> pair it was reached from
-    queue = deque([start])
-    alphabet = sorted(set(letters))
-    step = a.step_mask
-    while queue:
-        node = queue.popleft()
-        (ms, mt) = node
-        if ms & mt:
-            return _record_meet(memo, parent, node)
-        for x in alphabet:
-            ns, nt = step(ms, x), step(mt, x)
-            if not ns or not nt:
-                continue
-            pair = (ns, nt) if ns <= nt else (nt, ns)
-            if pair in parent:
-                continue
-            parent[pair] = node
-            known = memo.get(pair)
-            if known is None:
-                queue.append(pair)
-            elif known:
-                return _record_meet(memo, parent, pair)
-    for pair in parent:
-        memo[pair] = False
-    return False
-
-
-def _record_meet(memo: dict, parent: dict, pair) -> bool:
+def _mark_path(memo: dict, parent: dict, pair: int) -> bool:
     """Mark ``pair`` and its ancestors in the search tree as meeting: each
     reaches ``pair`` under some word, then the word that makes it meet."""
-    while pair is not None:
+    while pair >= 0:
         memo[pair] = True
         pair = parent[pair]
     return True
 
 
-def _confluent_raw(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
+def _confluent_raw(a: Nfa, caps: Optional[Caps] = None
+                   ) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
+    """Confluence and its first failing (q, a, b, s, t) in loop order.
+
+    Some w over {a, b} sends s and t to intersecting sets iff the pair graph
+    (u, v) -> (u', v'), with u' in u.x and v' in v.x for one letter x in
+    {a, b}, has a path from (s, t) to a diagonal pair (r, r): both say that
+    one w has a run from s and a run from t that end in the same r.  So each
+    question is a search over unordered pairs of distinct states, keyed
+    ``u*|Q| + v`` with u < v, that stops at the first pair it finds with a
+    one-step meet ``rows[x][u] & rows[x][v]``; the start's is tested before
+    any search is set up, and answers most questions.  A letter pair has at
+    most |Q|(|Q|-1)/2 such nodes, where sets of states would give
+    exponentially many.
+
+    One memo per letter pair maps pairs to their answer, and every answer
+    stays exact.  A search that finds no meet has reached every pair
+    reachable from its start, except behind pairs already marked as not
+    meeting, so it marks all it reached as not meeting, and a pair so
+    marked is never expanded again.  A search that finds a meet marks only
+    the pairs on its path to it, each of which reaches the meet under some
+    word; pairs merely queued beside the path are left unknown.  The memo
+    thus answers each question as a search without memo would, and the
+    first failing witness is unchanged.
+
+    When a == b the loop skips t <= s: {u, v} meets or not as one unordered
+    pair, and with u < v the loop over s, then t, asks (u, v) before (v, u),
+    so the first failing witness still has s < t and is unchanged.
+
+    A state's successor lists are built when it is first needed and are
+    shared by the outer loop and every search.  ``caps.confluence_nodes``
+    bounds the pairs held in all memos plus the search under way."""
+    n = a.n_states
     rows = a.step_rows
-    memos: dict[tuple[int, int], dict] = {}  # one _pairs_meet memo per letter pair
-    for q in range(a.n_states):
-        succ = [_members(row[q]) for row in rows]  # successors of q per letter
-        for ax in range(a.n_letters):
-            sa = succ[ax]
+    succ: list = [None] * n  # per state, its successors per letter
+
+    def lists(q: int) -> list[list[int]]:
+        sq = succ[q] = [_members(row[q]) for row in rows]
+        return sq
+
+    limit = (caps or default_caps()).confluence_nodes
+    held = 0  # pairs in all memos
+
+    def meets(start: int, ax: int, bx: int, memo: dict) -> bool:
+        ra, rb = rows[ax], rows[bx]
+        letters = (ax,) if ax == bx else (ax, bx)
+        room = limit - held
+        parent = {start: -1}  # search tree: pair -> pair it was reached from
+        queue = deque([start])
+        while queue:
+            if len(parent) > room:
+                raise ResourceLimitError(
+                    f"confluence search exceeded confluence_nodes cap ({limit})")
+            node = queue.popleft()
+            u, v = divmod(node, n)
+            su = succ[u] or lists(u)
+            sv = succ[v] or lists(v)
+            for x in letters:
+                for u2 in su[x]:
+                    for v2 in sv[x]:  # v2 != u2: the node has no one-step meet
+                        pair = u2 * n + v2 if u2 < v2 else v2 * n + u2
+                        if pair in parent:
+                            continue
+                        parent[pair] = node
+                        known = memo.get(pair)
+                        if known is None:
+                            if ra[u2] & ra[v2] or rb[u2] & rb[v2]:
+                                return _mark_path(memo, parent, pair)
+                            queue.append(pair)
+                        elif known:
+                            return _mark_path(memo, parent, pair)
+        memo.update(dict.fromkeys(parent, False))
+        return False
+
+    n_letters = a.n_letters
+    memos: dict[tuple[int, int], dict] = {}  # one memo per letter pair
+    for q in range(n):
+        sq = succ[q] or lists(q)
+        for ax in range(n_letters):
+            sa = sq[ax]
             if not sa:
                 continue
-            for bx in range(ax, a.n_letters):
-                sb = succ[bx]
+            ra = rows[ax]
+            for bx in range(ax, n_letters):
+                sb = sq[bx]
                 if not sb:
                     continue
+                rb = rows[bx]
+                same = ax == bx
                 memo = memos.setdefault((ax, bx), {})
                 for s in sa:
                     for t in sb:
-                        if s == t:
-                            continue  # w = epsilon already meets
-                        if not _pairs_meet(a, s, t, (ax, bx), memo):
+                        if t <= s and (same or t == s):
+                            continue  # met under the empty word, or asked as (t, s)
+                        if ra[s] & ra[t] or rb[s] & rb[t]:
+                            continue  # meets under one letter
+                        key = s * n + t if s < t else t * n + s
+                        known = memo.get(key)
+                        if known is None:
+                            size = len(memo)
+                            known = meets(key, ax, bx, memo)
+                            held += len(memo) - size
+                        if not known:
                             return False, (q, ax, bx, s, t)
     return True, None
 
 
-def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
+def is_confluent(a: Nfa, caps: Optional[Caps] = None
+                 ) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
     """Confluence for NFAs: for every q and letters a, b (possibly equal),
     successors s of q under a and t under b admit w in {a,b}* with
-    sw and tw intersecting.  Requires a partially ordered input."""
+    sw and tw intersecting.  Requires a partially ordered input.
+
+    The search holds at most |Sigma|^2*|Q|^2/4 state pairs in all; the
+    ``confluence_nodes`` cap bounds them and raises ResourceLimitError."""
     po, _ = is_partially_ordered(a)
     if not po:
         raise InputError("confluence check requires a partially ordered automaton")
-    return _confluent_raw(a)
+    return _confluent_raw(a, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +348,7 @@ def _label(complete: bool, po: bool, sld: bool, saturated: bool, confluent: bool
     return "NFA"
 
 
-def classify(a: Nfa) -> ClassReport:
+def classify(a: Nfa, caps: Optional[Caps] = None) -> ClassReport:
     witnesses: dict = {}
     complete, w = is_complete(a)
     if not complete:
@@ -306,7 +362,7 @@ def classify(a: Nfa) -> ClassReport:
     saturated, w = is_saturated(a)
     if not saturated:
         witnesses["saturated"] = w
-    confluent, w = _confluent_raw(a)
+    confluent, w = _confluent_raw(a, caps)
     if not confluent:
         witnesses["confluent"] = w
     ums, w = is_ums(a)

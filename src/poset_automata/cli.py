@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(args) -> int:
     a = parse_automaton(_read(args.file))
-    report = classify(a)
+    report = classify(a, default_caps())
     sys.stdout.write(format_report(a, report))
     if args.expect and report.label != args.expect:
         return 1
@@ -117,9 +117,7 @@ def _cmd_gen_word(args) -> int:
 
 
 def _cmd_gen_aknn(args) -> int:
-    a = build_aknn(args.k, args.n)
-    if args.trim:
-        a = trim_aknn(a, args.k, args.n)
+    a = trim_aknn(args.k, args.n) if args.trim else build_aknn(args.k, args.n)
     sys.stdout.write(print_automaton(a))
     return 0
 

@@ -110,12 +110,11 @@ def build_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
     return b.build()
 
 
-def trim_aknn(a: Nfa, k: int, n: int) -> Nfa:
-    """Corollary-style trimming: delete states (k+1;i)..(2k;i) for every
-    level i with their incident transitions.  Language-equivalent but no
-    longer complete."""
-    if a != build_aknn(k, n):
-        raise InputError("trim_aknn expects an unmodified build_aknn output")
+def trim_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
+    """Corollary-style trimming: build A_{k,n}, then delete states
+    (k+1;i)..(2k;i) for every level i with their incident transitions.
+    Language-equivalent but no longer complete."""
+    a = build_aknn(k, n, caps)
     removed = {a.state_index[_st(i, m)]
                for m in range(1, n + 1) for i in range(k + 1, 2 * k + 1)}
     keep = [q for q in range(a.n_states) if q not in removed]

@@ -56,7 +56,7 @@ def _suite_aknn(seed: int, samples: int) -> SuiteResult:
         comp = complement(determinize(a, caps)).to_nfa()
         ok = ok and enumerate_language(comp, len(word) + 2, caps) == [word]
         ok = ok and classify(a).label == "ptNFA"
-        trimmed = trim_aknn(a, k, n)
+        trimmed = trim_aknn(k, n)
         if n >= 2:  # at n = 1 no group-6 transitions exist, so nothing is lost
             ok = ok and not is_complete(trimmed)[0]
             ok = ok and classify(trimmed).label == "rpoNFA"

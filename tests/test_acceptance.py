@@ -64,7 +64,7 @@ def test_criterion_3_classifier_matrix():
             a = build_aknn(k, n)
             if classify(a).label != "ptNFA":
                 problems.append(("aknn-label", k, n))
-            t = trim_aknn(a, k, n)
+            t = trim_aknn(k, n)
             if language_equal_bounded(a, t, len(w_word(k, n)) + 2) is not None:
                 problems.append(("trim-language", k, n))
             if n >= 2:  # at n=1 nothing kept loses a transition (see notes)

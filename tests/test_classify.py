@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poset_automata.classify import (_confluent_raw, _pairs_meet, classify,
+from poset_automata.caps import Caps
+from poset_automata.classify import (_confluent_raw, classify,
                                      format_report, is_complete, is_confluent,
                                      is_deterministic, is_partially_ordered,
                                      is_ptnfa, is_saturated,
                                      is_self_loop_deterministic, is_ums,
                                      self_loop_letters)
 from poset_automata.core import Nfa, make_alphabet
-from poset_automata.errors import InputError
+from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn
+from poset_automata.reduction import reduce
 from poset_automata.sampling import (random_complete_po_sld, random_nfa,
                                      random_saturated, random_unary_po)
 
-from conftest import complete_with_fresh_sink, reach_order
+from conftest import (accepting_machine, complete_with_fresh_sink, reach_order,
+                      rejecting_machine)
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
@@ -53,8 +56,7 @@ def test_incomplete_one_state():
 
 
 def test_trimmed_aknn_is_incomplete():
-    a = build_aknn(2, 2)
-    t = trim_aknn(a, 2, 2)
+    t = trim_aknn(2, 2)
     ok, witness = is_complete(t)
     assert not ok
     q, x = witness
@@ -113,7 +115,7 @@ def test_ums_on_aknn_level3(k):
 
 def test_ums_fails_for_fresh_sink_completion():
     # completing the trimmed variant into a new sink instead of max breaks UMS
-    t = trim_aknn(build_aknn(2, 2), 2, 2)
+    t = trim_aknn(2, 2)
     completed = complete_with_fresh_sink(t)
     ok, witness = is_ums(completed)
     assert not ok
@@ -286,17 +288,18 @@ def test_confluence_agrees_with_brute_check(seed):
 
 
 def test_confluence_memo_marks_only_the_meeting_path():
-    """(s, t) meets under a (both go to m), but its b-image (x, y) does not:
-    m, x and y are distinct sinks.  A memo that marked every pair searched
-    from (s, t) as meeting would then pass p, whose a- and b-successors are
-    x and y."""
-    q, p, s, t, m, x, y = range(7)
+    """(s, t) meets only after two letters, s -b-> s1 -b-> m and
+    t -b-> t1 -b-> m, and the search from it queues its a-image (x, y), a
+    pair of distinct sinks, before it finds that meet.  Marking every pair
+    searched from (s, t) as meeting would then pass p, whose a- and
+    b-successors are x and y."""
+    q, p, s, t, s1, t1, m, x, y = range(9)
     arcs = [(q, 0, s), (q, 1, t), (p, 0, x), (p, 1, y),
-            (s, 0, m), (s, 1, x), (t, 0, m), (t, 1, y)]
+            (s, 0, x), (t, 0, y), (s, 1, s1), (t, 1, t1), (s1, 1, m), (t1, 1, m)]
     arcs += [(z, letter, z) for z in (m, x, y) for letter in (0, 1)]
-    a = simple_nfa(7, 2, arcs, [q, p], [])
+    a = simple_nfa(9, 2, arcs, [q, p], [])
     assert not _confluent_brute(a)
-    assert is_confluent(a) == (False, (p, 0, 1, x, y))
+    assert is_confluent(a) == _ref_confluent(a) == (False, (p, 0, 1, x, y))
 
 
 def test_confluence_brute_battery_has_both_verdicts():
@@ -305,7 +308,9 @@ def test_confluence_brute_battery_has_both_verdicts():
     for i in range(200):
         a = random_complete_po_sld(rng) if i % 2 else _random_po_nfa(rng)
         brute = _confluent_brute(a)
-        assert is_confluent(a)[0] == brute
+        result = is_confluent(a)
+        assert result[0] == brute
+        assert result == _ref_confluent(a)
         verdicts.add(brute)
     assert verdicts == {True, False}
 
@@ -389,6 +394,55 @@ def _ref_self_loop_letters(a):
     return out
 
 
+def _pairs_meet(a: Nfa, s: int, t: int, letters: tuple[int, int],
+                memo: dict) -> bool:
+    """Does some w over ``letters`` send {s} and {t} to intersecting sets?
+    Fixpoint over unordered pairs of state sets; finite, hence terminating.
+
+    ``memo`` maps pairs to their answer and may be shared by every call for
+    the same automaton and letters.  A pair it marks as not meeting is not
+    expanded: no pair reachable from it meets either.  When a meeting pair
+    is found, every pair on its search path is marked as meeting."""
+    start = (1 << s, 1 << t) if s <= t else (1 << t, 1 << s)
+    known = memo.get(start)
+    if known is not None:
+        return known
+    parent: dict = {start: None}  # search tree: pair -> pair it was reached from
+    queue = deque([start])
+    alphabet = sorted(set(letters))
+    step = a.step_mask
+    while queue:
+        node = queue.popleft()
+        (ms, mt) = node
+        if ms & mt:
+            return _record_meet(memo, parent, node)
+        for x in alphabet:
+            ns, nt = step(ms, x), step(mt, x)
+            if not ns or not nt:
+                continue
+            pair = (ns, nt) if ns <= nt else (nt, ns)
+            if pair in parent:
+                continue
+            parent[pair] = node
+            known = memo.get(pair)
+            if known is None:
+                queue.append(pair)
+            elif known:
+                return _record_meet(memo, parent, pair)
+    for pair in parent:
+        memo[pair] = False
+    return False
+
+
+def _record_meet(memo: dict, parent: dict, pair) -> bool:
+    """Mark ``pair`` and its ancestors in the search tree as meeting: each
+    reaches ``pair`` under some word, then the word that makes it meet."""
+    while pair is not None:
+        memo[pair] = True
+        pair = parent[pair]
+    return True
+
+
 def _ref_confluent(a):
     memos = {}
     for q in range(a.n_states):
@@ -421,3 +475,37 @@ def test_step_table_predicates_match_succ_references(seed, sampler, dense):
     assert is_deterministic(a) == _ref_deterministic(a)
     assert self_loop_letters(a) == _ref_self_loop_letters(a)
     assert _confluent_raw(a) == _ref_confluent(a)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
+def test_confluence_matches_set_pair_reference_on_aknn(k, n):
+    a = build_aknn(k, n)
+    assert _confluent_raw(a) == _ref_confluent(a) == (True, None)
+    t = trim_aknn(k, n)  # not confluent from n = 2 on
+    assert _confluent_raw(t) == _ref_confluent(t)
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine])
+def test_confluence_on_reductions_matches_references(machine, pval):
+    """The reductions are complete, partially ordered and self-loop
+    deterministic, so confluence must agree with UMS, which shares no code
+    with the pair search.  The set-pair reference is run at p = 1 only: at
+    p = 2 it takes about a second per machine."""
+    a = reduce(machine(), "1", pval).automaton
+    rep = classify(a)
+    assert rep.complete and rep.partially_ordered and rep.self_loop_deterministic
+    assert rep.confluent and rep.ums and "confluent" not in rep.witnesses
+    if pval == 1:
+        assert _confluent_raw(a) == _ref_confluent(a) == (True, None)
+
+
+def test_confluence_cap_fires_on_a_small_override():
+    """A(3,3) needs searches; a cap of 5 held pairs stops the first one
+    that grows past it."""
+    a = build_aknn(3, 3)
+    with pytest.raises(ResourceLimitError, match="confluence_nodes cap"):
+        is_confluent(a, Caps(confluence_nodes=5))
+    with pytest.raises(ResourceLimitError, match="confluence_nodes cap"):
+        classify(a, Caps(confluence_nodes=5))
+    assert is_confluent(a, Caps()) == (True, None)

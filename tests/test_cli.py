@@ -100,7 +100,7 @@ def test_gen_trim_alias_matches_flag(capsys):
     # the trimmed variant is spelled only as the flag
     code, out_flag, _ = run_main(capsys, ["gen-aknn", "--k", "2", "--n", "2", "--trim"])
     assert code == 0
-    assert parse_automaton(out_flag) == trim_aknn(build_aknn(2, 2), 2, 2)
+    assert parse_automaton(out_flag) == trim_aknn(2, 2)
     with pytest.raises(SystemExit) as exc:
         main(["gen-trim", "--k", "2", "--n", "2"])
     assert exc.value.code == 2
@@ -227,6 +227,16 @@ def test_gen_aknn_arc_cap_exit_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("resource limit: A_{100000,100000} has 2500005000100000 transitions, "
                    "over the aknn_arcs cap (1000)\n")
+
+
+def test_classify_confluence_cap_exit_three(capsys, monkeypatch):
+    """The confluence search stops at its pair cap: exit 3, one line."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "confluence_nodes=5")
+    code, out, err = run_main(capsys, ["classify", "-"],
+                              stdin=print_automaton(build_aknn(3, 3)),
+                              monkeypatch=monkeypatch)
+    assert code == 3 and out == ""
+    assert err == "resource limit: confluence search exceeded confluence_nodes cap (5)\n"
 
 
 # ---------------------------------------------------------------------------

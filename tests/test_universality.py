@@ -341,7 +341,7 @@ def test_antichain_matches_linear_scan_reference_on_other_classes(generator):
 def test_antichain_matches_linear_scan_reference_on_aknn(k, n):
     a = build_aknn(k, n)
     assert universal_antichain(a) == _linear_scan_antichain(a)
-    t = trim_aknn(a, k, n)
+    t = trim_aknn(k, n)
     assert universal_antichain(t) == _linear_scan_antichain(t)
 
 
