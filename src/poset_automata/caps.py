@@ -3,7 +3,7 @@
 Every cap can be overridden through the environment variable
 POSET_AUTOMATA_CAPS, a comma-separated list of key=value pairs, e.g.
 
-    POSET_AUTOMATA_CAPS="antichain_nodes=200000,det_states=65536"
+    POSET_AUTOMATA_CAPS="antichain_nodes=200000,enum_len=32"
 
 Library functions take an optional ``caps`` argument; ``None`` means the
 process-wide defaults (environment included).
@@ -34,10 +34,9 @@ ENV_VAR = "POSET_AUTOMATA_CAPS"
 
 @dataclass(frozen=True)
 class Caps:
-    det_states: int = 2**20      # subset states materialized by determinize()
     antichain_nodes: int = 10**6  # explored nodes in the antichain/subset deciders
-    enum_len: int = 64           # maximum word length for bounded enumeration
-    enum_nodes: int = 10**6      # prefix-tree nodes visited by bounded enumeration
+    enum_len: int = 64           # maximum word length for brute-force enumeration
+    enum_nodes: int = 10**6      # words checked by brute-force enumeration
     word_len: int = 10**7        # maximum |W_{k,n}| the word generator will build
     reduce_n: int = 16           # maximum n chosen by the TM reduction
     dag_nodes: int = 10**6       # nodes a parsed DAG file may declare

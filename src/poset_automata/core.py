@@ -27,14 +27,12 @@ a value can be shared between threads.  Operations are pure functions.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import lt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from .caps import Caps, default_caps
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 
 Word = tuple[int, ...]  # letter ids
 
@@ -195,48 +193,6 @@ class Nfa:
         return out
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """Total deterministic automaton: one initial state and exactly one
-    successor per (state, letter), ``table[q][a]``.  ``determinize`` builds
-    it; ``complement`` flips its accepting set and ``to_nfa`` converts it
-    back for the language routines."""
-
-    n_states: int
-    alphabet: tuple[Letter, ...]
-    table: tuple[tuple[int, ...], ...]
-    initial: int
-    accepting: tuple[int, ...]
-    state_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.n_states <= 0:
-            raise InputError("automaton needs at least one state")
-        if len(self.table) != self.n_states:
-            raise InputError("transition table must have one row per state")
-        for row in self.table:
-            if len(row) != len(self.alphabet):
-                raise InputError("transition table row width must match alphabet")
-            for r in row:
-                if not 0 <= r < self.n_states:
-                    raise InputError(f"transition target {r} out of range")
-        if not 0 <= self.initial < self.n_states:
-            raise InputError("initial state out of range")
-        object.__setattr__(self, "accepting", tuple(sorted(set(self.accepting))))
-        for q in self.accepting:
-            if not 0 <= q < self.n_states:
-                raise InputError(f"accepting state {q} out of range")
-
-    @property
-    def n_letters(self) -> int:
-        return len(self.alphabet)
-
-    def to_nfa(self) -> Nfa:
-        trans = [(q, a, r) for q, row in enumerate(self.table) for a, r in enumerate(row)]
-        return Nfa(self.n_states, self.alphabet, tuple(trans), (self.initial,),
-                   self.accepting, self.state_names)
-
-
 # ---------------------------------------------------------------------------
 # basic semantics
 
@@ -305,138 +261,6 @@ def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
     return sccs
-
-
-# ---------------------------------------------------------------------------
-# determinization and complement
-
-
-def determinize(a: Nfa, caps: Caps | None = None) -> Dfa:
-    """Accessible subset construction; the empty subset is kept as an explicit
-    dead state so the result is always total."""
-    caps = caps or default_caps()
-    start = a.initial_mask
-    ids: dict[int, int] = {start: 0}
-    order: list[int] = [start]
-    rows: list[tuple[int, ...]] = []
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        row = []
-        for x in range(a.n_letters):
-            img = a.step_mask(subset, x)
-            node = ids.get(img)
-            if node is None:
-                if len(ids) >= caps.det_states:
-                    raise ResourceLimitError(
-                        f"determinization exceeded det_states cap ({caps.det_states})")
-                node = len(ids)
-                ids[img] = node
-                order.append(img)
-                queue.append(img)
-            row.append(node)
-        rows.append(tuple(row))
-    acc = tuple(i for i, subset in enumerate(order) if subset & a.accepting_mask)
-    names = tuple("{%s}" % ",".join(a.state_names[q] for q in range(a.n_states)
-                                     if subset >> q & 1) for subset in order)
-    return Dfa(len(order), a.alphabet, tuple(rows), 0, acc, names)
-
-
-def complement(d: Dfa) -> Dfa:
-    accepting = set(d.accepting)
-    acc = tuple(q for q in range(d.n_states) if q not in accepting)
-    return Dfa(d.n_states, d.alphabet, d.table, d.initial, acc, d.state_names)
-
-
-# ---------------------------------------------------------------------------
-# bounded-language oracles
-
-
-def _coaccessible_mask(a: Nfa) -> int:
-    pred: dict[int, set[int]] = {}
-    for (q, _x, r) in a.transitions:
-        pred.setdefault(r, set()).add(q)
-    mask = a.accepting_mask
-    queue = deque(a.accepting)
-    seen = set(a.accepting)
-    while queue:
-        r = queue.popleft()
-        for q in pred.get(r, ()):
-            if q not in seen:
-                seen.add(q)
-                mask |= 1 << q
-                queue.append(q)
-    return mask
-
-
-def enumerate_language(a: Nfa, max_len: int, caps: Caps | None = None) -> list[Word]:
-    """All accepted words of length <= max_len, in length-then-lexicographic
-    order by letter id.  Walks the prefix tree, pruning prefixes whose state
-    set cannot reach acceptance."""
-    caps = caps or default_caps()
-    if max_len < 0:
-        raise InputError("max_len must be nonnegative")
-    if max_len > caps.enum_len:
-        raise ResourceLimitError(f"enumeration length {max_len} exceeds enum_len cap "
-                                 f"({caps.enum_len})")
-    coacc = _coaccessible_mask(a)
-    acc = a.accepting_mask
-    out: list[Word] = []
-    level: list[tuple[Word, int]] = [((), a.initial_mask & coacc)]
-    visited_nodes = 0
-    for length in range(max_len + 1):
-        nxt: list[tuple[Word, int]] = []
-        for word, mask in level:
-            visited_nodes += 1
-            if visited_nodes > caps.enum_nodes:
-                raise ResourceLimitError(f"enumeration exceeded enum_nodes cap "
-                                         f"({caps.enum_nodes})")
-            if mask & acc:
-                out.append(word)
-            if length == max_len:
-                continue
-            for x in range(a.n_letters):
-                img = a.step_mask(mask, x) & coacc
-                if img:
-                    nxt.append((word + (x,), img))
-        level = nxt
-    return out
-
-
-def language_equal_bounded(a: Nfa, b: Nfa, max_len: int,
-                           caps: Caps | None = None) -> Optional[Word]:
-    """First (length-lex) word of length <= max_len on which the two languages
-    differ, or None.  Synchronized subset search with dedup."""
-    caps = caps or default_caps()
-    if a.alphabet != b.alphabet:
-        raise InputError("operands must share an identical alphabet")
-    if max_len < 0:
-        raise InputError("max_len must be nonnegative")
-    if max_len > caps.enum_len:
-        raise ResourceLimitError(f"bounded comparison length {max_len} exceeds enum_len "
-                                 f"cap ({caps.enum_len})")
-    start = (a.initial_mask, b.initial_mask)
-    seen = {start}
-    level = [((), start)]
-    nodes = 0
-    for length in range(max_len + 1):
-        nxt = []
-        for word, (ma, mb) in level:
-            nodes += 1
-            if nodes > caps.enum_nodes:
-                raise ResourceLimitError(f"bounded comparison exceeded enum_nodes cap "
-                                         f"({caps.enum_nodes})")
-            if bool(ma & a.accepting_mask) != bool(mb & b.accepting_mask):
-                return word
-            if length == max_len:
-                continue
-            for x in range(a.n_letters):
-                pair = (a.step_mask(ma, x), b.step_mask(mb, x))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append((word + (x,), pair))
-        level = nxt
-    return None
 
 
 # ---------------------------------------------------------------------------

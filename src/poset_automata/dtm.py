@@ -72,13 +72,9 @@ class RunRecord:
     steps: int
 
 
-def simulate_dtm(m: Dtm, x: Sequence[str], pval: int, step_cap: int = 10**5) -> RunRecord:
-    """Deterministic simulation on a pval-cell tape (cells 1..pval).
-
-    Verdicts: "accept" once the accepting state is entered, "reject" when no
-    rule applies, "cap" when step_cap steps pass without either.  Leaving the
-    tape raises SimulationError.
-    """
+def check_run_args(m: Dtm, x: Sequence[str], pval: int) -> None:
+    """The input fits a pval-cell tape (pval >= 1) and uses only input
+    symbols of m."""
     if pval < 1:
         raise InputError("space bound must be at least 1")
     if len(x) > pval:
@@ -86,6 +82,16 @@ def simulate_dtm(m: Dtm, x: Sequence[str], pval: int, step_cap: int = 10**5) -> 
     for sym in x:
         if sym not in m.input_alphabet:
             raise InputError(f"input symbol {sym!r} not in the input alphabet")
+
+
+def simulate_dtm(m: Dtm, x: Sequence[str], pval: int, step_cap: int = 10**5) -> RunRecord:
+    """Deterministic simulation on a pval-cell tape (cells 1..pval).
+
+    Verdicts: "accept" once the accepting state is entered, "reject" when no
+    rule applies, "cap" when step_cap steps pass without either.  Leaving the
+    tape raises SimulationError.
+    """
+    check_run_args(m, x, pval)
     tape = list(x) + [m.blank] * (pval - len(x))
     head = 1
     state = m.initial

@@ -185,28 +185,28 @@ class Dag:
 
 
 def parse_dag(text: str, caps: Caps | None = None) -> Dag:
-    """Line format: ``nodes: n``, repeated ``edge: u v``, ``source: s``,
-    ``target: t``; '#' starts a comment token.  The node count is checked
+    """Line format: ``nodes: n``, ``source: s`` and ``target: t`` once
+    each, repeated ``edge: u v``; '#' starts a comment token.  The node count is checked
     against the ``dag_nodes`` cap before anything of that size is built."""
-    n_nodes = source = target = None
+    single: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw, tokens in tokenize(text):
         head, rest = tokens[0], tokens[1:]
+        key = head[:-1]
+        if key in single:
+            raise InputError(f"line {lineno}: duplicate directive {key!r}")
         try:
-            if head == "nodes:" and len(rest) == 1:
-                n_nodes = int(rest[0])
-            elif head == "edge:" and len(rest) == 2:
+            if head == "edge:" and len(rest) == 2:
                 edges.append((int(rest[0]), int(rest[1])))
-            elif head == "source:" and len(rest) == 1:
-                source = int(rest[0])
-            elif head == "target:" and len(rest) == 1:
-                target = int(rest[0])
+            elif head in ("nodes:", "source:", "target:") and len(rest) == 1:
+                single[key] = int(rest[0])
             else:
                 raise InputError(f"line {lineno}: cannot parse {raw!r}")
         except ValueError:
             raise InputError(f"line {lineno}: expected integers in {raw!r}") from None
-    if n_nodes is None or source is None or target is None:
+    if len(single) < 3:
         raise InputError("DAG file needs nodes:, source: and target: lines")
+    n_nodes, source, target = single["nodes"], single["source"], single["target"]
     caps = caps or default_caps()
     if n_nodes > caps.dag_nodes:
         raise ResourceLimitError(f"DAG node count {n_nodes} exceeds dag_nodes cap "
@@ -234,9 +234,12 @@ def dag_reachable(g: Dag) -> bool:
 
 def dag_gadget(g: Dag) -> Nfa:
     """Unary ptNFA with 2n-1 states: node states (all accepting) carry the
-    DAG edges, a non-accepting chain f1..f_{n-1} catches departures, the
-    target keeps the only self-loop, and the chain re-enters the target.
-    Universal iff the target is reachable from the source."""
+    DAG edges that do not leave the target, a non-accepting chain
+    f1..f_{n-1} catches departures, the target keeps the only self-loop, and
+    the chain re-enters the target.  Universal iff the target is reachable
+    from the source; the edges out of the target are dropped because each
+    would close a cycle through the chain, and reaching the target already
+    decides the question."""
     n = g.n_nodes
     b = NfaBuilder(make_alphabet(["a"]))
     for v in range(n):
@@ -244,7 +247,8 @@ def dag_gadget(g: Dag) -> Nfa:
     for i in range(1, n):
         b.state(f"f{i}")
     for (u, v) in g.edges:
-        b.arc(f"n{u}", 0, f"n{v}")
+        if u != g.target:
+            b.arc(f"n{u}", 0, f"n{v}")
     for v in range(n):
         if v != g.target:
             b.arc(f"n{v}", 0, "f1")

@@ -79,7 +79,7 @@ from typing import Optional, Sequence
 from .builder import NfaBuilder
 from .caps import Caps, default_caps
 from .core import Letter, Nfa, Word
-from .dtm import Dtm, simulate_dtm
+from .dtm import Dtm, check_run_args, simulate_dtm
 from .errors import InputError, ResourceLimitError
 from .hardness import build_aknn, w_word
 
@@ -444,13 +444,7 @@ def reduce(m: Dtm, x: Sequence[str], pval: int,
            caps: Caps | None = None) -> ReductionArtifact:
     """Build the full ptNFA; universal iff M does not accept x in space p."""
     caps = caps or default_caps()
-    if pval < 1:
-        raise InputError("space bound must be at least 1")
-    if len(x) > pval:
-        raise InputError(f"input length {len(x)} exceeds space bound {pval}")
-    for sym in x:
-        if sym not in m.input_alphabet:
-            raise InputError(f"input symbol {sym!r} not in the input alphabet")
+    check_run_args(m, x, pval)
     n = choose_n(m, x, pval)
     if n > caps.reduce_n:
         raise ResourceLimitError(f"reduction needs n={n}, above the reduce_n cap "

@@ -10,9 +10,7 @@ from math import comb
 
 from poset_automata.caps import Caps
 from poset_automata.classify import classify, is_ptnfa
-from poset_automata.core import (Nfa, accepts, complement, determinize,
-                                 enumerate_language, language_equal_bounded,
-                                 make_alphabet)
+from poset_automata.core import Nfa, accepts, make_alphabet
 from poset_automata.errors import ResourceLimitError
 from poset_automata.hardness import (build_aknn, check_suffix_rejection,
                                      dag_gadget, dag_reachable, trim_aknn,
@@ -21,6 +19,7 @@ from poset_automata.reduction import encode_run, reduce
 from poset_automata.sampling import (random_complete_po_sld, random_dag,
                                      random_nfa, random_saturated,
                                      random_unary_po)
+from poset_automata.selftest import rejects_exactly
 from poset_automata.universality import (accepts_with_cutoff, universal,
                                          universal_antichain, universal_brute,
                                          universal_sponfa, universal_state_mask,
@@ -35,19 +34,18 @@ def report(num, ok, text):
 
 
 def test_criterion_1_exact_language_law():
-    """determinize+complement of A_{k,n} accepts exactly {w_word(k,n)}."""
+    """A_{k,n} rejects w_word(k,n) and accepts every other word."""
     t0 = time.time()
     for k in (1, 2, 3):
         for n in (1, 2, 3):
             a = build_aknn(k, n)
             word = w_word(k, n)
             assert len(word) == comb(k + n, n) - 1
-            comp = complement(determinize(a)).to_nfa()
-            assert enumerate_language(comp, len(word) + 2) == [word], (k, n)
+            assert rejects_exactly(a, word), (k, n)
     assert len(w_word(3, 3)) == 19
     elapsed = time.time() - t0
     report(1, elapsed < 10.0,
-           f"complement language == {{W_k,n}} for (k,n) in {{1,2,3}}^2 "
+           f"rejected language == {{W_k,n}} for (k,n) in {{1,2,3}}^2 "
            f"in {elapsed:.2f}s (< 10 s)")
 
 
@@ -65,7 +63,7 @@ def test_criterion_3_classifier_matrix():
             if classify(a).label != "ptNFA":
                 problems.append(("aknn-label", k, n))
             t = trim_aknn(k, n)
-            if language_equal_bounded(a, t, len(w_word(k, n)) + 2) is not None:
+            if not rejects_exactly(t, w_word(k, n)):
                 problems.append(("trim-language", k, n))
             if n >= 2:  # at n=1 nothing kept loses a transition (see notes)
                 rep = classify(t)
@@ -78,8 +76,8 @@ def test_criterion_3_classifier_matrix():
     if rep.label != "poNFA" or rep.self_loop_deterministic:
         problems.append(("fig1",))
     report(3, not problems,
-           f"A_k,n -> ptNFA; trim -> incomplete rpoNFA (n >= 2), language-equal "
-           f"to length |W|+2; forbidden-pattern automaton -> poNFA (bad: {problems})")
+           f"A_k,n -> ptNFA; trim -> incomplete rpoNFA (n >= 2) rejecting exactly "
+           f"W_k,n; forbidden-pattern automaton -> poNFA (bad: {problems})")
 
 
 def test_criterion_4_confluent_iff_ums():

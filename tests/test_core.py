@@ -1,17 +1,13 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poset_automata.caps import Caps
 from poset_automata.classify import is_partially_ordered
-from poset_automata.core import (Dfa, Nfa, accepts, complement, determinize,
-                                 enumerate_language, format_word,
-                                 language_equal_bounded, make_alphabet,
+from poset_automata.core import (Nfa, accepts, format_word, make_alphabet,
                                  parse_automaton, print_automaton)
-from poset_automata.errors import InputError, ResourceLimitError
+from poset_automata.errors import InputError
 from poset_automata.hardness import build_aknn
 from poset_automata.sampling import random_nfa
 
@@ -22,16 +18,6 @@ def simple_nfa(n, letters, trans, initial, accepting):
     return Nfa(n, make_alphabet([f"a{i + 1}" for i in range(letters)]),
                tuple(trans), tuple(initial), tuple(accepting),
                tuple(f"s{i}" for i in range(n)))
-
-
-def words_up_to(n_letters, max_len):
-    for length in range(max_len + 1):
-        yield from itertools.product(range(n_letters), repeat=length)
-
-
-def brute_language(a, max_len):
-    """Independent oracle: literal membership test of every word."""
-    return [w for w in words_up_to(a.n_letters, max_len) if accepts(a, w)]
 
 
 @st.composite
@@ -168,160 +154,6 @@ def test_reach_order_is_transitively_closed(a):
 
 
 # ---------------------------------------------------------------------------
-# determinize / complement
-
-
-def test_determinize_fixpoint_on_total_dfa():
-    a = simple_nfa(3, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 2), (1, 1, 1),
-                          (2, 0, 2), (2, 1, 2)], [0], [2])
-    d = determinize(a)
-    assert d.n_states == 3
-    assert language_equal_bounded(a, d.to_nfa(), 8) is None
-
-
-def test_determinize_complement_of_a12_is_exactly_w12():
-    a = build_aknn(1, 2)
-    comp = complement(determinize(a)).to_nfa()
-    expected = [w for w in words_up_to(2, 4) if not accepts(a, w)]
-    assert expected == [(0, 1)]  # independent oracle: only a1 a2 is rejected
-    assert brute_language(comp, 4) == expected
-    assert enumerate_language(comp, 4) == expected
-
-
-def test_determinize_no_accepting_states():
-    a = simple_nfa(2, 1, [(0, 0, 1), (1, 0, 0)], [0], [])
-    d = determinize(a)
-    assert enumerate_language(d.to_nfa(), 4) == []
-
-
-def test_determinize_cap():
-    with pytest.raises(ResourceLimitError):
-        determinize(build_aknn(3, 3), Caps(det_states=4))
-
-
-@given(small_nfas())
-@settings(max_examples=60, deadline=None)
-def test_determinize_preserves_bounded_language(a):
-    d = determinize(a)
-    assert enumerate_language(a, 6) == enumerate_language(d.to_nfa(), 6)
-
-
-def _frozenset_subset_construction(a):
-    """Reference determinization: frozenset subsets stepped over the
-    transition list, in the breadth-first order ``determinize`` promises."""
-    start = frozenset(a.initial)
-    order, ids, table = [start], {start: 0}, []
-    for subset in order:  # grows while it is read: breadth-first
-        row = []
-        for x in range(a.n_letters):
-            img = frozenset(r for (q, y, r) in a.transitions if y == x and q in subset)
-            if img not in ids:
-                ids[img] = len(order)
-                order.append(img)
-            row.append(ids[img])
-        table.append(tuple(row))
-    accepting = tuple(i for i, s in enumerate(order) if s & set(a.accepting))
-    names = tuple("{" + ",".join(a.state_names[q] for q in sorted(s)) + "}" for s in order)
-    return len(order), tuple(table), accepting, names
-
-
-def _assert_determinize_matches_reference(a):
-    d = determinize(a)
-    assert (d.n_states, d.table, d.accepting, d.state_names) == \
-        _frozenset_subset_construction(a)
-    assert d.initial == 0 and d.alphabet == a.alphabet
-
-
-@given(small_nfas())
-@settings(max_examples=150, deadline=None)
-def test_determinize_matches_frozenset_construction(a):
-    _assert_determinize_matches_reference(a)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_determinize_matches_frozenset_construction_on_aknn(k, n):
-    _assert_determinize_matches_reference(build_aknn(k, n))
-
-
-def test_complement_is_involution():
-    a = build_aknn(2, 2)
-    d = determinize(a)
-    cc = complement(complement(d))
-    assert language_equal_bounded(a, cc.to_nfa(), 7) is None
-
-
-def test_intersect_with_complement_is_empty():
-    a = build_aknn(1, 2)
-    comp = complement(determinize(a)).to_nfa()
-    both = set(brute_language(a, 6)) & set(brute_language(comp, 6))
-    assert both == set()
-
-
-# ---------------------------------------------------------------------------
-# language_equal_bounded
-
-
-def test_bounded_comparison_requires_same_alphabet():
-    with pytest.raises(InputError):
-        language_equal_bounded(build_aknn(1, 1), build_aknn(1, 2), 3)
-
-
-def test_bounded_comparison_rejects_negative_bound():
-    a, b = build_aknn(1, 1), build_aknn(2, 1)
-    assert language_equal_bounded(a, b, 1) == (0,)  # they differ on a1
-    with pytest.raises(InputError):
-        language_equal_bounded(a, b, -1)
-
-
-def test_bounded_comparison_length_cap():
-    a, b = build_aknn(1, 1), build_aknn(2, 1)
-    assert language_equal_bounded(a, b, 4, Caps(enum_len=4)) == (0,)
-    with pytest.raises(ResourceLimitError):
-        language_equal_bounded(a, b, 5, Caps(enum_len=4))
-
-
-# ---------------------------------------------------------------------------
-# enumerate_language
-
-
-def test_enumerate_empty_language():
-    a = simple_nfa(1, 2, [], [0], [])
-    assert enumerate_language(a, 3) == []
-
-
-def test_enumerate_aknn11_up_to_two():
-    a = build_aknn(1, 1)
-    got = enumerate_language(a, 2)
-    assert got == [w for w in words_up_to(1, 2) if w != (0,)]
-
-
-def test_enumerate_saturated_with_accepting_initial():
-    a = simple_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], [0], [0])
-    assert enumerate_language(a, 1) == [(), (0,), (1,)]
-
-
-def test_enumerate_orders_length_then_lex():
-    a = simple_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], [0], [0])
-    got = enumerate_language(a, 3)
-    assert got == sorted(got, key=lambda w: (len(w), w))
-
-
-def test_enumerate_length_cap():
-    a = build_aknn(1, 1)
-    with pytest.raises(ResourceLimitError):
-        enumerate_language(a, 5, Caps(enum_len=4))
-    with pytest.raises(InputError):
-        enumerate_language(a, -1)
-
-
-@given(small_nfas())
-@settings(max_examples=40, deadline=None)
-def test_enumerate_matches_literal_membership(a):
-    assert enumerate_language(a, 4) == brute_language(a, 4)
-
-
-# ---------------------------------------------------------------------------
 # text format
 
 
@@ -385,13 +217,6 @@ def test_names_ending_in_newline_are_rejected():
         Nfa(1, make_alphabet(["x"]), ((0, 0, 0),), (0,), (0,), ("s\n",))
     with pytest.raises(InputError, match="bad state name"):
         Nfa(2, make_alphabet(["x"]), (), (0,), (0,), ("s", "t\n"))
-
-
-def test_dfa_accepting_state_out_of_range():
-    with pytest.raises(InputError, match="accepting state 5 out of range"):
-        Dfa(1, make_alphabet(["a"]), ((0,),), 0, (5,), ("s",))
-    with pytest.raises(InputError, match="accepting state -1 out of range"):
-        Dfa(1, make_alphabet(["a"]), ((0,),), 0, (-1,), ("s",))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ import pytest
 
 from poset_automata.caps import Caps
 from poset_automata.classify import classify
-from poset_automata.core import (accepts, complement, determinize,
-                                 enumerate_language, language_equal_bounded)
+from poset_automata.core import Nfa, accepts
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import (Dag, build_aknn, check_suffix_rejection,
                                      dag_gadget, dag_reachable, parse_dag,
                                      trim_aknn, w_word)
 from poset_automata.sampling import random_dag
+from poset_automata.selftest import rejects_exactly
 from poset_automata.universality import universal, universal_subset
 
 
@@ -113,11 +113,41 @@ def test_aknn_requires_positive_parameters():
 @pytest.mark.parametrize("k,n", [(1, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 3),
                                  (1, 4), (4, 1)])
 def test_exact_language_law(k, n):
-    """The complement of A_{k,n} is exactly {W_{k,n}}."""
-    a = build_aknn(k, n)
-    word = w_word(k, n)
-    comp = complement(determinize(a)).to_nfa()
-    assert enumerate_language(comp, len(word) + 2) == [word]
+    """A_{k,n} rejects W_{k,n} and no other word."""
+    assert rejects_exactly(build_aknn(k, n), w_word(k, n))
+
+
+def test_rejects_exactly_wrong_words():
+    a = build_aknn(2, 2)
+    for word in ((0, 0, 1, 0, 0), (), (0, 0, 1, 0, 1, 0), (1, 0, 1, 0, 0)):
+        assert not rejects_exactly(a, word)
+    assert not rejects_exactly(build_aknn(2, 3), w_word(2, 2))
+
+
+def _mutants(a):
+    """Each single-arc deletion and each single flip of an accepting state."""
+    for t in a.transitions:
+        yield "arc", Nfa(a.n_states, a.alphabet, tuple(u for u in a.transitions if u != t),
+                         a.initial, a.accepting, a.state_names)
+    for q in range(a.n_states):
+        yield "flip", Nfa(a.n_states, a.alphabet, a.transitions, a.initial,
+                          tuple(set(a.accepting) ^ {q}), a.state_names)
+
+
+@pytest.mark.parametrize("build", [build_aknn, trim_aknn])
+def test_rejects_exactly_on_mutants(build):
+    """On every mutant of A_{2,2} (and of its trimmed variant), the exact
+    law agrees with literal membership of every word up to length |W|+2;
+    both mutant kinds include some that change the language, and the law
+    fails on each of those."""
+    word = w_word(2, 2)
+    changed = set()
+    for kind, m in _mutants(build(2, 2)):
+        bounded = [w for w in words_up_to(2, len(word) + 2) if not accepts(m, w)] == [word]
+        assert rejects_exactly(m, word) == bounded, (kind, m)
+        if not bounded:
+            changed.add(kind)
+    assert changed == {"arc", "flip"}
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +157,7 @@ def test_exact_language_law(k, n):
 def test_trim_11_state_count():
     t = trim_aknn(1, 1)
     assert t.n_states == 3
-    assert language_equal_bounded(build_aknn(1, 1), t, 4) is None
+    assert rejects_exactly(t, w_word(1, 1))
 
 
 def test_trim_classifies_rponfa_incomplete():
@@ -139,9 +169,8 @@ def test_trim_classifies_rponfa_incomplete():
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)])
 def test_trim_language_equivalent(k, n):
-    a = build_aknn(k, n)
-    t = trim_aknn(k, n)
-    assert language_equal_bounded(a, t, len(w_word(k, n)) + 2) is None
+    """Trimming keeps the language: every word except W_{k,n}."""
+    assert rejects_exactly(trim_aknn(k, n), w_word(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +214,8 @@ def test_dag_gadget_isolated_target():
 def test_dag_gadget_is_ptnfa():
     rep = classify(dag_gadget(Dag(4, ((0, 1), (1, 3)), 0, 3)))
     assert rep.label == "ptNFA"
+    # an edge out of the target would close a cycle through the f chain
+    assert classify(dag_gadget(Dag(3, ((2, 0),), 0, 2))).label == "ptNFA"
 
 
 def test_dag_gadget_state_count():
@@ -198,6 +229,7 @@ def test_dag_gadget_battery_against_bfs():
     for _ in range(100):
         g = random_dag(rng)
         gadget = dag_gadget(g)
+        assert classify(gadget).label == "ptNFA"
         res = universal(gadget)
         assert res.universal == dag_reachable(g)
         if not res.universal:
@@ -222,3 +254,13 @@ def test_parse_dag_comments():
     # '#' inside a token does not start a comment
     with pytest.raises(InputError, match="line 2: expected integers"):
         parse_dag("nodes: 3\nedge: 0 1#2\nsource: 0\ntarget: 2\n")
+
+
+def test_parse_dag_rejects_duplicate_directives():
+    body = "nodes: 3\nedge: 0 1\nsource: 0\ntarget: 2\n"
+    with pytest.raises(InputError, match="^line 2: duplicate directive 'nodes'$"):
+        parse_dag("nodes: 3\nnodes: 2\nsource: 0\ntarget: 1\n")
+    with pytest.raises(InputError, match="^line 5: duplicate directive 'source'$"):
+        parse_dag(body + "source: 1\n")
+    with pytest.raises(InputError, match="^line 6: duplicate directive 'target'$"):
+        parse_dag(body + "# comment\ntarget: 2\n")
