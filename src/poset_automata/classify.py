@@ -6,6 +6,13 @@ is always derived from complete + partially ordered + UMS, never from
 confluence, so the equivalence "complete confluent self-loop deterministic
 poNFA = ptNFA" stays testable as a theorem.
 
+Every predicate reads ``Nfa.step_rows`` and holds state sets as int
+bitmasks.  Partial order is a depth-first search over per-state successor
+masks; UMS merges, for each distinct self-loop alphabet Sigma(q), the
+successor masks of G(A, Sigma(q)) into its weak components.  The
+universality dispatcher runs the saturation and partial-order tests on
+every call, so their per-call cost is the entry fee of the easy cases.
+
 Confluence asks, for pairs of states s, t, whether some w over two letters
 sends both to a common state.  That is reachability of the diagonal in the
 product of the automaton with itself, so it is searched over pairs of
@@ -18,11 +25,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import and_
+from operator import and_, or_
 from typing import Optional
 
 from .caps import Caps, default_caps
-from .core import Nfa, strongly_connected_components
+from .core import Nfa
 from .errors import InputError, ResourceLimitError
 
 LABELS = ("NFA", "poNFA", "rpoNFA", "spoNFA", "ptNFA", "DFA", "poDFA", "confluent-poDFA")
@@ -70,13 +77,91 @@ def is_complete(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
     return w is None, w
 
 
+def _out_masks(rows) -> list[int]:
+    """Per state, the OR of its entries in the nonempty list of step-table
+    ``rows`` (its successors under those letters), its own bit cleared."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = list(map(or_, out, row))
+    return [m & ~(1 << q) for q, m in enumerate(out)]
+
+
 def is_partially_ordered(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff the only cycles are self-loops; witness is a mutually
-    reachable pair of distinct states."""
-    for comp in strongly_connected_components(a):
-        if len(comp) > 1:
-            return False, (comp[0], comp[1])
+    reachable pair of distinct states.
+
+    A depth-first search over ``_out_masks`` keeps the states on its path in
+    the mask ``on`` and the finished ones in ``done``; an arc into ``on``
+    closes a cycle.  Only then do the strongly connected components run, to
+    name the same witness as before: the first component of two or more
+    states in Tarjan's order."""
+    out = _out_masks(a.step_rows or [[0] * a.n_states])
+    done = 0
+    for root in range(a.n_states):
+        if done >> root & 1:
+            continue
+        path, on = [root], 1 << root
+        while path:
+            q = path[-1]
+            rest = out[q] & ~done
+            if rest & on:
+                comp = next(c for c in strongly_connected_components(a) if len(c) > 1)
+                return False, (comp[0], comp[1])
+            if rest:
+                low = rest & -rest
+                path.append(low.bit_length() - 1)
+                on |= low
+            else:
+                path.pop()
+                on ^= 1 << q
+                done |= 1 << q
     return True, None
+
+
+def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
+    """Tarjan SCCs in deterministic order (iterative).  Each state's
+    successors are read from ``step_rows`` letter by letter, ascending within
+    a letter, self-loops left out: the order of the sorted transitions."""
+    n = a.n_states
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for row in a.step_rows:
+        for q, mask in enumerate(row):
+            succ[q] += _members(mask & ~(1 << q))
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
+    sccs: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            for i in range(pi, len(succ[node])):
+                nxt = succ[node][i]
+                if index[nxt] < 0:
+                    work[-1] = (node, i + 1)
+                    work.append((nxt, 0))
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    sccs.append(tuple(sorted(comp)))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return sccs
 
 
 def is_self_loop_deterministic(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
@@ -110,17 +195,6 @@ def is_deterministic(a: Nfa) -> bool:
         return False
     used = sum(len(row) - row.count(0) for row in a.step_rows)
     return used == len(a.transitions)
-
-
-def self_loop_letters(a: Nfa) -> list[set[int]]:
-    """Per state, the letters labeling self-loops (the alphabet Sigma(q))."""
-    out: list[set[int]] = [set() for _ in range(a.n_states)]
-    bits = [1 << q for q in range(a.n_states)]
-    for x, row in enumerate(a.step_rows):
-        for q, loop in enumerate(map(and_, row, bits)):
-            if loop:
-                out[q].add(x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,53 +335,48 @@ def is_confluent(a: Nfa, caps: Optional[Caps] = None
 # UMS property
 
 
-def _ums_analysis(a: Nfa, gamma: frozenset[int]):
-    """Weak components of G(A, gamma) plus each component's maximal states.
-
-    A state is maximal when it has no gamma-transition to a different state
-    (then nothing else is reachable from it inside the subgraph)."""
-    parent = list(range(a.n_states))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    has_exit = [False] * a.n_states
-    for (q, x, r) in a.transitions:
-        if x in gamma:
-            if q != r:
-                has_exit[q] = True
-                ra, rb = find(q), find(r)
-                if ra != rb:
-                    parent[ra] = rb
-    members: dict[int, list[int]] = {}
-    for q in range(a.n_states):
-        members.setdefault(find(q), []).append(q)
-    comp_of = {}
-    maximal: dict[int, tuple[int, ...]] = {}
-    for root, states in members.items():
-        for q in states:
-            comp_of[q] = root
-        maximal[root] = tuple(q for q in states if not has_exit[q])
-    return comp_of, members, maximal
-
-
 def is_ums(a: Nfa) -> tuple[bool, Optional[tuple]]:
     """Unique-maximal-state property: every q is the unique maximal state of
     the weakly connected component of G(A, Sigma(q)) containing q.  Witness:
-    (q, component states, maximal states of that component)."""
-    loops = self_loop_letters(a)
-    cache: dict[frozenset[int], tuple] = {}
-    for q in range(a.n_states):
-        gamma = frozenset(loops[q])
-        if gamma not in cache:
-            cache[gamma] = _ums_analysis(a, gamma)
-        comp_of, members, maximal = cache[gamma]
-        root = comp_of[q]
-        if maximal[root] != (q,):
-            return False, (q, tuple(members[root]), maximal[root])
+    (q, component states, maximal states of that component), ascending.
+
+    Sigma(q) is a letter mask.  For each distinct one, G(A, Sigma(q)) is
+    built as successor masks, own bits cleared; a state is maximal when it
+    has no such successor (then nothing else is reachable from it inside the
+    subgraph).  Each state with successors spans a connected star, and the
+    weak components are the unions of overlapping stars: merging them as
+    masks yields every component of two or more states."""
+    n, rows = a.n_states, a.step_rows
+    bits = [1 << q for q in range(n)]
+    gammas = [0] * n
+    for x, row in enumerate(rows):
+        for q, loop in enumerate(map(and_, row, bits)):
+            if loop:
+                gammas[q] |= 1 << x
+    graphs: dict[int, tuple] = {}  # Sigma(q) -> (components, exits)
+    for q, gamma in enumerate(gammas):
+        if not gamma:
+            continue  # no arcs: q alone is its component, and maximal
+        graph = graphs.get(gamma)
+        if graph is None:
+            comps, exits = [], 0
+            for m, b in zip(_out_masks([rows[x] for x in _members(gamma)]), bits):
+                if m:
+                    exits |= b
+                    m |= b
+                    apart = []
+                    for c in comps:
+                        if c & m:
+                            m |= c
+                        else:
+                            apart.append(c)
+                    apart.append(m)
+                    comps = apart
+            graph = graphs[gamma] = (comps, exits)
+        comps, exits = graph
+        comp = next((c for c in comps if c & bits[q]), bits[q])
+        if comp & ~exits != bits[q]:
+            return False, (q, tuple(_members(comp)), tuple(_members(comp & ~exits)))
     return True, None
 
 

@@ -12,7 +12,8 @@ letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
 a, built whole from ``transitions`` on first use; a state set is an int
 bitmask (bit q set for state q).  The antichain decider packs the rows into
 one column per state and steps a set under all letters at once; the other
-searches step it one letter at a time with ``Nfa.step_mask``.  ``Nfa.succ``
+searches step it one letter at a time with ``Nfa.step_mask``, and the class
+tests OR a state's entries over letters into one successor mask.  ``Nfa.succ``
 maps (state, letter) to the successor tuple and feeds only ``accepts`` and
 the literal-enumeration oracle, so that oracle shares no code with the step
 table it checks.
@@ -210,57 +211,6 @@ def accepts(a: Nfa, word: Sequence[int]) -> bool:
         if not current:
             return False
     return bool(current & a.accepting_set)
-
-
-def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
-    """Tarjan SCCs in deterministic order (iterative)."""
-    succ: dict[int, list[int]] = {q: [] for q in range(a.n_states)}
-    for (q, _x, r) in a.transitions:
-        if r != q:
-            succ[q].append(r)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    sccs: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(a.n_states):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for i in range(pi, len(succ[node])):
-                nxt = succ[node][i]
-                if nxt not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
 
 
 # ---------------------------------------------------------------------------

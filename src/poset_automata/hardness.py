@@ -198,12 +198,13 @@ def parse_dag(text: str, caps: Caps | None = None) -> Dag:
         try:
             if head == "edge:" and len(rest) == 2:
                 edges.append((int(rest[0]), int(rest[1])))
-            elif head in ("nodes:", "source:", "target:") and len(rest) == 1:
+                continue
+            if head in ("nodes:", "source:", "target:") and len(rest) == 1:
                 single[key] = int(rest[0])
-            else:
-                raise InputError(f"line {lineno}: cannot parse {raw!r}")
+                continue
         except ValueError:
             raise InputError(f"line {lineno}: expected integers in {raw!r}") from None
+        raise InputError(f"line {lineno}: cannot parse {raw!r}")
     if len(single) < 3:
         raise InputError("DAG file needs nodes:, source: and target: lines")
     n_nodes, source, target = single["nodes"], single["source"], single["target"]
@@ -232,6 +233,9 @@ def dag_reachable(g: Dag) -> bool:
     return g.target in seen
 
 
+_UNARY = make_alphabet(["a"])
+
+
 def dag_gadget(g: Dag) -> Nfa:
     """Unary ptNFA with 2n-1 states: node states (all accepting) carry the
     DAG edges that do not leave the target, a non-accepting chain
@@ -240,21 +244,13 @@ def dag_gadget(g: Dag) -> Nfa:
     from the source; the edges out of the target are dropped because each
     would close a cycle through the chain, and reaching the target already
     decides the question."""
-    n = g.n_nodes
-    b = NfaBuilder(make_alphabet(["a"]))
-    for v in range(n):
-        b.state(f"n{v}", initial=(v == g.source), accepting=True)
-    for i in range(1, n):
-        b.state(f"f{i}")
-    for (u, v) in g.edges:
-        if u != g.target:
-            b.arc(f"n{u}", 0, f"n{v}")
-    for v in range(n):
-        if v != g.target:
-            b.arc(f"n{v}", 0, "f1")
-    for i in range(1, n - 1):
-        b.arc(f"f{i}", 0, f"f{i + 1}")
-    b.arc(f"n{g.target}", 0, f"n{g.target}")
+    n, t = g.n_nodes, g.target
+    # node v is state v, f_i is state n + i - 1
+    arcs = [(u, 0, v) for (u, v) in g.edges if u != t]
+    arcs += [(v, 0, n) for v in range(n) if v != t]
+    arcs += [(i, 0, i + 1) for i in range(n, 2 * n - 2)]
+    arcs.append((t, 0, t))
     if n > 1:
-        b.arc(f"f{n - 1}", 0, f"n{g.target}")
-    return b.build()
+        arcs.append((2 * n - 2, 0, t))
+    names = [f"n{v}" for v in range(n)] + [f"f{i}" for i in range(1, n)]
+    return Nfa(2 * n - 1, _UNARY, arcs, (g.source,), range(n), tuple(names))

@@ -10,8 +10,7 @@ from poset_automata.classify import (_confluent_raw, classify,
                                      format_report, is_complete, is_confluent,
                                      is_deterministic, is_partially_ordered,
                                      is_ptnfa, is_saturated,
-                                     is_self_loop_deterministic, is_ums,
-                                     self_loop_letters)
+                                     is_self_loop_deterministic, is_ums)
 from poset_automata.core import Nfa, make_alphabet
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn
@@ -244,6 +243,17 @@ def test_witness_replay(seed):
                 assert all(r == p for r in a.succ.get((p, x), ()))
 
 
+def test_partial_order_witness_is_the_first_cycle_closed():
+    """Two disjoint cycles below state 0: the witness is the one that the
+    search closes first, visiting successors letter by letter and ascending
+    within a letter, as the sorted transitions list them."""
+    cycles = [(1, 0, 2), (2, 0, 1), (3, 0, 4), (4, 0, 3)]
+    a = simple_nfa(5, 2, [(0, 0, 1), (0, 0, 3)] + cycles, [0], [])
+    assert is_partially_ordered(a) == _ref_partially_ordered(a) == (False, (1, 2))
+    b = simple_nfa(5, 2, [(0, 1, 1), (0, 0, 3)] + cycles, [0], [])
+    assert is_partially_ordered(b) == _ref_partially_ordered(b) == (False, (3, 4))
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=150, deadline=None)
 def test_partial_order_matches_reachability_oracle(seed):
@@ -386,12 +396,106 @@ def _ref_deterministic(a):
     return len(a.initial) == 1 and all(len(t) <= 1 for t in a.succ.values())
 
 
-def _ref_self_loop_letters(a):
-    out = [set() for _ in range(a.n_states)]
-    for (q, x), targets in a.succ.items():
-        if q in targets:
-            out[q].add(x)
-    return out
+def _ref_sccs(a):
+    """Tarjan SCCs over ``transitions``, in the order they are closed."""
+    succ: dict[int, list[int]] = {q: [] for q in range(a.n_states)}
+    for (q, _x, r) in a.transitions:
+        if r != q:
+            succ[q].append(r)
+    index = {}
+    low = {}
+    on_stack = set()
+    stack: list[int] = []
+    sccs: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(a.n_states):
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            for i in range(pi, len(succ[node])):
+                nxt = succ[node][i]
+                if nxt not in index:
+                    work[-1] = (node, i + 1)
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                sccs.append(tuple(sorted(comp)))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return sccs
+
+
+def _ref_partially_ordered(a):
+    for comp in _ref_sccs(a):
+        if len(comp) > 1:
+            return False, (comp[0], comp[1])
+    return True, None
+
+
+def _ref_ums_analysis(a, gamma):
+    """Weak components of G(A, gamma) by union-find over ``transitions``,
+    plus each component's maximal states (no gamma-arc to another state)."""
+    parent = list(range(a.n_states))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    has_exit = [False] * a.n_states
+    for (q, x, r) in a.transitions:
+        if x in gamma:
+            if q != r:
+                has_exit[q] = True
+                ra, rb = find(q), find(r)
+                if ra != rb:
+                    parent[ra] = rb
+    members = {}
+    for q in range(a.n_states):
+        members.setdefault(find(q), []).append(q)
+    comp_of = {}
+    maximal = {}
+    for root, states in members.items():
+        for q in states:
+            comp_of[q] = root
+        maximal[root] = tuple(q for q in states if not has_exit[q])
+    return comp_of, members, maximal
+
+
+def _ref_ums(a):
+    cache = {}
+    for q in range(a.n_states):
+        gamma = frozenset(x for x in range(a.n_letters) if q in a.succ.get((q, x), ()))
+        if gamma not in cache:
+            cache[gamma] = _ref_ums_analysis(a, gamma)
+        comp_of, members, maximal = cache[gamma]
+        root = comp_of[q]
+        if maximal[root] != (q,):
+            return False, (q, tuple(members[root]), maximal[root])
+    return True, None
 
 
 def _pairs_meet(a: Nfa, s: int, t: int, letters: tuple[int, int],
@@ -473,7 +577,6 @@ def test_step_table_predicates_match_succ_references(seed, sampler, dense):
     assert is_self_loop_deterministic(a) == _ref_self_loop_deterministic(a)
     assert is_saturated(a) == _ref_saturated(a)
     assert is_deterministic(a) == _ref_deterministic(a)
-    assert self_loop_letters(a) == _ref_self_loop_letters(a)
     assert _confluent_raw(a) == _ref_confluent(a)
 
 
@@ -492,6 +595,47 @@ def test_confluence_matches_set_pair_reference_on_reductions(machine):
     bounds 1 and 2, asserts the confluent verdict there."""
     a = reduce(machine(), "1", 1).automaton
     assert _confluent_raw(a) == _ref_confluent(a) == (True, None)
+
+
+def _with_extra_arcs(rng, a):
+    extra = tuple((rng.randrange(a.n_states), rng.randrange(a.n_letters),
+                   rng.randrange(a.n_states)) for _ in range(rng.randint(1, 3)))
+    return Nfa(a.n_states, a.alphabet, a.transitions + extra, a.initial,
+               a.accepting, a.state_names)
+
+
+@pytest.mark.parametrize("sampler", _SAMPLERS)
+def test_po_and_ums_match_transition_references(sampler):
+    """The bitmask class tests against the Tarjan and union-find references
+    over ``transitions``, witnesses included; half the instances get extra
+    arcs so that both verdicts of both tests occur for every sampler."""
+    rng = random.Random(9)
+    verdicts = set()
+    for i in range(300):
+        a = sampler(rng)
+        if i % 2:
+            a = _with_extra_arcs(rng, a)
+        po, ums = is_partially_ordered(a), is_ums(a)
+        assert po == _ref_partially_ordered(a)
+        assert ums == _ref_ums(a)
+        verdicts.add((po[0], "po"))
+        verdicts.add((ums[0], "ums"))
+    assert verdicts == {(v, t) for v in (True, False) for t in ("po", "ums")}
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
+def test_po_and_ums_match_transition_references_on_aknn(k, n):
+    for a in (build_aknn(k, n), trim_aknn(k, n)):
+        assert is_partially_ordered(a) == _ref_partially_ordered(a) == (True, None)
+        assert is_ums(a) == _ref_ums(a)
+    assert is_ums(build_aknn(k, n)) == (True, None)
+
+
+@pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine])
+def test_po_and_ums_match_transition_references_on_reductions(machine):
+    a = reduce(machine(), "1", 1).automaton
+    assert is_partially_ordered(a) == _ref_partially_ordered(a) == (True, None)
+    assert is_ums(a) == _ref_ums(a)
 
 
 def test_confluence_cap_fires_on_a_small_override():

@@ -6,7 +6,7 @@ import pytest
 
 from poset_automata.caps import Caps
 from poset_automata.classify import classify
-from poset_automata.core import Nfa, accepts
+from poset_automata.core import Nfa, accepts, print_automaton
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import (Dag, build_aknn, check_suffix_rejection,
                                      dag_gadget, dag_reachable, parse_dag,
@@ -224,6 +224,18 @@ def test_dag_gadget_state_count():
         assert dag_gadget(g).n_states == 2 * n - 1
 
 
+def test_dag_gadget_text_is_pinned():
+    """The gadget's bytes for the 3-node DAG of the CI smoke step (its one
+    edge leaves the target and is dropped) and for a 1-node DAG."""
+    g = parse_dag("nodes: 3\nedge: 2 0\nsource: 0\ntarget: 2\n")
+    assert print_automaton(dag_gadget(g)) == (
+        "alphabet: a\nstates: n0 n1 n2 f1 f2\ninitial: n0\naccepting: n0 n1 n2\n"
+        "trans: n0 a f1\ntrans: n1 a f1\ntrans: n2 a n2\n"
+        "trans: f1 a f2\ntrans: f2 a n2\n")
+    assert print_automaton(dag_gadget(Dag(1, (), 0, 0))) == (
+        "alphabet: a\nstates: n0\ninitial: n0\naccepting: n0\ntrans: n0 a n0\n")
+
+
 def test_dag_gadget_battery_against_bfs():
     rng = random.Random(42)
     for _ in range(100):
@@ -254,6 +266,17 @@ def test_parse_dag_comments():
     # '#' inside a token does not start a comment
     with pytest.raises(InputError, match="line 2: expected integers"):
         parse_dag("nodes: 3\nedge: 0 1#2\nsource: 0\ntarget: 2\n")
+
+
+def test_parse_dag_error_wording():
+    """A line of no known shape cannot be parsed; a known one with a
+    non-integer says so."""
+    with pytest.raises(InputError, match="^line 1: cannot parse 'bogus: 1'$"):
+        parse_dag("bogus: 1\n")
+    with pytest.raises(InputError, match="^line 2: cannot parse 'edge: 1'$"):
+        parse_dag("nodes: 2\nedge: 1\n")
+    with pytest.raises(InputError, match="^line 1: expected integers in 'nodes: x'$"):
+        parse_dag("nodes: x\n")
 
 
 def test_parse_dag_rejects_duplicate_directives():
