@@ -5,8 +5,7 @@ from .caps import Caps, default_caps
 from .classify import (ClassReport, classify, format_report, is_complete,
                        is_confluent, is_partially_ordered, is_ptnfa,
                        is_saturated, is_self_loop_deterministic, is_ums)
-from .core import (Letter, Nfa, Word, accepts, format_word, parse_automaton,
-                   print_automaton)
+from .core import Nfa, Word, accepts, format_word, parse_automaton, print_automaton
 from .dtm import Dtm, RunRecord, parse_dtm, simulate_dtm
 from .errors import InputError, ResourceLimitError, SimulationError
 from .hardness import (Dag, build_aknn, check_suffix_rejection, dag_gadget,

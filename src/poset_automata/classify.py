@@ -444,16 +444,15 @@ def classify(a: Nfa, caps: Optional[Caps] = None) -> ClassReport:
 
 
 def _fmt_witness(a: Nfa, flag: str, w: tuple) -> str:
-    s = a.state_names
-    x = lambda i: a.alphabet[i].name
+    s, x = a.state_names, a.alphabet
     if flag in ("complete", "saturated"):
-        return f"{s[w[0]]} {x(w[1])}"
+        return f"{s[w[0]]} {x[w[1]]}"
     if flag == "partially_ordered":
         return f"{s[w[0]]} {s[w[1]]}"
     if flag == "self_loop_deterministic":
-        return f"{s[w[0]]} {x(w[1])} {s[w[2]]} {s[w[3]]}"
+        return f"{s[w[0]]} {x[w[1]]} {s[w[2]]} {s[w[3]]}"
     if flag == "confluent":
-        return f"{s[w[0]]} {x(w[1])} {x(w[2])} {s[w[3]]} {s[w[4]]}"
+        return f"{s[w[0]]} {x[w[1]]} {x[w[2]]} {s[w[3]]} {s[w[4]]}"
     if flag == "ums":
         q, comp, maxes = w
         return (f"{s[q]} component: {' '.join(s[i] for i in comp)}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .caps import default_caps
 from .classify import LABELS, classify, format_report
@@ -35,7 +36,10 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and reused: it holds no command functions, so
+    ``_cmd_universal`` finds ``universal`` at call time."""
     parser = argparse.ArgumentParser(
         prog="poset-automata",
         description="Partially ordered NFA toolkit: classify, decide "

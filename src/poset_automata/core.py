@@ -5,7 +5,9 @@ shared ``tokenize`` drops comments), resolves names with dict lookups and
 hands the columns to the ``Nfa`` constructor, which validates them with a
 few whole-column tests and re-sorts transitions only when they do not come
 sorted and duplicate-free already.  The slow per-item loops run only to word
-an error, so a rejected text gets the same message either way.
+an error, so a rejected text gets the same message either way.  The
+generators make their automata through the same constructor, from index
+triples, letter names and state names.
 
 Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
@@ -74,19 +76,6 @@ def _sorted_unique(items: Sequence) -> tuple:
 
 
 @dataclass(frozen=True)
-class Letter:
-    """One alphabet symbol: a small index plus its display name."""
-
-    id: int
-    name: str
-
-
-def make_alphabet(names: Sequence[str]) -> tuple[Letter, ...]:
-    _check_names(names, "letter")
-    return tuple(Letter(i, n) for i, n in enumerate(names))
-
-
-@dataclass(frozen=True)
 class Nfa:
     """A = (Q, Sigma, transitions, I, F) with named states.
 
@@ -97,13 +86,14 @@ class Nfa:
     under one letter).  ``succ`` feeds only ``accepts`` and the
     literal-enumeration oracle.
 
-    The constructor checks names, ranges and order over whole columns and
-    sorts only input that is not sorted and duplicate-free already, as
-    ``print_automaton`` text and ``NfaBuilder.build`` always are.
+    Letter x is ``alphabet[x]``, a name.  The constructor checks names,
+    ranges and order over whole columns and sorts only input that is not
+    sorted and duplicate-free already, as ``print_automaton`` text always
+    is.
     """
 
     n_states: int
-    alphabet: tuple[Letter, ...]
+    alphabet: tuple[str, ...]
     transitions: tuple[tuple[int, int, int], ...]
     initial: tuple[int, ...]
     accepting: tuple[int, ...]
@@ -115,9 +105,8 @@ class Nfa:
         if len(self.state_names) != self.n_states:
             raise InputError("state name count does not match state count")
         _check_names(self.state_names, "state")
-        for i, letter in enumerate(self.alphabet):
-            if letter.id != i:
-                raise InputError("alphabet letter ids must be 0..len-1 in order")
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        _check_names(self.alphabet, "letter")
         n, L = self.n_states, len(self.alphabet)
         trans = _sorted_unique(map(tuple, self.transitions))
         object.__setattr__(self, "transitions", trans)
@@ -259,9 +248,10 @@ def parse_automaton(text: str) -> Nfa:
     for key in _DIRECTIVES:
         if key not in directives:
             raise InputError(f"missing directive {key!r}")
-    alphabet = make_alphabet(directives["alphabet"])
+    alphabet = tuple(directives["alphabet"])
+    _check_names(alphabet, "letter")  # a bad letter is reported before a bad state
     names = tuple(directives["states"])
-    letter_of = {l.name: l.id for l in alphabet}
+    letter_of = {name: x for x, name in enumerate(alphabet)}
     state_of = {name: i for i, name in enumerate(names)}
     if len(state_of) != len(names):
         _check_names(names, "state")  # words the duplicate before any lookup fails
@@ -293,14 +283,14 @@ def print_automaton(a: Nfa, header: Sequence[str] = ()) -> str:
     """Canonical serialization: fixed directive order, names in declared
     order, transitions sorted by (src, letter, dst)."""
     lines = [f"# {h}" for h in header]
-    lines.append(("alphabet: " + " ".join(l.name for l in a.alphabet)).rstrip())
+    lines.append(("alphabet: " + " ".join(a.alphabet)).rstrip())
     lines.append("states: " + " ".join(a.state_names))
     lines.append(("initial: " + " ".join(a.state_names[q] for q in a.initial)).rstrip())
     lines.append(("accepting: " + " ".join(a.state_names[q] for q in a.accepting)).rstrip())
     for (q, x, r) in a.transitions:
-        lines.append(f"trans: {a.state_names[q]} {a.alphabet[x].name} {a.state_names[r]}")
+        lines.append(f"trans: {a.state_names[q]} {a.alphabet[x]} {a.state_names[r]}")
     return "\n".join(lines) + "\n"
 
 
 def format_word(a: Nfa, word: Sequence[int]) -> str:
-    return " ".join(a.alphabet[x].name for x in word)
+    return " ".join(a.alphabet[x] for x in word)

@@ -18,15 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .builder import NfaBuilder
 from .caps import Caps, default_caps
-from .core import Letter, Nfa, Word, make_alphabet, tokenize
+from .core import Nfa, Word, tokenize
 from .errors import InputError, ResourceLimitError
 
 
-def sigma_alphabet(n: int) -> tuple[Letter, ...]:
+def sigma_alphabet(n: int) -> tuple[str, ...]:
     """The n-letter alphabet a1..an."""
-    return make_alphabet([f"a{i}" for i in range(1, n + 1)])
+    return tuple(f"a{i}" for i in range(1, n + 1))
 
 
 def w_word(k: int, n: int, caps: Caps | None = None) -> Word:
@@ -82,32 +81,21 @@ def build_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
     if arcs > caps.aknn_arcs:
         raise ResourceLimitError(f"A_{{{k},{n}}} has {arcs} transitions, "
                                  f"over the aknn_arcs cap ({caps.aknn_arcs})")
-    b = NfaBuilder(sigma_alphabet(n))
-    for m in range(1, n + 1):
-        for i in range(2 * k + 1):
-            b.state(_st(i, m), initial=(i == 0), accepting=(i < k))
-    b.state("max", accepting=True)
-    for m in range(1, n + 1):
-        x = m - 1  # letter a_m
-        for i in range(2 * k):
-            if i != k:
-                b.arc(_st(i, m), x, _st(i + 1, m))
-        b.arc(_st(k, m), x, "max")
-        b.arc(_st(2 * k, m), x, "max")
-        b.arc("max", x, "max")
-        for j in range(m - 1):
-            for i in range(2 * k + 1):
-                b.arc(_st(i, m), j, _st(i, m))
-        for i in range(k):
-            for mm in range(1, m):
-                b.arc(_st(i, m), x, _st(i + 1, mm))
-        for mm in range(1, m):
-            for i in range(2 * k + 1):
-                if i < k:
-                    b.arc(_st(i, mm), x, "max")
-                else:
-                    b.arc(_st(i, mm), x, _st(k + 1, m))
-    return b.build()
+    w = 2 * k + 1  # states per level: (i;m) is state (m-1)w + i
+    top = n * w  # max
+    names = [_st(i, m) for m in range(1, n + 1) for i in range(w)] + ["max"]
+    trans = []
+    for x in range(n):  # letter a_m, m = x + 1
+        lo = x * w  # (0;m)
+        trans += [(lo + i, x, lo + i + 1) for i in range(2 * k) if i != k]
+        trans += [(lo + k, x, top), (lo + 2 * k, x, top), (top, x, top)]
+        trans += [(lo + i, j, lo + i) for j in range(x) for i in range(w)]
+        trans += [(lo + i, x, mm * w + i + 1) for i in range(k) for mm in range(x)]
+        trans += [(mm * w + i, x, top if i < k else lo + k + 1)
+                  for mm in range(x) for i in range(w)]
+    accepting = [lo + i for lo in range(0, top, w) for i in range(k)] + [top]
+    return Nfa(top + 1, sigma_alphabet(n), trans, range(0, top, w), accepting,
+               tuple(names))
 
 
 def trim_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
@@ -233,7 +221,7 @@ def dag_reachable(g: Dag) -> bool:
     return g.target in seen
 
 
-_UNARY = make_alphabet(["a"])
+_UNARY = ("a",)
 
 
 def dag_gadget(g: Dag) -> Nfa:

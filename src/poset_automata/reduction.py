@@ -76,9 +76,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .builder import NfaBuilder
 from .caps import Caps, default_caps
-from .core import Letter, Nfa, Word
+from .core import Nfa, Word
 from .dtm import Dtm, check_run_args, simulate_dtm
 from .errors import InputError, ResourceLimitError
 from .hardness import build_aknn, w_word
@@ -92,7 +91,6 @@ class PairAlphabet:
     Pi = Sigma_n x Delta_{#$}; pair id = a_idx * |Delta_{#$}| + d_idx."""
 
     def __init__(self, m: Dtm, n: int):
-        self.machine = m
         self.n_sigma = n
         decode: list[tuple] = []
         names: list[str] = []
@@ -109,18 +107,12 @@ class PairAlphabet:
         decode.append(("dollar",))
         names.append("$")
         self.decode = tuple(decode)
-        self.delta_names = tuple(names)
         self.n_delta = len(decode)
         self._cell_index = {}
         for i, entry in enumerate(decode):
             if entry[0] == "cell":
                 self._cell_index[(entry[1], entry[2])] = i
-        pi_names = []
-        for a in range(n):
-            for d in range(self.n_delta):
-                pi_names.append(f"(a{a + 1},{names[d]})")
-        self.alphabet: tuple[Letter, ...] = tuple(
-            Letter(i, nm) for i, nm in enumerate(pi_names))
+        self.alphabet = tuple(f"(a{a + 1},{name})" for a in range(n) for name in names)
 
     def cell_id(self, theta: str, marker: Optional[str]) -> int:
         return self._cell_index[(theta, marker)]
@@ -217,84 +209,90 @@ def encode_run(m: Dtm, x: Sequence[str], pval: int, n: int,
 # the shared backbone
 
 
-@dataclass
 class _Backbone:
-    pa: PairAlphabet
-    hosts: tuple[tuple[str, int], ...]  # (state name, minimal conflict-free a_idx)
-    max = "max"  # the accepting sink (a class attribute, not a field)
+    """The automaton under construction: enc(A_{n,n}) under A_{n,n}'s own
+    state names, then the checks attached to it.  States are indices.
 
-    def target(self, a_idx: int) -> str:
-        """Completion state (n+1;i) for first component a_i: the rest of
-        W_{n,n} is never accepted from it (suffix-rejection corollary)."""
-        return f"({self.pa.n_sigma + 1};{a_idx + 1})"
+    Every a_i transition of A_{n,n} is duplicated over all second
+    components and the initial states are kept, so the backbone accepts
+    Pi^* minus the W_{n,n} encodings on its own."""
 
+    def __init__(self, pa: PairAlphabet):
+        self.pa = pa
+        n, nd = pa.n_sigma, pa.n_delta
+        base = build_aknn(n, n)
+        self.names = list(base.state_names)
+        self.initial = list(base.initial)
+        self.accepting = list(base.accepting)
+        self.arcs = [(q, a_idx * nd + d, r) for (q, a_idx, r) in base.transitions
+                     for d in range(nd)]
+        index = base.state_index
+        self.max = index["max"]  # the accepting sink
+        # completion state (n+1;i) for first component a_i: the rest of
+        # W_{n,n} is never accepted from it (suffix-rejection corollary)
+        self.target = tuple(index[f"({n + 1};{a_idx + 1})"] for a_idx in range(n))
+        # (host, minimal conflict-free a_idx): (i;m) with i < n is accepting
+        # and carries self-loops exactly under a_1..a_{m-1}; entries through
+        # a_m..a_n cannot create the forbidden self-loop/exit pattern.  max
+        # never hosts entries.
+        self.hosts = tuple((index[f"({i};{m})"], m - 1)
+                           for m in range(1, n + 1) for i in range(n))
 
-def _add_backbone(b: NfaBuilder, pa: PairAlphabet) -> _Backbone:
-    """Embed enc(A_{n,n}) under A_{n,n}'s own state names: every a_i
-    transition is duplicated over all second components, and the initial
-    states are kept, so the backbone accepts Pi^* minus the W_{n,n}
-    encodings on its own."""
-    n = pa.n_sigma
-    base = build_aknn(n, n)
-    for idx, name in enumerate(base.state_names):
-        b.state(name, initial=idx in base.initial_set,
-                accepting=idx in base.accepting_set)
-    for (q, a_idx, r) in base.transitions:
-        src, dst = base.state_names[q], base.state_names[r]
-        for d in range(pa.n_delta):
-            b.arc(src, pa.pi_id(a_idx, d), dst)
-    # (i;m) with i < n is accepting and carries self-loops exactly under
-    # a_1..a_{m-1}; entries through a_m..a_n cannot create the forbidden
-    # self-loop/exit pattern.  max never hosts entries.
-    hosts = tuple((f"({i};{m})", m - 1) for m in range(1, n + 1) for i in range(n))
-    return _Backbone(pa, hosts)
+    def state(self, name: str, *, initial: bool = False, accepting: bool = False) -> int:
+        q = len(self.names)
+        self.names.append(name)
+        if initial:
+            self.initial.append(q)
+        if accepting:
+            self.accepting.append(q)
+        return q
 
+    def fan(self, src: int, dst_of) -> None:
+        """Arcs src --(a_i, d)--> dst_of(i, d) over every pair letter; a None
+        destination adds no arc."""
+        nd = self.pa.n_delta
+        for a_idx in range(self.pa.n_sigma):
+            for d in range(nd):
+                dst = dst_of(a_idx, d)
+                if dst is not None:
+                    self.arcs.append((src, a_idx * nd + d, dst))
 
-def _fan(b: NfaBuilder, pa: PairAlphabet, src: str, dst_of) -> None:
-    """Arcs src --(a_i, d)--> dst_of(i, d) over every pair letter; a None
-    destination adds no arc."""
-    for a_idx in range(pa.n_sigma):
-        for d in range(pa.n_delta):
-            dst = dst_of(a_idx, d)
-            if dst is not None:
-                b.arc(src, pa.pi_id(a_idx, d), dst)
+    def host_entries(self, entry_of) -> None:
+        """Attach a check entry at every host: host --(a,d)--> entry_of(d) for
+        every conflict-free first component a."""
+        n, nd = self.pa.n_sigma, self.pa.n_delta
+        entries = [(d, dst) for d in range(nd) if (dst := entry_of(d)) is not None]
+        for (host, min_a) in self.hosts:
+            self.arcs += [(host, a_idx * nd + d, dst)
+                          for a_idx in range(min_a, n) for (d, dst) in entries]
 
-
-def _host_entries(b: NfaBuilder, bb: _Backbone, entry_of) -> None:
-    """Attach a check entry at every host: host --(a,d)--> entry_of(d) for
-    every conflict-free first component a."""
-    for (host, min_a) in bb.hosts:
-        _fan(b, bb.pa, host, lambda a_idx, d: entry_of(d) if a_idx >= min_a else None)
+    def build(self) -> Nfa:
+        return Nfa(len(self.names), self.pa.alphabet, self.arcs, self.initial,
+                   self.accepting, tuple(self.names))
 
 
 # ---------------------------------------------------------------------------
 # part (A): a wrong initial configuration
 
 
-def build_part_a(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
-                 pval: int) -> None:
+def build_part_a(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     """The chain c_0..c_{p+1}: c_t reads any letter into c_{t+1} and exits
     into max on anything but the forced initial-configuration symbol of
     position t.  Shorter words than the initial configuration are accepted
     by the backbone."""
-    pa = bb.pa
-    forced = initial_config_symbols(m, x, pval, pa)
-    chain = [f"A:c{t}" for t in range(pval + 2)]
-    for t, name in enumerate(chain):
-        b.state(name, initial=(t == 0))
-    for t, name in enumerate(chain):
+    forced = initial_config_symbols(m, x, pval, bb.pa)
+    chain = [bb.state(f"A:c{t}", initial=(t == 0)) for t in range(pval + 2)]
+    for t, q in enumerate(chain):
         if t + 1 < len(chain):
-            _fan(b, pa, name, lambda a_idx, d: chain[t + 1])
-        _fan(b, pa, name,
-             lambda a_idx, d: bb.target(a_idx) if d == forced[t] else bb.max)
+            bb.fan(q, lambda a_idx, d: chain[t + 1])
+        bb.fan(q, lambda a_idx, d: bb.target[a_idx] if d == forced[t] else bb.max)
 
 
 # ---------------------------------------------------------------------------
 # part (B): a window whose forced successor symbol is violated
 
 
-def build_part_b(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
-                 pval: int) -> None:
+def build_part_b(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     """The window-check tree: two levels keyed by the second components of
     a window's first two symbols; the third symbol leads to the delay line
     of the window's verdict, p states whose last one accepts (into max)
@@ -302,39 +300,33 @@ def build_part_b(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
     permitted."""
     pa = bb.pa
     nd = pa.n_delta
-    for dl in range(nd):
-        b.state(f"B:w[{dl}]")
-    for dl in range(nd):
-        for dc in range(nd):
-            b.state(f"B:w[{dl},{dc}]")
+    w1 = [bb.state(f"B:w[{dl}]") for dl in range(nd)]
+    w2 = [[bb.state(f"B:w[{dl},{dc}]") for dc in range(nd)] for dl in range(nd)]
     verdict = {(dl, dc, dr): expected_next(m, pa, dl, dc, dr)
                for dl in range(nd) for dc in range(nd) for dr in range(nd)}
     head = {}
     for v in dict.fromkeys(verdict.values()):
-        line = [f"B:next[{v}]"] + [f"B:next[{v}]+{i}" for i in range(1, pval)]
-        for name in line:
-            b.state(name)
+        line = [bb.state(f"B:next[{v}]")] + [bb.state(f"B:next[{v}]+{i}")
+                                             for i in range(1, pval)]
         for prev, nxt in zip(line, line[1:]):
-            _fan(b, pa, prev, lambda a_idx, d: nxt)
-        _fan(b, pa, line[-1],
-             lambda a_idx, d: (bb.target(a_idx) if v == VACUOUS or d in (v, pa.dollar_id)
-                               else bb.max))
+            bb.fan(prev, lambda a_idx, d: nxt)
+        bb.fan(line[-1],
+               lambda a_idx, d: (bb.target[a_idx] if v == VACUOUS or d in (v, pa.dollar_id)
+                                 else bb.max))
         head[v] = line[0]
 
-    _host_entries(b, bb, lambda d: f"B:w[{d}]")
+    bb.host_entries(lambda d: w1[d])
     for dl in range(nd):
-        _fan(b, pa, f"B:w[{dl}]", lambda a_idx, dc: f"B:w[{dl},{dc}]")
+        bb.fan(w1[dl], lambda a_idx, dc: w2[dl][dc])
         for dc in range(nd):
-            _fan(b, pa, f"B:w[{dl},{dc}]",
-                 lambda a_idx, dr: head[verdict[dl, dc, dr]])
+            bb.fan(w2[dl][dc], lambda a_idx, dr: head[verdict[dl, dc, dr]])
 
 
 # ---------------------------------------------------------------------------
 # part (C): wrong run endings
 
 
-def build_part_c1(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
-                  pval: int) -> None:
+def build_part_c1(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     """Run ends in an incomplete configuration: a # followed by 1..p symbols
     starting with a non-$ one, then up to p trailing $.
 
@@ -344,77 +336,69 @@ def build_part_c1(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
     trailing-$ and $-before-symbol checks)."""
     pa = bb.pa
     dollar = pa.dollar_id
-    b.state("C1:u0")
+    u = [bb.state("C1:u0")]  # u_0..u_p
+    ds = []  # d_1..d_p
     for i in range(1, pval + 1):
-        b.state(f"C1:u{i}", accepting=True)
-        b.state(f"C1:d{i}", accepting=True)
-    _host_entries(b, bb, lambda d: "C1:u0" if d == pa.hash_id else None)
-    _fan(b, pa, "C1:u0", lambda a_idx, d: bb.target(a_idx) if d == dollar else "C1:u1")
+        u.append(bb.state(f"C1:u{i}", accepting=True))
+        ds.append(bb.state(f"C1:d{i}", accepting=True))
+    bb.host_entries(lambda d: u[0] if d == pa.hash_id else None)
+    bb.fan(u[0], lambda a_idx, d: bb.target[a_idx] if d == dollar else u[1])
     for i in range(1, pval + 1):
         if i < pval:
-            _fan(b, pa, f"C1:u{i}", lambda a_idx, d: f"C1:u{i + 1}")
+            bb.fan(u[i], lambda a_idx, d: u[i + 1])
         else:
-            _fan(b, pa, f"C1:u{i}",
-                 lambda a_idx, d: None if d == dollar else bb.target(a_idx))
-        _fan(b, pa, f"C1:u{i}", lambda a_idx, d: "C1:d1" if d == dollar else None)
+            bb.fan(u[i], lambda a_idx, d: None if d == dollar else bb.target[a_idx])
+        bb.fan(u[i], lambda a_idx, d: ds[0] if d == dollar else None)
     for j in range(1, pval + 1):
-        _fan(b, pa, f"C1:d{j}", lambda a_idx, d: (
-            f"C1:d{j + 1}" if d == dollar and j < pval else bb.target(a_idx)))
+        bb.fan(ds[j - 1], lambda a_idx, d: (
+            ds[j] if d == dollar and j < pval else bb.target[a_idx]))
 
 
-def build_part_c2(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
-                  pval: int) -> None:
+def build_part_c2(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     """Run ends in a configuration whose state marker is not the accepting
     one: a non-accepting marker, at most p-1 filler symbols, the closing #,
     then up to p trailing $."""
     pa = bb.pa
     hash_, dollar = pa.hash_id, pa.dollar_id
     bad_markers = set(pa.marker_ids(exclude=m.accepting))
-    for i in range(pval):
-        b.state(f"C2:e{i}")
-    b.state("C2:h", accepting=True)
-    for j in range(1, pval + 1):
-        b.state(f"C2:g{j}", accepting=True)
-    _host_entries(b, bb, lambda d: "C2:e0" if d in bad_markers else None)
+    e = [bb.state(f"C2:e{i}") for i in range(pval)]
+    h = bb.state("C2:h", accepting=True)
+    g = [bb.state(f"C2:g{j}", accepting=True) for j in range(1, pval + 1)]  # g_1..g_p
+    bb.host_entries(lambda d: e[0] if d in bad_markers else None)
     for i in range(pval):
         if i < pval - 1:
-            _fan(b, pa, f"C2:e{i}", lambda a_idx, d: f"C2:e{i + 1}")
+            bb.fan(e[i], lambda a_idx, d: e[i + 1])
         else:
-            _fan(b, pa, f"C2:e{i}",
-                 lambda a_idx, d: None if d == hash_ else bb.target(a_idx))
-        _fan(b, pa, f"C2:e{i}", lambda a_idx, d: "C2:h" if d == hash_ else None)
-    _fan(b, pa, "C2:h", lambda a_idx, d: "C2:g1" if d == dollar else bb.target(a_idx))
+            bb.fan(e[i], lambda a_idx, d: None if d == hash_ else bb.target[a_idx])
+        bb.fan(e[i], lambda a_idx, d: h if d == hash_ else None)
+    bb.fan(h, lambda a_idx, d: g[0] if d == dollar else bb.target[a_idx])
     for j in range(1, pval + 1):
-        _fan(b, pa, f"C2:g{j}", lambda a_idx, d: (
-            f"C2:g{j + 1}" if d == dollar and j < pval else bb.target(a_idx)))
+        bb.fan(g[j - 1], lambda a_idx, d: (
+            g[j] if d == dollar and j < pval else bb.target[a_idx]))
 
 
-def build_part_c3(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
-                  pval: int) -> None:
+def build_part_c3(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     """More than p trailing $: a chain of p+1 $-transitions whose end state
     is accepting."""
-    pa = bb.pa
+    dollar = bb.pa.dollar_id
+    s = [bb.state(f"C3:s{j}", accepting=(j == pval + 1))
+         for j in range(1, pval + 2)]  # s_1..s_{p+1}
+    bb.host_entries(lambda d: s[0] if d == dollar else None)
     for j in range(1, pval + 2):
-        b.state(f"C3:s{j}", accepting=(j == pval + 1))
-    _host_entries(b, bb, lambda d: "C3:s1" if d == pa.dollar_id else None)
-    for j in range(1, pval + 2):
-        _fan(b, pa, f"C3:s{j}", lambda a_idx, d: (
-            f"C3:s{j + 1}" if d == pa.dollar_id and j <= pval else bb.target(a_idx)))
+        bb.fan(s[j - 1], lambda a_idx, d: (
+            s[j] if d == dollar and j <= pval else bb.target[a_idx]))
 
 
-def build_part_c4(b: NfaBuilder, bb: _Backbone, m: Dtm, x: Sequence[str],
-                  pval: int) -> None:
+def build_part_c4(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     """$ followed by a different symbol: a three-state partially ordered,
     confluent DFA of its own (it needs no backbone)."""
-    pa = bb.pa
-    b.state("C4:scan", initial=True)
-    b.state("C4:dollar")
-    b.state("C4:hit", accepting=True)
-    _fan(b, pa, "C4:scan",
-         lambda a_idx, d: "C4:dollar" if d == pa.dollar_id else "C4:scan")
-    _fan(b, pa, "C4:dollar",
-         lambda a_idx, d: "C4:dollar" if d == pa.dollar_id else "C4:hit")
-    _fan(b, pa, "C4:hit", lambda a_idx, d: "C4:hit")
+    dollar = bb.pa.dollar_id
+    scan = bb.state("C4:scan", initial=True)
+    seen = bb.state("C4:dollar")
+    hit = bb.state("C4:hit", accepting=True)
+    bb.fan(scan, lambda a_idx, d: seen if d == dollar else scan)
+    bb.fan(seen, lambda a_idx, d: seen if d == dollar else hit)
+    bb.fan(hit, lambda a_idx, d: hit)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +434,13 @@ def reduce(m: Dtm, x: Sequence[str], pval: int,
         raise ResourceLimitError(f"reduction needs n={n}, above the reduce_n cap "
                                  f"({caps.reduce_n})")
     pa = PairAlphabet(m, n)
-    b = NfaBuilder(pa.alphabet)
-    bb = _add_backbone(b, pa)
-    components = [("enc-backbone", 0, b.n_states)]
+    bb = _Backbone(pa)
+    components = [("enc-backbone", 0, len(bb.names))]
     for name, build_part in (("part-a", build_part_a), ("part-b", build_part_b),
                              ("part-c1", build_part_c1), ("part-c2", build_part_c2),
                              ("part-c3", build_part_c3), ("part-c4", build_part_c4)):
-        offset = b.n_states
-        build_part(b, bb, m, x, pval)
-        components.append((name, offset, b.n_states - offset))
-    hosts = tuple(host for host, _min_a in bb.hosts)
-    return ReductionArtifact(b.build(), n, pval, pa, tuple(components), hosts)
+        offset = len(bb.names)
+        build_part(bb, m, x, pval)
+        components.append((name, offset, len(bb.names) - offset))
+    hosts = tuple(bb.names[host] for host, _min_a in bb.hosts)
+    return ReductionArtifact(bb.build(), n, pval, pa, tuple(components), hosts)

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .core import Nfa, make_alphabet
-from .hardness import Dag
-
-
-def _letters(n: int):
-    return make_alphabet([f"a{i + 1}" for i in range(n)])
+from .core import Nfa
+from .hardness import Dag, sigma_alphabet
 
 
 def _names(n: int) -> tuple[str, ...]:
@@ -33,7 +29,7 @@ def random_nfa(rng: random.Random, max_states: int = 6, max_letters: int = 3) ->
         initial = (rng.randrange(n),)
     acc_p = rng.choice([0.3, 0.7, 0.95])
     accepting = tuple(q for q in range(n) if rng.random() < acc_p)
-    return Nfa(n, _letters(L), tuple(trans), initial, accepting, _names(n))
+    return Nfa(n, sigma_alphabet(L), tuple(trans), initial, accepting, _names(n))
 
 
 def random_complete_po_sld(rng: random.Random, max_states: int = 8,
@@ -55,7 +51,7 @@ def random_complete_po_sld(rng: random.Random, max_states: int = 8,
                     trans.append((q, x, r))
     initial = tuple(q for q in range(n) if rng.random() < 0.4) or (0,)
     accepting = tuple(q for q in range(n) if rng.random() < 0.5)
-    return Nfa(n, _letters(L), tuple(trans), initial, accepting, _names(n))
+    return Nfa(n, sigma_alphabet(L), tuple(trans), initial, accepting, _names(n))
 
 
 def random_saturated(rng: random.Random, max_states: int = 8,
@@ -71,7 +67,7 @@ def random_saturated(rng: random.Random, max_states: int = 8,
                     trans.append((q, x, r))
     initial = tuple(q for q in range(n) if rng.random() < 0.4) or (rng.randrange(n),)
     accepting = tuple(q for q in range(n) if rng.random() < 0.4)
-    return Nfa(n, _letters(L), tuple(trans), initial, accepting, _names(n))
+    return Nfa(n, sigma_alphabet(L), tuple(trans), initial, accepting, _names(n))
 
 
 def random_unary_po(rng: random.Random, max_states: int = 8) -> Nfa:
@@ -86,7 +82,7 @@ def random_unary_po(rng: random.Random, max_states: int = 8) -> Nfa:
     if not initial and rng.random() < 0.95:
         initial = (rng.randrange(n),)
     accepting = tuple(q for q in range(n) if rng.random() < 0.5)
-    return Nfa(n, _letters(1), tuple(trans), initial, accepting, _names(n))
+    return Nfa(n, sigma_alphabet(1), tuple(trans), initial, accepting, _names(n))
 
 
 def random_dag(rng: random.Random, max_nodes: int = 12) -> Dag:

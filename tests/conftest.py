@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from poset_automata.core import Nfa, make_alphabet
+from poset_automata.core import Nfa
 from poset_automata.dtm import Dtm
 from poset_automata.errors import InputError
 
@@ -117,9 +117,10 @@ def reference_parse_automaton(text: str) -> Nfa:
     for key in ("alphabet", "states", "initial", "accepting"):
         if key not in directives:
             raise InputError(f"missing directive {key!r}")
-    alphabet = make_alphabet(directives["alphabet"])
+    alphabet = tuple(directives["alphabet"])
+    _reference_check_names(alphabet, "letter")
     names = tuple(directives["states"])
-    letter_of = {l.name: l.id for l in alphabet}
+    letter_of = {name: x for x, name in enumerate(alphabet)}
     state_of: dict[str, int] = {}
     for i, name in enumerate(names):
         if name in state_of:
@@ -145,6 +146,17 @@ def reference_parse_automaton(text: str) -> Nfa:
 _REFERENCE_NAME_RE = re.compile(r"[^\s#][^\s]*")
 
 
+def _reference_check_names(names, kind):
+    seen = set()
+    for name in names:
+        if not _REFERENCE_NAME_RE.fullmatch(name):
+            raise InputError(f"bad {kind} name {name!r}: names are nonempty, "
+                             "whitespace-free and must not start with '#'")
+        if name in seen:
+            raise InputError(f"duplicate {kind} name {name!r}")
+        seen.add(name)
+
+
 def reference_nfa_fields(n_states, alphabet, transitions, initial, accepting,
                          state_names):
     """The per-item checks and normalisation of ``Nfa.__post_init__`` as they
@@ -155,17 +167,8 @@ def reference_nfa_fields(n_states, alphabet, transitions, initial, accepting,
         raise InputError("automaton needs at least one state")
     if len(state_names) != n_states:
         raise InputError("state name count does not match state count")
-    seen = set()
-    for name in state_names:
-        if not _REFERENCE_NAME_RE.fullmatch(name):
-            raise InputError(f"bad state name {name!r}: names are nonempty, "
-                             "whitespace-free and must not start with '#'")
-        if name in seen:
-            raise InputError(f"duplicate state name {name!r}")
-        seen.add(name)
-    for i, letter in enumerate(alphabet):
-        if letter.id != i:
-            raise InputError("alphabet letter ids must be 0..len-1 in order")
+    _reference_check_names(state_names, "state")
+    _reference_check_names(alphabet, "letter")
     n, L = n_states, len(alphabet)
     transitions = tuple(sorted(set(map(tuple, transitions))))
     for (q, a, r) in transitions:

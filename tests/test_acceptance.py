@@ -10,7 +10,7 @@ from math import comb
 
 from poset_automata.caps import Caps
 from poset_automata.classify import classify, is_ptnfa
-from poset_automata.core import Nfa, accepts, make_alphabet
+from poset_automata.core import Nfa, accepts
 from poset_automata.errors import ResourceLimitError
 from poset_automata.hardness import (build_aknn, check_suffix_rejection,
                                      dag_gadget, dag_reachable, trim_aknn,
@@ -70,7 +70,7 @@ def test_criterion_3_classifier_matrix():
                 if rep.label != "rpoNFA" or rep.complete:
                     problems.append(("trim-label", k, n))
     # the forbidden pattern of a self-loop with an exit under one letter
-    fig1 = Nfa(2, make_alphabet(["a1"]), ((0, 0, 0), (0, 0, 1)), (0,), (0, 1),
+    fig1 = Nfa(2, ("a1",), ((0, 0, 0), (0, 0, 1)), (0,), (0, 1),
                ("s0", "s1"))
     rep = classify(fig1)
     if rep.label != "poNFA" or rep.self_loop_deterministic:

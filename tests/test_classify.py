@@ -11,7 +11,7 @@ from poset_automata.classify import (_confluent_raw, classify,
                                      is_deterministic, is_partially_ordered,
                                      is_ptnfa, is_saturated,
                                      is_self_loop_deterministic, is_ums)
-from poset_automata.core import Nfa, make_alphabet
+from poset_automata.core import Nfa
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn
 from poset_automata.reduction import reduce
@@ -23,7 +23,7 @@ from conftest import (accepting_machine, complete_with_fresh_sink, reach_order,
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
-    return Nfa(n, make_alphabet([f"a{i + 1}" for i in range(letters)]),
+    return Nfa(n, tuple(f"a{i + 1}" for i in range(letters)),
                tuple(trans), tuple(initial), tuple(accepting),
                tuple(f"s{i}" for i in range(n)))
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -142,6 +143,40 @@ def test_reduce_cli(capsys, monkeypatch, tmp_path):
     assert len(word) == len(w_word(3, 3))
 
 
+# SHA-256 of the generators' output bytes: state order, names and arcs
+_PINNED_OUTPUTS = [
+    (["gen-aknn", "--k", "3", "--n", "3"],
+     "e490ececefea7e9485e8da75b94c00bee7d59df877d8c63c02819ca05ec75577"),
+    (["gen-aknn", "--k", "3", "--n", "3", "--trim"],
+     "1178af9e3935946facc5b4d6c553a87c6114b438c463bb6ac3f0044328a9bdf0"),
+    (["reduce", "--tm", "TM", "--input", "1", "--space", "1"],
+     "7b7b428d1e7f150aed19debe18a6fcdc4a8c022c16aa9aef89edbb27c1832fcf"),
+    (["reduce", "--tm", "TM", "--input", "1", "--space", "2"],
+     "46cbfa13f378616313341ca59a666550e582d2646b17ce9edc551258f821c9ba"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS,
+                         ids=["aknn-3-3", "aknn-3-3-trim", "reduce-p1", "reduce-p2"])
+def test_generator_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "m.tm"
+    path.write_text(TM_TEXT)
+    code, out, _ = run_main(capsys, [str(path) if tok == "TM" else tok for tok in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reduce_rejects_clashing_pair_letter_names(capsys, tmp_path):
+    """Tape symbol 'x.q' unmarked and tape symbol 'x' marked with state 'q'
+    both spell the pair letter '(a1,<x.q>)': reduce must refuse, not print
+    text that no command can read back."""
+    path = tmp_path / "m.tm"
+    path.write_text("states: q0 q qf\ninitial: q0\naccepting: qf\ntape: x x.q _\n"
+                    "input: x\nblank: _\ndelta: q0 x -> qf x S\ndelta: q0 _ -> q0 _ S\n")
+    result = run_main(capsys, ["reduce", "--tm", str(path), "--input", "x", "--space", "1"])
+    assert result == (2, "", "error: duplicate letter name '(a1,<x.q>)'\n")
+
+
 def test_input_error_exit_two(capsys, monkeypatch):
     code, _, err = run_main(capsys, ["classify", "-"], stdin="garbage: x\n",
                             monkeypatch=monkeypatch)
@@ -192,6 +227,26 @@ def test_selftest_cli(capsys):
     assert code == 0
     assert "suite lemma2-equivalence: 60/60 pass" in out
     assert "selftest: PASS" in out
+
+
+def test_universal_command_looks_up_the_decider_at_call_time(capsys, monkeypatch, tmp_path):
+    """The parser is built once per process; replacing ``cli.universal``
+    (as the benchmark does to record results) still takes effect."""
+    from poset_automata import cli, universality
+    path = tmp_path / "a.aut"
+    path.write_text(print_automaton(build_aknn(1, 2)))
+    run_main(capsys, ["universal", str(path)])
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(universality.universal(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "universal", recording)
+    for _ in range(2):
+        code, out, _ = run_main(capsys, ["universal", str(path)])
+        assert code == 1 and out.startswith("universal: no")
+    assert len(seen) == 2 and cli._build_parser() is cli._build_parser()
 
 
 def test_unknown_flag_rejected(capsys):

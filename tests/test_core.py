@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poset_automata.classify import is_partially_ordered
-from poset_automata.core import (Nfa, accepts, format_word, make_alphabet,
-                                 parse_automaton, print_automaton)
+from poset_automata.core import (Nfa, accepts, format_word, parse_automaton,
+                                 print_automaton)
 from poset_automata.errors import InputError
 from poset_automata.hardness import build_aknn
 from poset_automata.sampling import random_nfa
@@ -15,7 +15,7 @@ from conftest import reach_order, reference_nfa_fields, reference_parse_automato
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
-    return Nfa(n, make_alphabet([f"a{i + 1}" for i in range(letters)]),
+    return Nfa(n, tuple(f"a{i + 1}" for i in range(letters)),
                tuple(trans), tuple(initial), tuple(accepting),
                tuple(f"s{i}" for i in range(n)))
 
@@ -212,11 +212,26 @@ def test_roundtrip_on_random_automata(seed):
 
 def test_names_ending_in_newline_are_rejected():
     with pytest.raises(InputError, match="bad letter name"):
-        make_alphabet(["x\n"])
+        Nfa(1, ("x\n",), (), (0,), (0,), ("s",))
     with pytest.raises(InputError, match="bad state name"):
-        Nfa(1, make_alphabet(["x"]), ((0, 0, 0),), (0,), (0,), ("s\n",))
+        Nfa(1, ("x",), ((0, 0, 0),), (0,), (0,), ("s\n",))
     with pytest.raises(InputError, match="bad state name"):
-        Nfa(2, make_alphabet(["x"]), (), (0,), (0,), ("s", "t\n"))
+        Nfa(2, ("x",), (), (0,), (0,), ("s", "t\n"))
+
+
+@pytest.mark.parametrize("letters, message", [
+    (("a", "#b"), "bad letter name '#b'"),
+    (("a", "b c"), "bad letter name 'b c'"),
+    (("a", ""), "bad letter name ''"),
+    (("a", "b", "a"), "duplicate letter name 'a'"),
+])
+def test_constructor_rejects_bad_and_duplicate_letter_names(letters, message):
+    with pytest.raises(InputError) as err:
+        Nfa(1, letters, (), (0,), (0,), ("s",))
+    assert str(err.value).startswith(message)
+    # the constructor checks the state names before the letter names
+    with pytest.raises(InputError, match="duplicate state name"):
+        Nfa(2, letters, (), (0,), (0,), ("s", "s"))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +311,7 @@ def automaton_texts(draw):
 @example("alphabet: a\nstates: s\ninitial: x\naccepting: y\n")
 @example("alphabet: a\nstates: s\ninitial: s\naccepting: y\ntrans: s b q\n")
 @example("alphabet: a\nstates: s s\ninitial: s\naccepting:\ntrans: s a q\n")
+@example("alphabet: a a\nstates: s s\ninitial: s\naccepting:\n")
 @example("alphabet: a b#k\r\nstates: s\t#c\ninitial: s\naccepting: s\ntrans: s b#k s #x\n")
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_reference_parser(text):
@@ -326,7 +342,7 @@ def nfa_fields(draw):
     elif flaw == "count":
         names = names[1:] if draw(st.booleans()) else names + ["extra"]
     L = draw(st.integers(0, 2))
-    alphabet = make_alphabet(["a", "b"][:L])
+    alphabet = ("a", "b")[:L]
     wide = draw(st.sampled_from(["", "", "q", "x", "r", "i", "qr"]))  # may leave range
 
     def column(key, size):
@@ -353,7 +369,7 @@ def test_constructor_matches_reference_checks(fields):
 
 
 def test_constructor_keeps_sorted_transitions_and_sorts_the_rest():
-    alphabet = make_alphabet(["a"])
+    alphabet = ("a",)
     names = ("p", "q")
     ordered = Nfa(2, alphabet, ((0, 0, 1), (1, 0, 0)), (0,), (1,), names)
     shuffled = Nfa(2, alphabet, [[1, 0, 0], (0, 0, 1), (1, 0, 0)], [0, 0], {1}, names)

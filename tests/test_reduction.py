@@ -3,14 +3,13 @@ from math import comb
 
 import pytest
 
-from poset_automata.builder import NfaBuilder
 from poset_automata.caps import Caps
 from poset_automata.classify import is_ptnfa
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
 from poset_automata.errors import InputError, ResourceLimitError, SimulationError
 from poset_automata.hardness import build_aknn, w_word
-from poset_automata.reduction import (PairAlphabet, _add_backbone,
+from poset_automata.reduction import (PairAlphabet, _Backbone,
                                       build_part_a, build_part_b,
                                       build_part_c1, build_part_c2,
                                       build_part_c3, build_part_c4, choose_n,
@@ -182,13 +181,11 @@ def test_expected_next_impossible_on_halt():
 
 
 def parts_alone(m, x, pval, n, *builders):
-    """The given parts on a fresh builder holding one backbone."""
-    pa = PairAlphabet(m, n)
-    b = NfaBuilder(pa.alphabet)
-    bb = _add_backbone(b, pa)
+    """The given parts on a fresh backbone."""
+    bb = _Backbone(PairAlphabet(m, n))
     for build_part in builders:
-        build_part(b, bb, m, x, pval)
-    return b.build()
+        build_part(bb, m, x, pval)
+    return bb.build()
 
 
 @pytest.fixture(scope="module")

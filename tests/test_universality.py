@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import accepting_machine, rejecting_machine
 from poset_automata.caps import Caps
-from poset_automata.core import Nfa, accepts, make_alphabet
+from poset_automata.core import Nfa, accepts
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn, w_word
 from poset_automata.reduction import reduce
@@ -21,7 +21,7 @@ from poset_automata.universality import (UniversalityResult, format_result,
 
 
 def simple_nfa(n, letters, trans, initial, accepting):
-    return Nfa(n, make_alphabet([f"a{i + 1}" for i in range(letters)]),
+    return Nfa(n, tuple(f"a{i + 1}" for i in range(letters)),
                tuple(trans), tuple(initial), tuple(accepting),
                tuple(f"s{i}" for i in range(n)))
 
