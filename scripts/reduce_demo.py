@@ -8,12 +8,11 @@ Usage: python scripts/reduce_demo.py [pval]
 import sys
 import time
 
-from poset_automata.classify import is_ptnfa
+from poset_automata.classify import classify
+from poset_automata.core import accepts
 from poset_automata.dtm import Dtm
 from poset_automata.reduction import encode_run, reduce
-from poset_automata.universality import (accepts_with_cutoff,
-                                         universal_antichain,
-                                         universal_state_mask)
+from poset_automata.universality import universal_antichain
 
 
 def machines():
@@ -37,13 +36,11 @@ def main():
               f"{len(art.automaton.alphabet)} pair letters")
         for name, offset, count in art.components:
             print(f"  {name:<12} offset={offset:<6} states={count}")
-        ok, failures = is_ptnfa(art.automaton)
-        print(f"is_ptnfa: {ok}")
+        print(f"class: {classify(art.automaton).label}")
         if label == "accepting":
             word = encode_run(machine, "1", pval, art.n)
-            u = universal_state_mask(art.automaton)
             print(f"run encoding: {len(word)} letters, "
-                  f"rejected={not accepts_with_cutoff(art.automaton, word, u)}")
+                  f"rejected={not accepts(art.automaton, word)}")
         t0 = time.time()
         res = universal_antichain(art.automaton)
         print(f"universal: {res.universal} (expected {label != 'accepting'}), "

@@ -3,14 +3,13 @@ universality deciders, and generators for the hardness constructions."""
 
 from .caps import Caps, default_caps
 from .classify import (ClassReport, classify, format_report, is_complete,
-                       is_confluent, is_partially_ordered, is_ptnfa,
-                       is_saturated, is_self_loop_deterministic, is_ums)
+                       is_confluent, is_partially_ordered, is_saturated,
+                       is_self_loop_deterministic, is_ums)
 from .core import Nfa, Word, accepts, format_word, parse_automaton, print_automaton
 from .dtm import Dtm, RunRecord, parse_dtm, simulate_dtm
 from .errors import InputError, ResourceLimitError, SimulationError
-from .hardness import (Dag, build_aknn, check_suffix_rejection, dag_gadget,
-                       dag_reachable, parse_dag, sigma_alphabet, trim_aknn,
-                       w_word)
+from .hardness import (Dag, build_aknn, dag_gadget, dag_reachable, parse_dag,
+                       sigma_alphabet, trim_aknn, w_word)
 from .reduction import (PairAlphabet, ReductionArtifact, build_part_a,
                         build_part_b, choose_n, encode_run, expected_next,
                         reduce)

@@ -380,21 +380,6 @@ def is_ums(a: Nfa) -> tuple[bool, Optional[tuple]]:
     return True, None
 
 
-def is_ptnfa(a: Nfa) -> tuple[bool, dict]:
-    """Complete + partially ordered + UMS; returns failures keyed by flag."""
-    failures = {}
-    ok, w = is_complete(a)
-    if not ok:
-        failures["complete"] = w
-    ok, w = is_partially_ordered(a)
-    if not ok:
-        failures["partially_ordered"] = w
-    ok, w = is_ums(a)
-    if not ok:
-        failures["ums"] = w
-    return not failures, failures
-
-
 # ---------------------------------------------------------------------------
 # full report
 
@@ -417,30 +402,29 @@ def _label(complete: bool, po: bool, sld: bool, saturated: bool, confluent: bool
     return "NFA"
 
 
+# The six flags in report order, which is also the field order of
+# ``ClassReport`` and ``_label``, each with its predicate; every predicate
+# returns (holds, witness).  Confluence is searched whether or not the input
+# is partially ordered, under the caps that ``classify`` receives.
+FLAGS = (
+    ("complete", is_complete),
+    ("partially_ordered", is_partially_ordered),
+    ("self_loop_deterministic", is_self_loop_deterministic),
+    ("saturated", is_saturated),
+    ("confluent", _confluent_raw),
+    ("ums", is_ums),
+)
+
+
 def classify(a: Nfa, caps: Optional[Caps] = None) -> ClassReport:
-    witnesses: dict = {}
-    complete, w = is_complete(a)
-    if not complete:
-        witnesses["complete"] = w
-    po, w = is_partially_ordered(a)
-    if not po:
-        witnesses["partially_ordered"] = w
-    sld, w = is_self_loop_deterministic(a)
-    if not sld:
-        witnesses["self_loop_deterministic"] = w
-    saturated, w = is_saturated(a)
-    if not saturated:
-        witnesses["saturated"] = w
-    confluent, w = _confluent_raw(a, caps)
-    if not confluent:
-        witnesses["confluent"] = w
-    ums, w = is_ums(a)
-    if not ums:
-        witnesses["ums"] = w
+    values, witnesses = [], {}
+    for name, test in FLAGS:
+        ok, w = test(a, caps) if test is _confluent_raw else test(a)
+        values.append(ok)
+        if not ok:
+            witnesses[name] = w
     deterministic = is_deterministic(a)
-    label = _label(complete, po, sld, saturated, confluent, ums, deterministic)
-    return ClassReport(complete, po, sld, saturated, confluent, ums,
-                       deterministic, label, witnesses)
+    return ClassReport(*values, deterministic, _label(*values, deterministic), witnesses)
 
 
 def _fmt_witness(a: Nfa, flag: str, w: tuple) -> str:
@@ -453,25 +437,16 @@ def _fmt_witness(a: Nfa, flag: str, w: tuple) -> str:
         return f"{s[w[0]]} {x[w[1]]} {s[w[2]]} {s[w[3]]}"
     if flag == "confluent":
         return f"{s[w[0]]} {x[w[1]]} {x[w[2]]} {s[w[3]]} {s[w[4]]}"
-    if flag == "ums":
-        q, comp, maxes = w
-        return (f"{s[q]} component: {' '.join(s[i] for i in comp)}"
-                f" maximal: {' '.join(s[i] for i in maxes)}")
-    return " ".join(map(str, w))
+    q, comp, maxes = w  # ums
+    return (f"{s[q]} component: {' '.join(s[i] for i in comp)}"
+            f" maximal: {' '.join(s[i] for i in maxes)}")
 
 
 def format_report(a: Nfa, report: ClassReport) -> str:
     """Line-oriented serialization with a stable field order."""
-    flags = [
-        ("complete", report.complete),
-        ("partially_ordered", report.partially_ordered),
-        ("self_loop_deterministic", report.self_loop_deterministic),
-        ("saturated", report.saturated),
-        ("confluent", report.confluent),
-        ("ums", report.ums),
-    ]
     lines = []
-    for name, value in flags:
+    for name, _test in FLAGS:
+        value = getattr(report, name)
         line = f"{name}: {'true' if value else 'false'}"
         if not value and name in report.witnesses:
             line += f" [witness: {_fmt_witness(a, name, report.witnesses[name])}]"

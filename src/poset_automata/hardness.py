@@ -5,8 +5,6 @@
   unique non-accepted word is W_{k,n}.
 * ``trim_aknn``: the incomplete rpoNFA variant accepting the same language,
   obtained by deleting the states (k+1;i)..(2k;i).
-* ``check_suffix_rejection``: for every suffix a_i w of W_{k,n}, w must be
-  rejected from state (k+1;i).
 * ``dag_gadget``: the unary ptNFA that is universal iff a target node is
   reachable from a source node in a DAG.
 """
@@ -31,13 +29,16 @@ def sigma_alphabet(n: int) -> tuple[str, ...]:
 def w_word(k: int, n: int, caps: Caps | None = None) -> Word:
     """W_{k,1} = a1^k, W_{1,n} = a1 a2 .. an, and
     W_{k,n} = W_{k,n-1} a_n W_{k-1,n}; empty whenever k*n = 0.
-    Letter a_i is represented by id i-1."""
+    Letter a_i is represented by id i-1.  The ``word_len`` check runs over
+    C(max(k,n)+i, i) for i <= min(k,n), which grow with i up to C(k+n, n),
+    and stops at the first one past the cap."""
     caps = caps or default_caps()
     if k < 0 or n < 0:
         raise InputError("k and n must be nonnegative")
-    if k and n and comb(k + n, n) - 1 > caps.word_len:
-        raise ResourceLimitError(
-            f"|W_{{{k},{n}}}| = C({k + n},{n})-1 exceeds word_len cap ({caps.word_len})")
+    for i in range(1, min(k, n) + 1):
+        if comb(max(k, n) + i, i) - 1 > caps.word_len:
+            raise ResourceLimitError(
+                f"|W_{{{k},{n}}}| = C({k + n},{n})-1 exceeds word_len cap ({caps.word_len})")
 
     @lru_cache(maxsize=None)
     def build(kk: int, nn: int) -> Word:
@@ -113,21 +114,6 @@ def trim_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
                tuple(remap[q] for q in a.initial if q not in removed),
                tuple(remap[q] for q in a.accepting if q not in removed),
                tuple(a.state_names[q] for q in keep))
-
-
-def check_suffix_rejection(k: int, n: int, caps: Caps | None = None) -> bool:
-    """For every suffix a_i w of W_{k,n}: simulating w from {(k+1;i)} must
-    end outside the accepting set."""
-    a = build_aknn(k, n, caps)
-    word = w_word(k, n, caps)
-    for t, letter in enumerate(word):
-        level = letter + 1
-        frontier = 1 << a.state_index[_st(k + 1, level)]
-        for x in word[t + 1:]:
-            frontier = a.step_mask(frontier, x)
-        if frontier & a.accepting_mask:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ into the checks and from the checks into U, never back, so the order stays
 partial; a host's entries, from every part alike, avoid its self-loop
 letters, so self-loop determinism holds; and every state keeps all the
 arcs it has in its own part, so the result is complete.  The tests check
-``is_ptnfa`` (UMS included) on the outputs.
+completeness, partial order and UMS on the outputs.
 """
 
 from __future__ import annotations
@@ -88,30 +88,19 @@ IMPOSSIBLE = "impossible"  # the machine halts here: no successor symbol exists
 
 class PairAlphabet:
     """Ordered tables for Delta_{#$} = T x (Q + epsilon) + {#,$} and
-    Pi = Sigma_n x Delta_{#$}; pair id = a_idx * |Delta_{#$}| + d_idx."""
+    Pi = Sigma_n x Delta_{#$}; pair id = a_idx * |Delta_{#$}| + d_idx.
+
+    ``cells`` gives each Delta id its (symbol, state marker or None): the
+    tape cells, then # and $ as ``hash_id`` and ``dollar_id``, unmarked."""
 
     def __init__(self, m: Dtm, n: int):
         self.n_sigma = n
-        decode: list[tuple] = []
-        names: list[str] = []
-        for theta in m.tape_alphabet:
-            decode.append(("cell", theta, None))
-            names.append(f"<{theta}>")
-            for q in m.states:
-                decode.append(("cell", theta, q))
-                names.append(f"<{theta}.{q}>")
-        self.hash_id = len(decode)
-        decode.append(("hash",))
-        names.append("#")
-        self.dollar_id = len(decode)
-        decode.append(("dollar",))
-        names.append("$")
-        self.decode = tuple(decode)
-        self.n_delta = len(decode)
-        self._cell_index = {}
-        for i, entry in enumerate(decode):
-            if entry[0] == "cell":
-                self._cell_index[(entry[1], entry[2])] = i
+        cells = [(theta, q) for theta in m.tape_alphabet for q in (None, *m.states)]
+        self._cell_index = {cell: i for i, cell in enumerate(cells)}
+        names = [f"<{t}>" if q is None else f"<{t}.{q}>" for t, q in cells] + ["#", "$"]
+        self.hash_id, self.dollar_id = len(cells), len(cells) + 1
+        self.cells = (*cells, ("#", None), ("$", None))
+        self.n_delta = len(self.cells)
         self.alphabet = tuple(f"(a{a + 1},{name})" for a in range(n) for name in names)
 
     def cell_id(self, theta: str, marker: Optional[str]) -> int:
@@ -120,24 +109,17 @@ class PairAlphabet:
     def pi_id(self, a_idx: int, d_idx: int) -> int:
         return a_idx * self.n_delta + d_idx
 
-    def marker_ids(self, exclude: str) -> list[int]:
-        """Cells carrying a state marker other than ``exclude``."""
-        return [i for i, entry in enumerate(self.decode)
-                if entry[0] == "cell" and entry[2] is not None and entry[2] != exclude]
-
 
 def expected_next(m: Dtm, pa: PairAlphabet, dl: int, dc: int, dr: int):
     """The symbol forced one configuration later for the cell encoded by dc,
     with dl/dr its neighbors.  Returns a Delta id, VACUOUS (window contains
     $, nothing is checked) or IMPOSSIBLE (the machine halts in this window,
     so only $ may follow)."""
-    entries = (pa.decode[dl], pa.decode[dc], pa.decode[dr])
-    if any(e[0] == "dollar" for e in entries):
+    if pa.dollar_id in (dl, dc, dr):
         return VACUOUS
-    left, here, right = entries
-    if here[0] == "hash":
+    if dc == pa.hash_id:
         return pa.hash_id
-    _, theta, marker = here
+    theta, marker = pa.cells[dc]
     if marker is not None:
         if marker == m.accepting:
             return dc  # the accepting state behaves as a self-loop
@@ -147,14 +129,12 @@ def expected_next(m: Dtm, pa: PairAlphabet, dl: int, dc: int, dr: int):
         q2, write, move = rule
         return pa.cell_id(write, q2 if move == "S" else None)
     # unmarked cell: a head may move onto it from either neighbor
-    if left[0] == "cell" and left[2] is not None and left[2] != m.accepting:
-        rule = m.delta.get((left[2], left[1]))
-        if rule is not None and rule[2] == "R":
-            return pa.cell_id(theta, rule[0])
-    if right[0] == "cell" and right[2] is not None and right[2] != m.accepting:
-        rule = m.delta.get((right[2], right[1]))
-        if rule is not None and rule[2] == "L":
-            return pa.cell_id(theta, rule[0])
+    for d, move in ((dl, "R"), (dr, "L")):
+        sym, q = pa.cells[d]
+        if q not in (None, m.accepting):
+            rule = m.delta.get((q, sym))
+            if rule is not None and rule[2] == move:
+                return pa.cell_id(theta, rule[0])
     return pa.cell_id(theta, None)
 
 
@@ -266,6 +246,14 @@ class _Backbone:
             self.arcs += [(host, a_idx * nd + d, dst)
                           for a_idx in range(min_a, n) for (d, dst) in entries]
 
+    def dollar_run(self, chain: Sequence[int]) -> None:
+        """Each state of ``chain`` reads $ into the next one; every other
+        letter, and $ at the last state, exits to the completion target."""
+        dollar = self.pa.dollar_id
+        for q, nxt in zip(chain, chain[1:]):
+            self.fan(q, lambda a_idx, d: nxt if d == dollar else self.target[a_idx])
+        self.fan(chain[-1], lambda a_idx, d: self.target[a_idx])
+
     def build(self) -> Nfa:
         return Nfa(len(self.names), self.pa.alphabet, self.arcs, self.initial,
                    self.accepting, tuple(self.names))
@@ -349,9 +337,7 @@ def build_part_c1(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
         else:
             bb.fan(u[i], lambda a_idx, d: None if d == dollar else bb.target[a_idx])
         bb.fan(u[i], lambda a_idx, d: ds[0] if d == dollar else None)
-    for j in range(1, pval + 1):
-        bb.fan(ds[j - 1], lambda a_idx, d: (
-            ds[j] if d == dollar and j < pval else bb.target[a_idx]))
+    bb.dollar_run(ds)
 
 
 def build_part_c2(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
@@ -359,8 +345,8 @@ def build_part_c2(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     one: a non-accepting marker, at most p-1 filler symbols, the closing #,
     then up to p trailing $."""
     pa = bb.pa
-    hash_, dollar = pa.hash_id, pa.dollar_id
-    bad_markers = set(pa.marker_ids(exclude=m.accepting))
+    hash_ = pa.hash_id
+    bad_markers = {i for i, (_theta, q) in enumerate(pa.cells) if q not in (None, m.accepting)}
     e = [bb.state(f"C2:e{i}") for i in range(pval)]
     h = bb.state("C2:h", accepting=True)
     g = [bb.state(f"C2:g{j}", accepting=True) for j in range(1, pval + 1)]  # g_1..g_p
@@ -371,10 +357,7 @@ def build_part_c2(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
         else:
             bb.fan(e[i], lambda a_idx, d: None if d == hash_ else bb.target[a_idx])
         bb.fan(e[i], lambda a_idx, d: h if d == hash_ else None)
-    bb.fan(h, lambda a_idx, d: g[0] if d == dollar else bb.target[a_idx])
-    for j in range(1, pval + 1):
-        bb.fan(g[j - 1], lambda a_idx, d: (
-            g[j] if d == dollar and j < pval else bb.target[a_idx]))
+    bb.dollar_run([h] + g)
 
 
 def build_part_c3(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
@@ -384,9 +367,7 @@ def build_part_c3(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     s = [bb.state(f"C3:s{j}", accepting=(j == pval + 1))
          for j in range(1, pval + 2)]  # s_1..s_{p+1}
     bb.host_entries(lambda d: s[0] if d == dollar else None)
-    for j in range(1, pval + 2):
-        bb.fan(s[j - 1], lambda a_idx, d: (
-            s[j] if d == dollar and j <= pval else bb.target[a_idx]))
+    bb.dollar_run(s)
 
 
 def build_part_c4(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
@@ -415,24 +396,24 @@ class ReductionArtifact:
     attachment_states: tuple[str, ...]
 
 
-def choose_n(m: Dtm, x: Sequence[str], pval: int) -> int:
-    """Least n with |W_{n,n}| = C(2n,n)-1 >= 1 + C(x)(p+1)."""
-    need = 1 + config_count(m, pval) * (pval + 1)
-    n = 1
-    while comb(2 * n, n) - 1 < need:
-        n += 1
-    return n
+def choose_n(m: Dtm, x: Sequence[str], pval: int, caps: Caps | None = None) -> int:
+    """Least n with |W_{n,n}| = C(2n,n)-1 >= 1 + C(x)(p+1), at most the
+    ``reduce_n`` cap.  C(x) >= 3^p (two states, a blank) and C(2n,n) < 4^n,
+    so a p of 2*reduce_n or more is refused before C(x) is computed."""
+    limit = (caps or default_caps()).reduce_n
+    if pval < 2 * limit:
+        need = 1 + config_count(m, pval) * (pval + 1)
+        for n in range(1, limit + 1):
+            if comb(2 * n, n) - 1 >= need:
+                return n
+    raise ResourceLimitError(f"reduction needs n above the reduce_n cap ({limit})")
 
 
 def reduce(m: Dtm, x: Sequence[str], pval: int,
            caps: Caps | None = None) -> ReductionArtifact:
     """Build the full ptNFA; universal iff M does not accept x in space p."""
-    caps = caps or default_caps()
     check_run_args(m, x, pval)
-    n = choose_n(m, x, pval)
-    if n > caps.reduce_n:
-        raise ResourceLimitError(f"reduction needs n={n}, above the reduce_n cap "
-                                 f"({caps.reduce_n})")
+    n = choose_n(m, x, pval, caps)
     pa = PairAlphabet(m, n)
     bb = _Backbone(pa)
     components = [("enc-backbone", 0, len(bb.names))]

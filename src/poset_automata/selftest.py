@@ -8,6 +8,7 @@ from typing import Callable
 
 from .classify import classify, is_complete
 from .core import Nfa, Word, accepts
+from .errors import InputError
 from .hardness import build_aknn, dag_gadget, dag_reachable, trim_aknn, w_word
 from .sampling import random_complete_po_sld, random_dag
 from .universality import universal, universal_subset
@@ -106,6 +107,8 @@ SUITES: tuple[tuple[str, Callable[[int, int], SuiteResult]], ...] = (
 
 
 def run_selftest(seed: int = 0, samples: int = 1000, emit=print) -> bool:
+    if samples < 0:
+        raise InputError("the sample count must be nonnegative")
     results = [fn(seed, samples) for _name, fn in SUITES]
     for r in results:
         emit(f"suite {r.name}: {r.passed}/{r.total} pass")

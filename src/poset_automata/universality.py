@@ -97,21 +97,6 @@ def universal_state_mask(a: Nfa) -> int:
     return u
 
 
-def accepts_with_cutoff(a: Nfa, word, u_mask: int | None = None) -> bool:
-    """accepts() with an early accept once the frontier hits a universal
-    state (the remaining suffix cannot be rejected)."""
-    if u_mask is None:
-        u_mask = universal_state_mask(a)
-    mask = a.initial_mask
-    for x in word:
-        if mask & u_mask:
-            return True
-        mask = a.step_mask(mask, x)
-        if not mask:
-            return False
-    return bool(mask & a.accepting_mask)
-
-
 def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     """BFS over subset-construction states that skips every new image
     containing an already kept subset.  Skipping a superset is sound: the

@@ -2,9 +2,12 @@ import re
 
 import pytest
 
+from poset_automata.classify import is_complete, is_partially_ordered, is_ums
 from poset_automata.core import Nfa
 from poset_automata.dtm import Dtm
 from poset_automata.errors import InputError
+from poset_automata.hardness import build_aknn, w_word
+from poset_automata.universality import universal_state_mask
 
 
 def reach_order(a: Nfa) -> list[set[int]]:
@@ -31,6 +34,43 @@ def complete_with_fresh_sink(a: Nfa) -> Nfa:
               if (q, x) not in a.succ]
     return Nfa(sink + 1, a.alphabet, tuple(trans), a.initial, a.accepting,
                a.state_names + ("sink",))
+
+
+def is_ptnfa(a: Nfa) -> tuple[bool, dict]:
+    """Complete + partially ordered + UMS; returns failures keyed by flag."""
+    verdicts = (("complete", is_complete(a)), ("partially_ordered", is_partially_ordered(a)),
+                ("ums", is_ums(a)))
+    failures = {name: w for name, (ok, w) in verdicts if not ok}
+    return not failures, failures
+
+
+def accepts_with_cutoff(a: Nfa, word, u_mask: int | None = None) -> bool:
+    """accepts() with an early accept once the frontier hits a universal
+    state (the remaining suffix cannot be rejected)."""
+    if u_mask is None:
+        u_mask = universal_state_mask(a)
+    mask = a.initial_mask
+    for x in word:
+        if mask & u_mask:
+            return True
+        mask = a.step_mask(mask, x)
+        if not mask:
+            return False
+    return bool(mask & a.accepting_mask)
+
+
+def check_suffix_rejection(k: int, n: int) -> bool:
+    """For every suffix a_i w of W_{k,n}: simulating w from {(k+1;i)} must
+    end outside the accepting set."""
+    a = build_aknn(k, n)
+    word = w_word(k, n)
+    for t, letter in enumerate(word):
+        frontier = 1 << a.state_index[f"({k + 1};{letter + 1})"]
+        for x in word[t + 1:]:
+            frontier = a.step_mask(frontier, x)
+        if frontier & a.accepting_mask:
+            return False
+    return True
 
 
 def accepting_machine() -> Dtm:

@@ -9,23 +9,23 @@ import time
 from math import comb
 
 from poset_automata.caps import Caps
-from poset_automata.classify import classify, is_ptnfa
+from poset_automata.classify import classify
 from poset_automata.core import Nfa, accepts
 from poset_automata.errors import ResourceLimitError
-from poset_automata.hardness import (build_aknn, check_suffix_rejection,
-                                     dag_gadget, dag_reachable, trim_aknn,
-                                     w_word)
+from poset_automata.hardness import (build_aknn, dag_gadget, dag_reachable,
+                                     trim_aknn, w_word)
 from poset_automata.reduction import encode_run, reduce
 from poset_automata.sampling import (random_complete_po_sld, random_dag,
                                      random_nfa, random_saturated,
                                      random_unary_po)
 from poset_automata.selftest import rejects_exactly
-from poset_automata.universality import (accepts_with_cutoff, universal,
-                                         universal_antichain, universal_brute,
+from poset_automata.universality import (universal, universal_antichain,
+                                         universal_brute,
                                          universal_sponfa, universal_state_mask,
                                          universal_subset, universal_unary_po)
 
-from conftest import accepting_machine, rejecting_machine
+from conftest import (accepting_machine, accepts_with_cutoff, check_suffix_rejection,
+                      is_ptnfa, rejecting_machine)
 
 
 def report(num, ok, text):

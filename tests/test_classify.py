@@ -9,7 +9,7 @@ from poset_automata.caps import Caps
 from poset_automata.classify import (_confluent_raw, classify,
                                      format_report, is_complete, is_confluent,
                                      is_deterministic, is_partially_ordered,
-                                     is_ptnfa, is_saturated,
+                                     is_saturated,
                                      is_self_loop_deterministic, is_ums)
 from poset_automata.core import Nfa
 from poset_automata.errors import InputError, ResourceLimitError
@@ -353,15 +353,6 @@ def test_confluent_iff_ums_on_complete_po_sld(seed):
     rep = classify(a)
     assert rep.complete and rep.partially_ordered and rep.self_loop_deterministic
     assert rep.confluent == rep.ums
-
-
-def test_is_ptnfa_matches_flags():
-    rng = random.Random(11)
-    for _ in range(100):
-        a = random_nfa(rng)
-        rep = classify(a)
-        ok, failures = is_ptnfa(a)
-        assert ok == (rep.complete and rep.partially_ordered and rep.ums)
 
 
 # ---------------------------------------------------------------------------

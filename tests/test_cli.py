@@ -2,8 +2,10 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from poset_automata.cli import main
 from poset_automata.core import parse_automaton, print_automaton
 from poset_automata.hardness import build_aknn, trim_aknn, w_word
+from poset_automata.sampling import (random_complete_po_sld, random_nfa,
+                                     random_saturated, random_unary_po)
 
 TM_TEXT = """states: q0 qf
 initial: q0
@@ -166,6 +170,24 @@ def test_generator_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_classify_and_universal_report_bytes_are_pinned(capsys, monkeypatch):
+    """SHA-256 over the exit code and stdout of ``classify -`` and then
+    ``universal -`` on each automaton of a seeded corpus from all four
+    samplers: witnesses, labels, counterexamples and explored counts."""
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for sample, count in ((random_nfa, 200), (random_saturated, 50),
+                          (random_unary_po, 50), (random_complete_po_sld, 50)):
+        for _ in range(count):
+            text = print_automaton(sample(rng))
+            for command in ("classify", "universal"):
+                code, out, _ = run_main(capsys, [command, "-"], stdin=text,
+                                        monkeypatch=monkeypatch)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "c3ec6be41126c8bdbe8bae21a857fbef3491429477bfe5f3e44d3812137ee271")
+
+
 def test_reduce_rejects_clashing_pair_letter_names(capsys, tmp_path):
     """Tape symbol 'x.q' unmarked and tape symbol 'x' marked with state 'q'
     both spell the pair letter '(a1,<x.q>)': reduce must refuse, not print
@@ -198,6 +220,21 @@ def test_caps_env_resource_exit_three(capsys, monkeypatch, tmp_path):
     assert "resource limit:" in err
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["reduce", "--tm", "TM", "--input", "1", "--space", "1000000000"], "reduce_n"),
+    (["gen-word", "--k", "1000000000", "--n", "1000000000"], "word_len"),
+], ids=["reduce", "gen-word"])
+def test_huge_size_arguments_are_refused_at_once(capsys, tmp_path, argv, cap):
+    """The cap is checked before any number of the requested size is built."""
+    path = tmp_path / "m.tm"
+    path.write_text(TM_TEXT)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, [str(path) if tok == "TM" else tok for tok in argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:") and cap in err
+
+
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
 def test_interpreter_exhaustion_exit_three(capsys, monkeypatch, tmp_path, exc):
     path = tmp_path / "g.dag"
@@ -227,6 +264,11 @@ def test_selftest_cli(capsys):
     assert code == 0
     assert "suite lemma2-equivalence: 60/60 pass" in out
     assert "selftest: PASS" in out
+
+
+def test_selftest_negative_samples_exit_two(capsys):
+    assert run_main(capsys, ["selftest", "--samples", "-5"]) == (
+        2, "", "error: the sample count must be nonnegative\n")
 
 
 def test_universal_command_looks_up_the_decider_at_call_time(capsys, monkeypatch, tmp_path):

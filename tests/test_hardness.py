@@ -8,12 +8,13 @@ from poset_automata.caps import Caps
 from poset_automata.classify import classify
 from poset_automata.core import Nfa, accepts, print_automaton
 from poset_automata.errors import InputError, ResourceLimitError
-from poset_automata.hardness import (Dag, build_aknn, check_suffix_rejection,
-                                     dag_gadget, dag_reachable, parse_dag,
-                                     trim_aknn, w_word)
+from poset_automata.hardness import (Dag, build_aknn, dag_gadget, dag_reachable,
+                                     parse_dag, trim_aknn, w_word)
 from poset_automata.sampling import random_dag
 from poset_automata.selftest import rejects_exactly
 from poset_automata.universality import universal, universal_subset
+
+from conftest import check_suffix_rejection
 
 
 def words_up_to(n_letters, max_len):
@@ -53,6 +54,14 @@ def test_w_word_caps():
         w_word(30, 30, Caps(word_len=10**6))
     with pytest.raises(InputError):
         w_word(-1, 2)
+
+
+def test_w_word_cap_holds_at_its_bound():
+    caps = Caps(word_len=251)
+    assert len(w_word(5, 5, caps)) == 251  # C(10,5) - 1
+    for k, n in ((5, 6), (6, 5)):  # C(11,5) - 1 = 461
+        with pytest.raises(ResourceLimitError):
+            w_word(k, n, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from poset_automata.caps import Caps
-from poset_automata.classify import is_ptnfa
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
 from poset_automata.errors import InputError, ResourceLimitError, SimulationError
@@ -15,12 +14,10 @@ from poset_automata.reduction import (PairAlphabet, _Backbone,
                                       build_part_c3, build_part_c4, choose_n,
                                       config_count, encode_run, expected_next,
                                       initial_config_symbols, reduce)
-from poset_automata.universality import (accepts_with_cutoff,
-                                         universal_antichain,
-                                         universal_state_mask)
+from poset_automata.universality import universal_antichain, universal_state_mask
 
-from conftest import (accepting_machine, head_moving_machine,
-                      incrementing_machine, rejecting_machine)
+from conftest import (accepting_machine, accepts_with_cutoff, head_moving_machine,
+                      incrementing_machine, is_ptnfa, rejecting_machine)
 
 
 # ---------------------------------------------------------------------------
