@@ -27,19 +27,20 @@ from .universality import (format_result, universal, universal_antichain,
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first call and reused: it holds no command functions, so
-    ``_cmd_universal`` finds ``universal`` at call time."""
+    """Built on the first call and reused.  Each subcommand's ``run`` default
+    is its ``_cmd_`` function; ``_cmd_universal`` finds ``universal`` at call
+    time."""
     parser = argparse.ArgumentParser(
         prog="poset-automata",
         description="Partially ordered NFA toolkit: classify, decide "
@@ -47,11 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="structural class report for an automaton")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("file")
     p.add_argument("--expect", choices=LABELS,
                    help="exit 1 unless the derived class matches")
 
     p = sub.add_parser("universal", help="decide whether L(A) is all words")
+    p.set_defaults(run=_cmd_universal)
     p.add_argument("file")
     p.add_argument("--method", default="auto",
                    choices=("auto", "sponfa", "unary", "antichain", "subset", "brute"))
@@ -59,25 +62,30 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="word-length bound for --method brute")
 
     p = sub.add_parser("gen-word", help="print the word W_{k,n}")
+    p.set_defaults(run=_cmd_gen_word)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("gen-aknn", help="generate the ptNFA A_{k,n}")
+    p.set_defaults(run=_cmd_gen_aknn)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trim", action="store_true",
                    help="emit the trimmed rpoNFA variant instead")
 
     p = sub.add_parser("gen-dag", help="unary reachability gadget for a DAG file")
+    p.set_defaults(run=_cmd_gen_dag)
     p.add_argument("file")
 
     p = sub.add_parser("reduce", help="space-bounded DTM word problem -> ptNFA universality")
+    p.set_defaults(run=_cmd_reduce)
     p.add_argument("--tm", required=True, help="machine description file")
     p.add_argument("--input", required=True,
                    help="input word: symbols separated by spaces or commas; '' for empty")
     p.add_argument("--space", type=int, required=True, help="space bound p(|x|)")
 
     p = sub.add_parser("selftest", help="run the cross-module oracle suites")
+    p.set_defaults(run=lambda args: 0 if run_selftest(args.seed, args.samples) else 1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     return parser
@@ -95,21 +103,16 @@ def _cmd_classify(args) -> int:
 def _cmd_universal(args) -> int:
     a = parse_automaton(_read(args.file))
     caps = default_caps()
-    if args.method == "auto":
-        res = universal(a, caps)
-    elif args.method == "sponfa":
-        res = universal_sponfa(a)
-    elif args.method == "unary":
-        res = universal_unary_po(a)
-    elif args.method == "antichain":
-        res = universal_antichain(a, caps)
-    elif args.method == "subset":
-        res = universal_subset(a, caps)
-    else:
-        max_len = args.max_len
-        if max_len is None:
-            max_len = min(2 ** a.n_states, caps.enum_len)
-        res = universal_brute(a, max_len, caps)
+    max_len = args.max_len
+    if max_len is None:
+        max_len = min(2 ** a.n_states, caps.enum_len)
+    decide = {"auto": lambda: universal(a, caps),
+              "sponfa": lambda: universal_sponfa(a),
+              "unary": lambda: universal_unary_po(a),
+              "antichain": lambda: universal_antichain(a, caps),
+              "subset": lambda: universal_subset(a, caps),
+              "brute": lambda: universal_brute(a, max_len, caps)}
+    res = decide[args.method]()
     sys.stdout.write(format_result(a, res))
     return 0 if res.universal else 1
 
@@ -150,20 +153,7 @@ def _cmd_reduce(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "universal":
-            return _cmd_universal(args)
-        if args.command == "gen-word":
-            return _cmd_gen_word(args)
-        if args.command == "gen-aknn":
-            return _cmd_gen_aknn(args)
-        if args.command == "gen-dag":
-            return _cmd_gen_dag(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "selftest":
-            return 0 if run_selftest(args.seed, args.samples) else 1
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -177,7 +167,6 @@ def main(argv=None) -> int:
         print(f"resource limit: {args.command} exceeded the recursion limit",
               file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

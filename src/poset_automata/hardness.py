@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .caps import Caps, default_caps
@@ -40,17 +39,25 @@ def w_word(k: int, n: int, caps: Caps | None = None) -> Word:
             raise ResourceLimitError(
                 f"|W_{{{k},{n}}}| = C({k + n},{n})-1 exceeds word_len cap ({caps.word_len})")
 
-    @lru_cache(maxsize=None)
-    def build(kk: int, nn: int) -> Word:
-        if kk == 0 or nn == 0:
-            return ()
-        if nn == 1:
-            return (0,) * kk
-        if kk == 1:
-            return tuple(range(nn))
-        return build(kk, nn - 1) + (nn - 1,) + build(kk - 1, nn)
-
-    return build(k, n)
+    if k == 0 or n == 0:
+        return ()
+    # Built by levels of the smaller parameter, so each level at least
+    # doubles and all levels together copy fewer than 2|W_{k,n}| letters.
+    if k <= n:  # level kk is W_{kk,n}; W_{kk,j} is its prefix for j <= n
+        level = list(range(n))
+        for kk in range(2, k + 1):
+            prev, level = level, [0] * kk
+            for j in range(1, n):  # W_{kk,j+1} = W_{kk,j} a_{j+1} W_{kk-1,j+1}
+                level.append(j)
+                level += prev[:comb(kk + j, j + 1) - 1]
+    else:  # level m is W_{k,m}; W_{i,m} is its suffix for i <= k
+        level = [0] * k
+        for m in range(1, n):  # W_{k,m+1} = W_{k,m} a_{m+1} W_{k-1,m} a_{m+1} .. W_{1,m} a_{m+1}
+            prev, level = level, []
+            for i in range(k, 0, -1):
+                level += prev[len(prev) - comb(i + m, m) + 1:]
+                level.append(m)
+    return tuple(level)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ a_m..a_n keep the result self-loop deterministic.
 
 Deviation from the paper.  The paper gives every check its own copy of the
 backbone and takes the disjoint union of the parts (p+6 copies here).  This
-module builds one copy and attaches every check to it, shares part B's
-delay lines by verdict, folds part A's p+2 position chains into one, and
-drops part A's automaton for words shorter than the initial configuration.
-The language stays the same:
+module builds one copy and attaches every check to it, merges check states
+with equal futures, folds part A's p+2 position chains into one, and drops
+part A's automaton for words shorter than the initial configuration.  The
+language stays the same:
 
 (1) One backbone accepts the union of the parts.  Let U hold the states
     (i;m) with i > n, and max.  Every arc of A_{n,n} from U stays in U
@@ -48,12 +48,19 @@ The language stays the same:
     and U: every arc it takes belongs to "backbone + P" on its own.
     Conversely each part's runs are runs of the whole.  The language is
     therefore the union of the parts' languages, as in the paper.
-(2) Window states with equal verdicts have equal futures.  The paper's
-    state for the window (dl, dc, dr) reads p-1 arbitrary letters, then
-    exits under (a_i, d) to (n+1;i) when the verdict
-    v = expected_next(dl, dc, dr) permits d, and to max otherwise.  That
-    future depends on v alone, so all windows with one verdict may share
-    one delay line.
+(2) Non-initial states with equal arcs and equal acceptance have equal
+    futures.  ``_Backbone.shared`` keeps one state per (acceptance, arc
+    row), as in acyclic-automaton minimisation (Revuz 1992; Daciuk et al.
+    2000), and registers only states whose arcs are final when made, so a
+    part handed an earlier part's state accepts what it would alone.  This
+    rule makes every merge.  The paper's state for the window (dl, dc, dr)
+    reads p-1 arbitrary letters, then exits under (a_i, d) to (n+1;i) when
+    v = expected_next(dl, dc, dr) permits d, and to max otherwise; so all
+    windows with one verdict v share a delay line, and part B's w[dl,dc]
+    and w[dl] with equal successor rows are one state.  The $-runs of C.1
+    (d_1..d_p), C.2 (g_1..g_p after h) and C.3 (s_1..s_{p+1}) read $ into
+    the next state and exit on anything else, so C.2's g_j is C.1's d_j,
+    and C.3's last state is d_p.
 (3) One chain does the work of part A.  c_t reads any letter into c_{t+1}
     (t <= p) and exits under (a_i, d) to (n+1;i) when d is the forced
     symbol of position t and to max otherwise.  No c_t is accepting, so an
@@ -63,9 +70,10 @@ The language stays the same:
     C(x)(p+1) > p+1, so the backbone accepts them.
 
 The ptNFA property carries over from the parts: arcs lead from the backbone
-into the checks and from the checks into U, never back, so the order stays
-partial; a host's entries, from every part alike, avoid its self-loop
-letters, so self-loop determinism holds; and every state keeps all the
+into the checks and from the checks into U, never back, and from a shared
+state only to older states, so the order stays partial; a host's entries,
+from every part alike, avoid its self-loop letters, and no shared state has
+a self-loop, so self-loop determinism holds; and every state keeps all the
 arcs it has in its own part, so the result is complete.  The tests check
 completeness, partial order and UMS on the outputs.
 """
@@ -217,6 +225,7 @@ class _Backbone:
         # never hosts entries.
         self.hosts = tuple((index[f"({i};{m})"], m - 1)
                            for m in range(1, n + 1) for i in range(n))
+        self.register: dict[tuple[bool, tuple[int, ...]], int] = {}
 
     def state(self, name: str, *, initial: bool = False, accepting: bool = False) -> int:
         q = len(self.names)
@@ -230,12 +239,8 @@ class _Backbone:
     def fan(self, src: int, dst_of) -> None:
         """Arcs src --(a_i, d)--> dst_of(i, d) over every pair letter; a None
         destination adds no arc."""
-        nd = self.pa.n_delta
-        for a_idx in range(self.pa.n_sigma):
-            for d in range(nd):
-                dst = dst_of(a_idx, d)
-                if dst is not None:
-                    self.arcs.append((src, a_idx * nd + d, dst))
+        self.arcs += [(src, x, dst) for x in range(len(self.pa.alphabet))
+                      if (dst := dst_of(*divmod(x, self.pa.n_delta))) is not None]
 
     def host_entries(self, entry_of) -> None:
         """Attach a check entry at every host: host --(a,d)--> entry_of(d) for
@@ -246,13 +251,41 @@ class _Backbone:
             self.arcs += [(host, a_idx * nd + d, dst)
                           for a_idx in range(min_a, n) for (d, dst) in entries]
 
-    def dollar_run(self, chain: Sequence[int]) -> None:
-        """Each state of ``chain`` reads $ into the next one; every other
-        letter, and $ at the last state, exits to the completion target."""
-        dollar = self.pa.dollar_id
-        for q, nxt in zip(chain, chain[1:]):
-            self.fan(q, lambda a_idx, d: nxt if d == dollar else self.target[a_idx])
-        self.fan(chain[-1], lambda a_idx, d: self.target[a_idx])
+    def shared(self, name: str, dst_of, accepting: bool = False) -> int:
+        """The one state with arcs exactly (a_i, d) --> dst_of(i, d) and
+        acceptance ``accepting``, made under ``name`` on the first call with
+        this pair.  Its arcs are final: no ``fan`` or ``host_entries`` may
+        extend it."""
+        row = tuple(dst_of(*divmod(x, self.pa.n_delta)) for x in range(len(self.pa.alphabet)))
+        q = self.register.get((accepting, row))
+        if q is None:
+            q = self.register[accepting, row] = self.state(name, accepting=accepting)
+            self.arcs += [(q, x, dst) for x, dst in enumerate(row)]
+        return q
+
+    def dollar_run(self, states: Sequence[tuple[str, bool]]) -> int:
+        """Shared states from (name, accepting) pairs: each reads $ into the
+        next one; every other letter, and $ at the last state, exits to the
+        completion target.  Built from the last state; returns the first."""
+        dollar, q = self.pa.dollar_id, None
+        for name, accepting in reversed(states):
+            q = self.shared(name, lambda a_idx, d: (q if d == dollar and q is not None
+                                                    else self.target[a_idx]), accepting)
+        return q
+
+    def chain(self, names: Sequence[str], symbol: int, tail: int,
+              accepting: bool = False) -> int:
+        """New states under ``names``: each reads any letter into the next
+        one and ``symbol`` into ``tail``; the last exits to the completion
+        target on every other symbol.  Returns the first.  They are not
+        shared: ``symbol`` has two arcs at all but the last."""
+        states = [self.state(name, accepting=accepting) for name in names]
+        for q, nxt in zip(states, states[1:]):
+            self.fan(q, lambda a_idx, d: nxt)
+        self.fan(states[-1], lambda a_idx, d: None if d == symbol else self.target[a_idx])
+        for q in states:
+            self.fan(q, lambda a_idx, d: tail if d == symbol else None)
+        return states[0]
 
     def build(self) -> Nfa:
         return Nfa(len(self.names), self.pa.alphabet, self.arcs, self.initial,
@@ -271,8 +304,7 @@ def build_part_a(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     forced = initial_config_symbols(m, x, pval, bb.pa)
     chain = [bb.state(f"A:c{t}", initial=(t == 0)) for t in range(pval + 2)]
     for t, q in enumerate(chain):
-        if t + 1 < len(chain):
-            bb.fan(q, lambda a_idx, d: chain[t + 1])
+        bb.fan(q, lambda a_idx, d: chain[t + 1] if t <= pval else None)
         bb.fan(q, lambda a_idx, d: bb.target[a_idx] if d == forced[t] else bb.max)
 
 
@@ -281,33 +313,25 @@ def build_part_a(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
 
 
 def build_part_b(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
-    """The window-check tree: two levels keyed by the second components of
-    a window's first two symbols; the third symbol leads to the delay line
-    of the window's verdict, p states whose last one accepts (into max)
-    exactly the symbols differing from the forced successor, with $ always
-    permitted."""
-    pa = bb.pa
-    nd = pa.n_delta
-    w1 = [bb.state(f"B:w[{dl}]") for dl in range(nd)]
-    w2 = [[bb.state(f"B:w[{dl},{dc}]") for dc in range(nd)] for dl in range(nd)]
+    """The window-check tree: w[dl] and w[dl,dc] read a window's first two
+    symbols; the third leads to the delay line of the window's verdict, p
+    states whose last one accepts (into max) exactly the symbols differing
+    from the forced successor, with $ always permitted.  All of it is built
+    from its ends through the register."""
+    pa, nd = bb.pa, bb.pa.n_delta
     verdict = {(dl, dc, dr): expected_next(m, pa, dl, dc, dr)
                for dl in range(nd) for dc in range(nd) for dr in range(nd)}
     head = {}
     for v in dict.fromkeys(verdict.values()):
-        line = [bb.state(f"B:next[{v}]")] + [bb.state(f"B:next[{v}]+{i}")
-                                             for i in range(1, pval)]
-        for prev, nxt in zip(line, line[1:]):
-            bb.fan(prev, lambda a_idx, d: nxt)
-        bb.fan(line[-1],
-               lambda a_idx, d: (bb.target[a_idx] if v == VACUOUS or d in (v, pa.dollar_id)
-                                 else bb.max))
-        head[v] = line[0]
-
+        dst_of = lambda a_idx, d: (bb.target[a_idx] if v == VACUOUS or d in (v, pa.dollar_id)
+                                   else bb.max)
+        for i in reversed(range(pval)):
+            head[v] = bb.shared(f"B:next[{v}]" + (f"+{i}" if i else ""), dst_of)
+            dst_of = lambda a_idx, d, q=head[v]: q
+    w2 = {(dl, dc): bb.shared(f"B:w[{dl},{dc}]", lambda a_idx, dr: head[verdict[dl, dc, dr]])
+          for dl in range(nd) for dc in range(nd)}
+    w1 = [bb.shared(f"B:w[{dl}]", lambda a_idx, dc: w2[dl, dc]) for dl in range(nd)]
     bb.host_entries(lambda d: w1[d])
-    for dl in range(nd):
-        bb.fan(w1[dl], lambda a_idx, dc: w2[dl][dc])
-        for dc in range(nd):
-            bb.fan(w2[dl][dc], lambda a_idx, dr: head[verdict[dl, dc, dr]])
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +346,11 @@ def build_part_c1(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     a non-$ first symbol: otherwise the check would fire on the valid
     encoding's own '# $^j' padding tail (all-$ middles are covered by the
     trailing-$ and $-before-symbol checks)."""
-    pa = bb.pa
-    dollar = pa.dollar_id
-    u = [bb.state("C1:u0")]  # u_0..u_p
-    ds = []  # d_1..d_p
-    for i in range(1, pval + 1):
-        u.append(bb.state(f"C1:u{i}", accepting=True))
-        ds.append(bb.state(f"C1:d{i}", accepting=True))
-    bb.host_entries(lambda d: u[0] if d == pa.hash_id else None)
-    bb.fan(u[0], lambda a_idx, d: bb.target[a_idx] if d == dollar else u[1])
-    for i in range(1, pval + 1):
-        if i < pval:
-            bb.fan(u[i], lambda a_idx, d: u[i + 1])
-        else:
-            bb.fan(u[i], lambda a_idx, d: None if d == dollar else bb.target[a_idx])
-        bb.fan(u[i], lambda a_idx, d: ds[0] if d == dollar else None)
-    bb.dollar_run(ds)
+    dollar = bb.pa.dollar_id
+    d1 = bb.dollar_run([(f"C1:d{i}", True) for i in range(1, pval + 1)])
+    u1 = bb.chain([f"C1:u{i}" for i in range(1, pval + 1)], dollar, d1, accepting=True)
+    u0 = bb.shared("C1:u0", lambda a_idx, d: bb.target[a_idx] if d == dollar else u1)
+    bb.host_entries(lambda d: u0 if d == bb.pa.hash_id else None)
 
 
 def build_part_c2(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
@@ -345,29 +358,17 @@ def build_part_c2(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     one: a non-accepting marker, at most p-1 filler symbols, the closing #,
     then up to p trailing $."""
     pa = bb.pa
-    hash_ = pa.hash_id
     bad_markers = {i for i, (_theta, q) in enumerate(pa.cells) if q not in (None, m.accepting)}
-    e = [bb.state(f"C2:e{i}") for i in range(pval)]
-    h = bb.state("C2:h", accepting=True)
-    g = [bb.state(f"C2:g{j}", accepting=True) for j in range(1, pval + 1)]  # g_1..g_p
-    bb.host_entries(lambda d: e[0] if d in bad_markers else None)
-    for i in range(pval):
-        if i < pval - 1:
-            bb.fan(e[i], lambda a_idx, d: e[i + 1])
-        else:
-            bb.fan(e[i], lambda a_idx, d: None if d == hash_ else bb.target[a_idx])
-        bb.fan(e[i], lambda a_idx, d: h if d == hash_ else None)
-    bb.dollar_run([h] + g)
+    h = bb.dollar_run([("C2:h", True)] + [(f"C2:g{j}", True) for j in range(1, pval + 1)])
+    e0 = bb.chain([f"C2:e{i}" for i in range(pval)], pa.hash_id, h)
+    bb.host_entries(lambda d: e0 if d in bad_markers else None)
 
 
 def build_part_c3(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     """More than p trailing $: a chain of p+1 $-transitions whose end state
     is accepting."""
-    dollar = bb.pa.dollar_id
-    s = [bb.state(f"C3:s{j}", accepting=(j == pval + 1))
-         for j in range(1, pval + 2)]  # s_1..s_{p+1}
-    bb.host_entries(lambda d: s[0] if d == dollar else None)
-    bb.dollar_run(s)
+    s1 = bb.dollar_run([(f"C3:s{j}", j == pval + 1) for j in range(1, pval + 2)])
+    bb.host_entries(lambda d: s1 if d == bb.pa.dollar_id else None)
 
 
 def build_part_c4(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
@@ -414,8 +415,7 @@ def reduce(m: Dtm, x: Sequence[str], pval: int,
     """Build the full ptNFA; universal iff M does not accept x in space p."""
     check_run_args(m, x, pval)
     n = choose_n(m, x, pval, caps)
-    pa = PairAlphabet(m, n)
-    bb = _Backbone(pa)
+    bb = _Backbone(PairAlphabet(m, n))
     components = [("enc-backbone", 0, len(bb.names))]
     for name, build_part in (("part-a", build_part_a), ("part-b", build_part_b),
                              ("part-c1", build_part_c1), ("part-c2", build_part_c2),
@@ -424,4 +424,4 @@ def reduce(m: Dtm, x: Sequence[str], pval: int,
         build_part(bb, m, x, pval)
         components.append((name, offset, len(bb.names) - offset))
     hosts = tuple(bb.names[host] for host, _min_a in bb.hosts)
-    return ReductionArtifact(bb.build(), n, pval, pa, tuple(components), hosts)
+    return ReductionArtifact(bb.build(), n, pval, bb.pa, tuple(components), hosts)

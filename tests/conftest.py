@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -71,6 +72,19 @@ def check_suffix_rejection(k: int, n: int) -> bool:
         if frontier & a.accepting_mask:
             return False
     return True
+
+
+@functools.cache
+def w_reference(k: int, n: int) -> tuple[int, ...]:
+    """W_{k,n} straight from its recursive definition: W_{k,1} = a1^k,
+    W_{1,n} = a1 .. an, W_{k,n} = W_{k,n-1} a_n W_{k-1,n}, empty if kn = 0."""
+    if k == 0 or n == 0:
+        return ()
+    if n == 1:
+        return (0,) * k
+    if k == 1:
+        return tuple(range(n))
+    return w_reference(k, n - 1) + (n - 1,) + w_reference(k - 1, n)
 
 
 def accepting_machine() -> Dtm:

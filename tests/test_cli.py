@@ -18,6 +18,8 @@ from poset_automata.hardness import build_aknn, trim_aknn, w_word
 from poset_automata.sampling import (random_complete_po_sld, random_nfa,
                                      random_saturated, random_unary_po)
 
+from conftest import w_reference
+
 TM_TEXT = """states: q0 qf
 initial: q0
 accepting: qf
@@ -101,6 +103,13 @@ def test_gen_word(capsys):
     assert out.strip() == "a1 a1 a2 a1 a2"
 
 
+def test_gen_word_bytes_follow_the_recursive_definition(capsys):
+    for k in range(9):
+        for n in range(9):
+            code, out, _ = run_main(capsys, ["gen-word", "--k", str(k), "--n", str(n)])
+            assert (code, out) == (0, " ".join(f"a{x + 1}" for x in w_reference(k, n)) + "\n")
+
+
 def test_gen_trim_alias_matches_flag(capsys):
     # the trimmed variant is spelled only as the flag
     code, out_flag, _ = run_main(capsys, ["gen-aknn", "--k", "2", "--n", "2", "--trim"])
@@ -154,9 +163,9 @@ _PINNED_OUTPUTS = [
     (["gen-aknn", "--k", "3", "--n", "3", "--trim"],
      "1178af9e3935946facc5b4d6c553a87c6114b438c463bb6ac3f0044328a9bdf0"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "1"],
-     "7b7b428d1e7f150aed19debe18a6fcdc4a8c022c16aa9aef89edbb27c1832fcf"),
+     "1e9c500bf3ca21dfeb25493b5e1a875ec9f984bb0b000e9978a34a59cfa71c42"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "2"],
-     "46cbfa13f378616313341ca59a666550e582d2646b17ce9edc551258f821c9ba"),
+     "caa0101c43df4eb5edadeb9319949846dd84fa7ece73bd75c24e4dcae9f4e86c"),
 ]
 
 
@@ -211,6 +220,22 @@ def test_missing_file_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["universal", "F"], ["classify", "F"], ["gen-dag", "F"],
+                                  ["reduce", "--tm", "F", "--input", "1", "--space", "1"]],
+                         ids=["universal", "classify", "gen-dag", "reduce"])
+def test_non_utf8_input_exit_two(capsys, monkeypatch, tmp_path, argv):
+    """Bytes that are not UTF-8, from a file or from strictly decoded stdin,
+    end in one 'error: cannot read' line and exit 2, not a traceback."""
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe")
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    for name in (str(path), "-"):
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_main(capsys, [name if tok == "F" else tok for tok in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {name}: ") and err.count("\n") == 1
+
+
 def test_caps_env_resource_exit_three(capsys, monkeypatch, tmp_path):
     path = tmp_path / "a.aut"
     path.write_text(print_automaton(build_aknn(2, 2)))
@@ -240,10 +265,10 @@ def test_interpreter_exhaustion_exit_three(capsys, monkeypatch, tmp_path, exc):
     path = tmp_path / "g.dag"
     path.write_text(DAG_TEXT)
 
-    def exhausted(args):
+    def exhausted(dag):
         raise exc()
 
-    monkeypatch.setattr("poset_automata.cli._cmd_gen_dag", exhausted)
+    monkeypatch.setattr("poset_automata.cli.dag_gadget", exhausted)
     code, out, err = run_main(capsys, ["gen-dag", str(path)])
     assert code == 3
     assert out == ""

@@ -11,6 +11,8 @@ from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import (Dag, build_aknn, dag_gadget, dag_reachable,
                                      parse_dag, trim_aknn, w_word)
 from poset_automata.sampling import random_dag
+
+from conftest import w_reference
 from poset_automata.selftest import rejects_exactly
 from poset_automata.universality import universal, universal_subset
 
@@ -42,11 +44,17 @@ def test_w_word_length_and_last_letter_count():
     for k in range(9):
         for n in range(1, 9):
             w = w_word(k, n)
+            assert w == w_reference(k, n), (k, n)
             if k:
                 assert len(w) == comb(k + n, n) - 1
                 assert w.count(n - 1) == k
             else:
                 assert w == ()
+
+
+@pytest.mark.parametrize("k, n", [(2, 1500), (1500, 2)])
+def test_w_word_deep_levels_need_no_recursion(k, n):
+    assert len(w_word(k, n)) == comb(1502, 2) - 1
 
 
 def test_w_word_caps():

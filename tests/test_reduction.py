@@ -1,4 +1,5 @@
 import random
+import re
 from math import comb
 
 import pytest
@@ -14,10 +15,12 @@ from poset_automata.reduction import (PairAlphabet, _Backbone,
                                       build_part_c3, build_part_c4, choose_n,
                                       config_count, encode_run, expected_next,
                                       initial_config_symbols, reduce)
-from poset_automata.universality import universal_antichain, universal_state_mask
+from poset_automata.selftest import rejects_exactly
+from poset_automata.universality import (universal_antichain, universal_state_mask,
+                                         universal_subset)
 
 from conftest import (accepting_machine, accepts_with_cutoff, head_moving_machine,
-                      incrementing_machine, is_ptnfa, rejecting_machine)
+                      incrementing_machine, is_ptnfa, rejecting_machine, w_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ def test_encode_run_shape(tm_accepting):
     pa = PairAlphabet(tm_accepting, n)
     word = encode_run(tm_accepting, "1", 1, n)
     assert len(word) == len(w_word(n, n))
-    assert tuple(pi // pa.n_delta for pi in word) == w_word(n, n)
+    assert tuple(pi // pa.n_delta for pi in word) == w_word(n, n) == w_reference(n, n)
     w2 = [pi % pa.n_delta for pi in word]
     # begins with the separator-wrapped initial configuration
     assert w2[:3] == [pa.hash_id, pa.cell_id("1", "q0"), pa.hash_id]
@@ -467,13 +470,48 @@ def test_one_backbone_and_verdict_delay_lines(machine, pval):
     backbone_names = set(build_aknn(n, n).state_names)
     assert sum(name in backbone_names for name in a.state_names) == n * (2 * n + 1) + 1
     nd = pa.n_delta
-    verdicts = {expected_next(m, pa, dl, dc, dr)
-                for dl in range(nd) for dc in range(nd) for dr in range(nd)}
+    verdict = {(dl, dc, dr): expected_next(m, pa, dl, dc, dr)
+               for dl in range(nd) for dc in range(nd) for dr in range(nd)}
     delay = [name for name in a.state_names if name.startswith("B:next[")]
-    assert len(delay) == len(verdicts) * pval
+    assert len(delay) == len(set(verdict.values())) * pval
+    # one w[dl,dc] per distinct row dr -> verdict, one w[dl] per distinct
+    # row dc -> w[dl,dc]
+    pair_rows = {(dl, dc): tuple(verdict[dl, dc, dr] for dr in range(nd))
+                 for dl in range(nd) for dc in range(nd)}
+    first_rows = {tuple(pair_rows[dl, dc] for dc in range(nd)) for dl in range(nd)}
     part_b = {name: count for (name, _o, count) in art.components}["part-b"]
-    assert part_b == nd + nd * nd + len(verdicts) * pval
+    assert part_b == len(set(pair_rows.values())) + len(first_rows) + len(delay)
     assert is_ptnfa(a)[0]
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", STRUCTURE_MACHINES)
+def test_shared_states_have_distinct_rows(machine, pval):
+    """No two part-B or $-run states agree in acceptance and arc set, and
+    C.2's g run and C.3's last state are C.1's d states."""
+    art = reduce(machine(), "1", pval)
+    a = art.automaton
+    offset, count = {name: (o, c) for (name, o, c) in art.components}["part-b"]
+    states = [q for q, name in enumerate(a.state_names)
+              if offset <= q < offset + count or re.match(r"C1:d|C2:h|C3:s", name)]
+    arcs = {q: set() for q in states}
+    for (q, x, r) in a.transitions:
+        if q in arcs:
+            arcs[q].add((x, r))
+    rows = {(q in a.accepting_set, frozenset(arcs[q])) for q in states}
+    assert len(rows) == len(states)
+    assert not any(name.startswith("C2:g") for name in a.state_names)
+    assert f"C3:s{pval + 1}" not in a.state_index and f"C3:s{pval}" in a.state_index
+
+
+def test_reduce_language_is_exact_at_p1():
+    """At space bound 1 the subset BFS decides the emitted language exactly:
+    the accepting machine's automaton rejects encode_run's word and nothing
+    else, and the looping machine's automaton is universal."""
+    m = accepting_machine()
+    art = reduce(m, "1", 1)
+    assert rejects_exactly(art.automaton, encode_run(m, "1", 1, art.n))
+    assert universal_subset(reduce(rejecting_machine(), "1", 1).automaton).universal
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
