@@ -6,8 +6,9 @@ micro machines (one accepting, one looping) on input ``1`` at space bounds
 Each reduction goes through the printed text and back, as in the shell
 pipeline ``reduce | universal``; only the antichain search and, on the same
 parsed automaton, the confluence check are timed.  Prints one row per
-machine and bound: states, explored nodes, counterexample length (``-`` for
-a universal automaton), antichain seconds and confluence seconds.
+machine and bound: states, explored nodes, peak queue length
+(``max_frontier``), counterexample length (``-`` for a universal
+automaton), antichain seconds and confluence seconds.
 
 Usage: python scripts/antichain_scaling.py [pmax]   (default 3)
 """
@@ -25,7 +26,7 @@ from poset_automata.universality import universal_antichain
 
 def main():
     pmax = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    print(f"{'machine':>9} {'p':>2} {'states':>6} {'explored':>8} {'ce len':>6} "
+    print(f"{'machine':>9} {'p':>2} {'states':>6} {'explored':>8} {'frontier':>8} {'ce len':>6} "
           f"{'seconds':>8} {'confluence s':>12}")
     for pval in range(1, pmax + 1):
         for label, machine in machines():
@@ -39,7 +40,8 @@ def main():
             confluence_s = time.perf_counter() - t0
             assert confluent
             ce = "-" if res.universal else len(res.counterexample)
-            print(f"{label:>9} {pval:>2} {a.n_states:>6} {res.explored:>8} {ce:>6} "
+            print(f"{label:>9} {pval:>2} {a.n_states:>6} {res.explored:>8} "
+                  f"{res.max_frontier:>8} {ce:>6} "
                   f"{elapsed:>8.2f} {confluence_s:>12.2f}", flush=True)
 
 

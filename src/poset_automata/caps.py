@@ -9,9 +9,10 @@ Library functions take an optional ``caps`` argument; ``None`` means the
 process-wide defaults (environment included).
 
 Memory of the antichain decider: its packed columns hold at most
-|Sigma|*|Q|^2 bits, as many as the automaton's step table; its domination
-index holds |Q| bits per kept set, no more than the kept sets themselves take
-as keys of the search's parent map.  That map holds at most |Sigma| sets per
+|Sigma|*|Q|^2 bits, as many as the automaton's step table, plus |Q| masks
+of |Sigma| bits for the letters that lead into a universal state; its
+domination index holds |Q| bits per kept set, no more than the kept sets
+themselves take as keys of the search's parent map.  That map holds at most |Sigma| sets per
 explored node, so ``antichain_nodes`` bounds both, and neither needs a cap of
 its own.
 

@@ -13,12 +13,13 @@ Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
 a, built whole from ``transitions`` on first use; a state set is an int
 bitmask (bit q set for state q).  The antichain decider packs the rows into
-one column per state and steps a set under all letters at once; the other
-searches step it one letter at a time with ``Nfa.step_mask``, and the class
-tests OR a state's entries over letters into one successor mask.  ``Nfa.succ``
-maps (state, letter) to the successor tuple and feeds only ``accepts`` and
-the literal-enumeration oracle, so that oracle shares no code with the step
-table it checks.
+one column per state and steps a set under all letters at once; the same
+columns name the letters that lead into a universal state, and those
+images are never cut out.  The other searches step a set one letter at a
+time with ``Nfa.step_mask``, and the class tests OR a state's entries over
+letters into one successor mask.  ``Nfa.succ`` maps (state, letter) to the
+successor tuple and feeds only ``accepts`` and the literal-enumeration
+oracle, so that oracle shares no code with the step table it checks.
 
 All values are immutable after construction.  Derived tables (``succ``,
 ``step_rows``, the masks) are cached properties: each is a pure function of
@@ -66,13 +67,15 @@ def _check_names(names: Sequence[str], kind: str) -> None:
         seen.add(name)
 
 
-def _sorted_unique(items: Sequence) -> tuple:
+def sorted_unique(items: Sequence) -> tuple:
     """``items`` as a sorted, duplicate-free tuple; one linear test skips
-    the sort when they already are."""
+    the sort when they already are.  The sort sees the items in their given
+    order, so it can use the sorted runs that generators emit, and equal
+    items end up adjacent for ``dict.fromkeys`` to drop."""
     items = tuple(items)
     if all(map(lt, items, items[1:])):
         return items
-    return tuple(sorted(set(items)))
+    return tuple(dict.fromkeys(sorted(items)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class Nfa:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         _check_names(self.alphabet, "letter")
         n, L = self.n_states, len(self.alphabet)
-        trans = _sorted_unique(map(tuple, self.transitions))
+        trans = sorted_unique(map(tuple, self.transitions))
         object.__setattr__(self, "transitions", trans)
         if trans:
             if set(map(len, trans)) != {3}:
@@ -119,8 +122,8 @@ class Nfa:
                 for (q, a, r) in trans:
                     if not (0 <= q < n and 0 <= r < n and 0 <= a < L):
                         raise InputError(f"transition {(q, a, r)} out of range")
-        object.__setattr__(self, "initial", _sorted_unique(self.initial))
-        object.__setattr__(self, "accepting", _sorted_unique(self.accepting))
+        object.__setattr__(self, "initial", sorted_unique(self.initial))
+        object.__setattr__(self, "accepting", sorted_unique(self.accepting))
         ends = self.initial + self.accepting
         if ends and not (0 <= min(ends) and max(ends) < n):
             for q in ends:

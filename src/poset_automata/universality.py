@@ -78,22 +78,45 @@ def universal_state_mask(a: Nfa) -> int:
     """States q with L(q) = Sigma^* for the provable-by-closure reason:
     q is accepting and every letter keeps some such state reachable
     (greatest fixpoint).  A subset containing one accepts every word, so
-    searches may discard it; the approximation is sound, not complete."""
+    searches may discard it; the approximation is sound, not complete.
+
+    Sweeps over the candidates settle most automata in a few passes, but
+    a cascade down a chain of states loses one state per sweep, so the
+    sweeps stop once they have checked more states than there are arcs.
+    A worklist finishes: only a predecessor of a state that the last sweep
+    removed can lose its last successor in the mask, so only those are
+    checked again, once per arc into a removed state."""
     u = a.accepting_mask
     rows = a.step_rows
-    changed = True
-    while changed:
-        changed = False
+    checked = 0
+    while checked <= len(a.transitions):
+        checked += u.bit_count()
+        removed = 0
         m = u
         while m:
             low = m & -m
             m ^= low
             q = low.bit_length() - 1
-            for x in range(a.n_letters):
-                if not rows[x][q] & u:
-                    u &= ~low
-                    changed = True
+            for row in rows:
+                if not row[q] & u:
+                    u ^= low
+                    removed |= low
                     break
+        if not removed:
+            return u
+    preds: dict[int, list[int]] = {}
+    for (q, _, r) in a.transitions:
+        preds.setdefault(r, []).append(q)
+    todo = [q for q in range(a.n_states) if removed >> q & 1]
+    while todo:
+        for q in preds.get(todo.pop(), ()):
+            low = 1 << q
+            if u & low:
+                for row in rows:
+                    if not row[q] & u:
+                        u ^= low
+                        todo.append(q)
+                        break
     return u
 
 
@@ -106,6 +129,17 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     A node's images under all letters come from one OR of packed columns:
     ``col[q]`` holds the successor masks of q under letters 0, 1, ... side
     by side, |Q| bits apart, so letter x's image is one shift and mask.
+    Above them, from bit |Sigma|*|Q| on, ``col[q]`` holds the letters under
+    which q steps into ``u_mask``, the universal states, so the same OR
+    also names every letter whose image meets ``u_mask``.
+
+    Such letters are skipped before their image is cut out or looked up in
+    ``parents``.  Nothing observable changes: an image that meets
+    ``u_mask`` meets the accepting states, so it is never a counterexample
+    and never queued.  Entered in ``parents``, it could only mark a later
+    equal image as a duplicate, and that image meets ``u_mask`` too.  So
+    the queue, ``explored``, ``max_frontier`` and the counterexample are
+    those of a search that steps every letter.
 
     Domination is answered by an inverted index.  Kept set i is bit i of
     ``all_kept`` and of ``has[q]`` for each of its members q; ``order``
@@ -116,7 +150,8 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     ``all_kept`` unset.  The test is exact, whatever the order of the
     states: the OR may stop once it covers ``all_kept``, and ``order``
     puts the states of the most kept sets first (re-sorted whenever the
-    kept count doubles) so that it stops sooner.
+    kept count doubles) so that it stops sooner.  ``order`` holds
+    (1 << q, q) pairs, so a state outside img is found with one AND.
     Kept supersets of a newly kept set are not removed: each still contains
     a kept set, so "some kept v <= img" has the same answer with or without
     them, and the queue, ``parents``, the counts and the counterexample are
@@ -124,8 +159,9 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
 
     ``col[q]`` is built when q first turns up in a popped set, so a search
     that stops at its first node pays only for the start set's columns.
-    ``col`` holds |Sigma|*|Q|^2 bits at most, as many as ``Nfa.step_rows``;
-    ``has`` holds |Q| bits per kept set, no more than the kept sets
+    ``col`` holds |Sigma|*|Q|^2 bits at most, as many as ``Nfa.step_rows``,
+    plus |Sigma| bits per state for the letters into ``u_mask``; ``has``
+    holds |Q| bits per kept set, no more than the kept sets
     themselves take as keys of ``parents`` (see ``caps``)."""
     caps = caps or default_caps()
     acc = a.accepting_mask
@@ -138,17 +174,18 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
         return UniversalityResult(True, None, "antichain", 0, 0)
     n = a.n_states
     full = (1 << n) - 1
-    rows = tuple(zip(range(0, a.n_letters * n, n), a.step_rows))  # (shift, row) per letter
-    col = [0] * n
-    built = 0  # the states whose column is filled
+    rows = a.step_rows
+    letters = tuple((x, 1 << x, x * n) for x in range(a.n_letters))
+    top = a.n_letters * n  # col[q] >> top: the letters that take q into u_mask
+    col: list[Optional[int]] = [None] * n  # None until q turns up in a popped set
     has = [0] * n
-    order = []  # the support; sorted by kept sets held each time `kept` doubles
+    order = []  # (1 << q, q) over the support q; sorted by kept sets held each time `kept` doubles
     m = start
     while m:
         q = m.bit_length() - 1
         m ^= 1 << q
         has[q] = 1
-        order.append(q)
+        order.append((1 << q, q))
     all_kept = 1
     kept = 1
     resort = 2
@@ -161,22 +198,25 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
         if explored > caps.antichain_nodes:
             raise ResourceLimitError(
                 f"antichain search exceeded antichain_nodes cap ({caps.antichain_nodes})")
-        m = mask & ~built
-        built |= m
-        while m:
-            q = m.bit_length() - 1
-            m ^= 1 << q
-            c = 0
-            for shift, row in rows:
-                c |= row[q] << shift
-            col[q] = c
         packed = 0
         m = mask
         while m:
             q = m.bit_length() - 1
             m ^= 1 << q
-            packed |= col[q]
-        for x, (shift, _) in enumerate(rows):
+            c = col[q]
+            if c is None:
+                c = 0
+                for x, xbit, shift in letters:
+                    r = rows[x][q]
+                    c |= r << shift
+                    if r & u_mask:
+                        c |= xbit << top
+                col[q] = c
+            packed |= c
+        skip = packed >> top  # the letters that take some member into u_mask
+        for x, xbit, shift in letters:
+            if skip & xbit:
+                continue  # the image meets u_mask: accepting, never queued
             img = packed >> shift & full
             if img in parents:
                 continue
@@ -184,11 +224,9 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
             if not img & acc:
                 word = _reconstruct(parents, img)
                 return UniversalityResult(False, word, "antichain", explored, max_frontier)
-            if img & u_mask:
-                continue  # a universal member: no rejecting subset below it
             hit = 0  # kept sets with a member outside img
-            for q in order:
-                if not img >> q & 1:
+            for qbit, q in order:
+                if not img & qbit:
                     hit |= has[q]
                     if hit == all_kept:
                         break
@@ -200,13 +238,13 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
                 q = m.bit_length() - 1
                 m ^= 1 << q
                 if not has[q]:
-                    order.append(q)
+                    order.append((1 << q, q))
                 has[q] |= bit
             all_kept |= bit
             kept += 1
             if kept == resort:
                 resort *= 2
-                order.sort(key=lambda q: has[q].bit_count(), reverse=True)
+                order.sort(key=lambda pair: has[pair[1]].bit_count(), reverse=True)
             queue.append(img)
             max_frontier = max(max_frontier, len(queue))
     return UniversalityResult(True, None, "antichain", explored, max_frontier)

@@ -45,6 +45,44 @@ def is_ptnfa(a: Nfa) -> tuple[bool, dict]:
     return not failures, failures
 
 
+def reference_universal_state_mask(a: Nfa) -> int:
+    """The universal-state fixpoint as one full sweep over the candidates
+    after another until a sweep removes nothing, kept verbatim as the
+    reference the worklist version is checked against."""
+    u = a.accepting_mask
+    rows = a.step_rows
+    changed = True
+    while changed:
+        changed = False
+        m = u
+        while m:
+            low = m & -m
+            m ^= low
+            q = low.bit_length() - 1
+            for x in range(a.n_letters):
+                if not rows[x][q] & u:
+                    u &= ~low
+                    changed = True
+                    break
+    return u
+
+
+def chain_nfa(n: int, reverse: bool = False, closed: bool = False) -> Nfa:
+    """Two letters over n accepting states: ``a`` moves q to q + 1 (to
+    q - 1 with ``reverse``), ``b`` is a self-loop everywhere.  The end
+    state of the ``a`` chain has no ``a`` arc, so no state is universal,
+    unless ``closed`` gives it an ``a`` self-loop and makes them all
+    universal.  The fixpoint loses one state per link of the chain."""
+    step = -1 if reverse else 1
+    links = range(1, n) if reverse else range(n - 1)
+    trans = [(q, 0, q + step) for q in links] + [(q, 1, q) for q in range(n)]
+    if closed:
+        end = 0 if reverse else n - 1
+        trans.append((end, 0, end))
+    return Nfa(n, ("a", "b"), tuple(trans), (0,), tuple(range(n)),
+               tuple(f"s{i}" for i in range(n)))
+
+
 def accepts_with_cutoff(a: Nfa, word, u_mask: int | None = None) -> bool:
     """accepts() with an early accept once the frontier hits a universal
     state (the remaining suffix cannot be rejected)."""

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepting_machine, rejecting_machine
+from conftest import (accepting_machine, chain_nfa, reference_universal_state_mask,
+                      rejecting_machine)
 from poset_automata.caps import Caps
 from poset_automata.core import Nfa, accepts
 from poset_automata.errors import InputError, ResourceLimitError
@@ -269,13 +270,15 @@ def test_sponfa_agrees_with_oracle(seed):
 def _linear_scan_antichain(a):
     """Reference copy of the antichain search with one list of
     subset-minimal kept sets, scanned whole for each new image and rebuilt
-    without the image's supersets."""
+    without the image's supersets.  It steps every letter and drops an
+    image that meets the universal states only after entering it in
+    ``parents``."""
     acc = a.accepting_mask
     start = a.initial_mask
     parents = {start: None}
     if not start & acc:
         return UniversalityResult(False, (), "antichain", 0, 0)
-    u_mask = universal_state_mask(a)
+    u_mask = reference_universal_state_mask(a)
     if start & u_mask:
         return UniversalityResult(True, None, "antichain", 0, 0)
     minimal = [start]
@@ -352,3 +355,112 @@ def test_antichain_matches_linear_scan_reference_on_reductions(machine, pval):
     res = universal_antichain(a)
     assert res == _linear_scan_antichain(a)
     assert res.universal == (machine is rejecting_machine)
+
+
+# ---------------------------------------------------------------------------
+# the letter skip: wide alphabets with planted universal states
+
+
+def _wide_nfa_with_universal_states(rng):
+    """8-24 letters over a few ordinary states plus one to three planted
+    universal states: accepting, and every letter moves each of them to
+    another one.  Each ordinary state has a successor under every letter,
+    so no image is empty, and only a few of its arcs lead into the planted
+    states, so a popped set steps into them under some letters but not
+    all.  The start set holds state 0, which accepts, and no planted
+    state; the last ordinary state never accepts, so that the ordinary
+    states are not all universal."""
+    n_plain = rng.randint(3, 8)
+    n_univ = rng.randint(1, 3)
+    n = n_plain + n_univ
+    L = rng.randint(8, 24)
+    univ = range(n_plain, n)
+    trans = [(q, x, rng.choice(univ)) for q in univ for x in range(L)]
+    into_univ = rng.choice([0.1, 0.25, 0.4])
+    for q in range(n_plain):
+        for x in range(L):
+            trans += [(q, x, r) for r in rng.sample(range(n_plain), rng.randint(1, 2))]
+            if rng.random() < into_univ:
+                trans.append((q, x, rng.choice(univ)))
+    initial = (0,) + tuple(q for q in range(1, n_plain) if rng.random() < 0.3)
+    acc_p = rng.choice([0.6, 0.75, 0.9])
+    accepting = (0,) + tuple(q for q in range(1, n_plain - 1) if rng.random() < acc_p) + tuple(univ)
+    return simple_nfa(n, L, trans, initial, accepting), sum(1 << q for q in univ)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_antichain_letter_skip_matches_references_on_wide_alphabets(seed):
+    """(universal, counterexample, explored, max_frontier) equal the linear
+    scan's, which steps every letter; the verdict and the counterexample
+    length equal the plain subset search's."""
+    rng = random.Random(1300 + seed)
+    for _ in range(60):
+        a, planted = _wide_nfa_with_universal_states(rng)
+        assert universal_state_mask(a) & planted == planted
+        res = universal_antichain(a)
+        assert res == _linear_scan_antichain(a)
+        oracle = universal_subset(a)
+        assert res.universal == oracle.universal
+        if not res.universal:
+            assert len(res.counterexample) == len(oracle.counterexample)
+            assert not accepts(a, res.counterexample)
+
+
+def test_wide_alphabet_family_exercises_the_skip():
+    """The family is not vacuous: in most cases the search pops the start
+    set, and its image under some letter, but not every letter, meets the
+    universal states."""
+    rng = random.Random(1300)
+    partial = 0
+    for _ in range(60):
+        a, _ = _wide_nfa_with_universal_states(rng)
+        u = universal_state_mask(a)
+        meets = [a.step_mask(a.initial_mask, x) & u != 0 for x in range(a.n_letters)]
+        if universal_antichain(a).explored and any(meets) and not all(meets):
+            partial += 1
+    assert partial >= 30
+
+
+# ---------------------------------------------------------------------------
+# the universal-state worklist against the full-sweep reference
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=300, deadline=None)
+def test_universal_state_mask_matches_sweep_reference(seed):
+    rng = random.Random(seed)
+    a = random_nfa(rng, max_states=10, max_letters=3)
+    assert universal_state_mask(a) == reference_universal_state_mask(a)
+
+
+def test_universal_state_mask_matches_sweep_reference_on_wide_alphabets():
+    rng = random.Random(13)
+    for _ in range(200):
+        a, _ = _wide_nfa_with_universal_states(rng)
+        assert universal_state_mask(a) == reference_universal_state_mask(a)
+
+
+def test_universal_state_mask_matches_sweep_reference_on_aknn():
+    for k in range(1, 6):
+        for n in range(1, 6):
+            for a in (build_aknn(k, n), trim_aknn(k, n)):
+                assert universal_state_mask(a) == reference_universal_state_mask(a)
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine])
+def test_universal_state_mask_matches_sweep_reference_on_reductions(machine, pval):
+    a = reduce(machine(), "1", pval).automaton
+    assert universal_state_mask(a) == reference_universal_state_mask(a)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("closed", [False, True])
+def test_universal_state_mask_on_chains(reverse, closed):
+    """A cascade as long as the chain: the sweep needs one pass per state
+    in the forward direction.  At 4,000 states the expected mask is known
+    (none or all of the states); at 300 it is the reference's."""
+    expected = (1 << 4000) - 1 if closed else 0
+    assert universal_state_mask(chain_nfa(4000, reverse, closed)) == expected
+    small = chain_nfa(300, reverse, closed)
+    assert universal_state_mask(small) == reference_universal_state_mask(small)
