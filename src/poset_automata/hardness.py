@@ -139,7 +139,7 @@ class Dag:
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise InputError("DAG needs at least one node")
-        object.__setattr__(self, "edges", sorted_unique(map(tuple, self.edges)))
+        object.__setattr__(self, "edges", sorted_unique(self.edges))
         for (u, v) in self.edges:
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
                 raise InputError(f"edge {(u, v)} out of range")

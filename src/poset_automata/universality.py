@@ -80,44 +80,49 @@ def universal_state_mask(a: Nfa) -> int:
     (greatest fixpoint).  A subset containing one accepts every word, so
     searches may discard it; the approximation is sound, not complete.
 
-    Sweeps over the candidates settle most automata in a few passes, but
-    a cascade down a chain of states loses one state per sweep, so the
-    sweeps stop once they have checked more states than there are arcs.
-    A worklist finishes: only a predecessor of a state that the last sweep
-    removed can lose its last successor in the mask, so only those are
-    checked again, once per arc into a removed state."""
+    A worklist computes it: every accepting state is checked once, and a
+    removed state can cost only its predecessors their last successor in
+    the mask, so only those are checked again, at most once per removed
+    successor.  A cascade down a chain of states thus costs one check per
+    link, not one pass over the candidates per link.  ``todo`` is a mask,
+    a subset of ``u``; the predecessor masks are built on the first
+    removal, so an automaton that loses no state pays for none."""
     u = a.accepting_mask
     rows = a.step_rows
-    checked = 0
-    while checked <= len(a.transitions):
-        checked += u.bit_count()
-        removed = 0
-        m = u
-        while m:
-            low = m & -m
-            m ^= low
-            q = low.bit_length() - 1
-            for row in rows:
-                if not row[q] & u:
-                    u ^= low
-                    removed |= low
-                    break
-        if not removed:
-            return u
-    preds: dict[int, list[int]] = {}
-    for (q, _, r) in a.transitions:
-        preds.setdefault(r, []).append(q)
-    todo = [q for q in range(a.n_states) if removed >> q & 1]
+    preds = None
+    todo = u
     while todo:
-        for q in preds.get(todo.pop(), ()):
-            low = 1 << q
-            if u & low:
-                for row in rows:
-                    if not row[q] & u:
-                        u ^= low
-                        todo.append(q)
-                        break
+        q = todo.bit_length() - 1
+        low = 1 << q
+        todo ^= low
+        for row in rows:
+            if not row[q] & u:
+                if preds is None:
+                    preds = _predecessors(rows, u)
+                u ^= low
+                todo |= preds[q] & u
+                break
     return u
+
+
+def _predecessors(rows, within: int) -> list[int]:
+    """Per state r of ``within``, the mask of the states of ``within`` with
+    an arc into r under some letter of the step-table ``rows``."""
+    preds = [0] * len(rows[0])
+    m = within
+    while m:
+        p = m.bit_length() - 1
+        low = 1 << p
+        m ^= low
+        s = 0
+        for row in rows:
+            s |= row[p]
+        s &= within
+        while s:
+            r = s.bit_length() - 1
+            s ^= 1 << r
+            preds[r] |= low
+    return preds
 
 
 def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
