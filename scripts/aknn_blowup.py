@@ -26,7 +26,7 @@ def main():
             elapsed = time.time() - t0
             assert res.counterexample == w_word(k, n)
             assert len(res.counterexample) == comb(k + n, n) - 1
-            print(f"{k},{n:>3} {a.n_states:>7} {len(res.counterexample):>6} "
+            print(f"{k},{n:>3} {a.n_states:>7} {comb(k + n, n) - 1:>6} "
                   f"{explored:>11} {len(res.counterexample):>7} "
                   f"{label:>8} {elapsed:>7.2f}s")
 

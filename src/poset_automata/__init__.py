@@ -10,9 +10,7 @@ from .dtm import Dtm, RunRecord, parse_dtm, simulate_dtm
 from .errors import InputError, ResourceLimitError, SimulationError
 from .hardness import (Dag, build_aknn, dag_gadget, dag_reachable, parse_dag,
                        sigma_alphabet, trim_aknn, w_word)
-from .reduction import (PairAlphabet, ReductionArtifact, build_part_a,
-                        build_part_b, choose_n, encode_run, expected_next,
-                        reduce)
+from .reduction import PairAlphabet, ReductionArtifact, encode_run, reduce
 from .universality import (UniversalityResult, format_result, universal,
                            universal_antichain, universal_brute,
                            universal_sponfa, universal_subset,

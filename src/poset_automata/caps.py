@@ -5,8 +5,8 @@ POSET_AUTOMATA_CAPS, a comma-separated list of key=value pairs, e.g.
 
     POSET_AUTOMATA_CAPS="antichain_nodes=200000,enum_len=32"
 
-Library functions take an optional ``caps`` argument; ``None`` means the
-process-wide defaults (environment included).
+Every function that runs under a cap reads ``default_caps()`` at the check
+it guards; the variable is the only way to set a cap.
 
 Memory of the antichain decider: its packed columns hold at most
 |Sigma|*|Q|^2 bits, as many as the automaton's step table, plus |Q| masks
@@ -68,6 +68,5 @@ class Caps:
 _DEFAULTS = Caps()
 
 
-def default_caps(environ: dict[str, str] | None = None) -> Caps:
-    env = os.environ if environ is None else environ
-    return _DEFAULTS.with_overrides(env.get(ENV_VAR, ""))
+def default_caps() -> Caps:
+    return _DEFAULTS.with_overrides(os.environ.get(ENV_VAR, ""))

@@ -17,7 +17,7 @@ Confluence asks, for pairs of states s, t, whether some w over two letters
 sends both to a common state.  That is reachability of the diagonal in the
 product of the automaton with itself, so it is searched over pairs of
 states, at most |Q|^2/2 per letter pair, not over pairs of state sets;
-``_confluent_raw`` gives the argument and the ``confluence_nodes`` cap that
+``is_confluent`` gives the argument and the ``confluence_nodes`` cap that
 bounds the search.
 """
 
@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from operator import and_, or_
 from typing import Optional
 
-from .caps import Caps, default_caps
+from .caps import default_caps
 from .core import Nfa
-from .errors import InputError, ResourceLimitError
+from .errors import ResourceLimitError
 
 LABELS = ("NFA", "poNFA", "rpoNFA", "spoNFA", "ptNFA", "DFA", "poDFA", "confluent-poDFA")
 
@@ -210,9 +210,10 @@ def _mark_path(memo: dict, parent: dict, pair: int) -> bool:
     return True
 
 
-def _confluent_raw(a: Nfa, caps: Optional[Caps] = None
-                   ) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
-    """Confluence and its first failing (q, a, b, s, t) in loop order.
+def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
+    """Confluence for NFAs: for every q and letters a, b (possibly equal),
+    successors s of q under a and t under b admit w in {a,b}* with sw and tw
+    intersecting.  Witness: the first failing (q, a, b, s, t) in loop order.
 
     Some w over {a, b} sends s and t to intersecting sets iff the pair graph
     (u, v) -> (u', v'), with u' in u.x and v' in v.x for one letter x in
@@ -240,8 +241,12 @@ def _confluent_raw(a: Nfa, caps: Optional[Caps] = None
     so the first failing witness still has s < t and is unchanged.
 
     A state's successor lists are built when it is first needed and are
-    shared by the outer loop and every search.  ``caps.confluence_nodes``
-    bounds the pairs held in all memos plus the search under way."""
+    shared by the outer loop and every search.  The argument uses no order
+    on the states, so any NFA may be asked.
+
+    The search holds at most |Sigma|^2*|Q|^2/4 state pairs in all; the
+    ``confluence_nodes`` cap bounds the pairs held in all memos plus the
+    search under way and raises ResourceLimitError."""
     n = a.n_states
     rows = a.step_rows
     succ: list = [None] * n  # per state, its successors per letter
@@ -250,7 +255,7 @@ def _confluent_raw(a: Nfa, caps: Optional[Caps] = None
         sq = succ[q] = [_members(row[q]) for row in rows]
         return sq
 
-    limit = (caps or default_caps()).confluence_nodes
+    limit = default_caps().confluence_nodes
     held = 0  # pairs in all memos
 
     def meets(start: int, ax: int, bx: int, memo: dict) -> bool:
@@ -315,20 +320,6 @@ def _confluent_raw(a: Nfa, caps: Optional[Caps] = None
                         if not known:
                             return False, (q, ax, bx, s, t)
     return True, None
-
-
-def is_confluent(a: Nfa, caps: Optional[Caps] = None
-                 ) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
-    """Confluence for NFAs: for every q and letters a, b (possibly equal),
-    successors s of q under a and t under b admit w in {a,b}* with
-    sw and tw intersecting.  Requires a partially ordered input.
-
-    The search holds at most |Sigma|^2*|Q|^2/4 state pairs in all; the
-    ``confluence_nodes`` cap bounds them and raises ResourceLimitError."""
-    po, _ = is_partially_ordered(a)
-    if not po:
-        raise InputError("confluence check requires a partially ordered automaton")
-    return _confluent_raw(a, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +396,21 @@ def _label(complete: bool, po: bool, sld: bool, saturated: bool, confluent: bool
 # The six flags in report order, which is also the field order of
 # ``ClassReport`` and ``_label``, each with its predicate; every predicate
 # returns (holds, witness).  Confluence is searched whether or not the input
-# is partially ordered, under the caps that ``classify`` receives.
+# is partially ordered.
 FLAGS = (
     ("complete", is_complete),
     ("partially_ordered", is_partially_ordered),
     ("self_loop_deterministic", is_self_loop_deterministic),
     ("saturated", is_saturated),
-    ("confluent", _confluent_raw),
+    ("confluent", is_confluent),
     ("ums", is_ums),
 )
 
 
-def classify(a: Nfa, caps: Optional[Caps] = None) -> ClassReport:
+def classify(a: Nfa) -> ClassReport:
     values, witnesses = [], {}
     for name, test in FLAGS:
-        ok, w = test(a, caps) if test is _confluent_raw else test(a)
+        ok, w = test(a)
         values.append(ok)
         if not ok:
             witnesses[name] = w

@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(args) -> int:
     a = parse_automaton(_read(args.file))
-    report = classify(a, default_caps())
+    report = classify(a)
     sys.stdout.write(format_report(a, report))
     if args.expect and report.label != args.expect:
         return 1
@@ -102,16 +102,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_universal(args) -> int:
     a = parse_automaton(_read(args.file))
-    caps = default_caps()
     max_len = args.max_len
     if max_len is None:
-        max_len = min(2 ** a.n_states, caps.enum_len)
-    decide = {"auto": lambda: universal(a, caps),
+        max_len = min(2 ** a.n_states, default_caps().enum_len)
+    decide = {"auto": lambda: universal(a),
               "sponfa": lambda: universal_sponfa(a),
               "unary": lambda: universal_unary_po(a),
-              "antichain": lambda: universal_antichain(a, caps),
-              "subset": lambda: universal_subset(a, caps),
-              "brute": lambda: universal_brute(a, max_len, caps)}
+              "antichain": lambda: universal_antichain(a),
+              "subset": lambda: universal_subset(a),
+              "brute": lambda: universal_brute(a, max_len)}
     res = decide[args.method]()
     sys.stdout.write(format_result(a, res))
     return 0 if res.universal else 1
@@ -130,7 +129,7 @@ def _cmd_gen_aknn(args) -> int:
 
 
 def _cmd_gen_dag(args) -> int:
-    gadget = dag_gadget(parse_dag(_read(args.file), default_caps()))
+    gadget = dag_gadget(parse_dag(_read(args.file)))
     sys.stdout.write(print_automaton(gadget))
     return 0
 
@@ -138,7 +137,7 @@ def _cmd_gen_dag(args) -> int:
 def _cmd_reduce(args) -> int:
     machine = parse_dtm(_read(args.tm))
     word = [tok for tok in args.input.replace(",", " ").split() if tok]
-    artifact = tm_reduce(machine, word, args.space, default_caps())
+    artifact = tm_reduce(machine, word, args.space)
     header = [
         f"reduction: n={artifact.n} space={artifact.pval} "
         f"pi-letters={len(artifact.automaton.alphabet)}",
@@ -153,6 +152,7 @@ def _cmd_reduce(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        default_caps()  # up front: a malformed value exits 2 even where no cap is reached
         return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

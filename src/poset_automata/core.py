@@ -25,7 +25,9 @@ All values are immutable after construction.  Derived tables (``succ``,
 ``step_rows``, the masks) are cached properties: each is a pure function of
 the fields, built complete on first use and never modified afterwards.  Two
 threads that race on first use build equal tables, one of which is kept, so
-a value can be shared between threads.  Operations are pure functions.
+a value can be shared between threads.  Operations are pure functions of
+their arguments and of the POSET_AUTOMATA_CAPS environment variable, which
+sets the resource caps (see ``caps``).
 """
 
 from __future__ import annotations
@@ -144,14 +146,6 @@ class Nfa:
         return {k: tuple(v) for k, v in table.items()}
 
     @cached_property
-    def initial_set(self) -> frozenset[int]:
-        return frozenset(self.initial)
-
-    @cached_property
-    def accepting_set(self) -> frozenset[int]:
-        return frozenset(self.accepting)
-
-    @cached_property
     def state_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.state_names)}
 
@@ -202,7 +196,7 @@ def accepts(a: Nfa, word: Sequence[int]) -> bool:
         current = {r for q in current for r in succ.get((q, x), ())}
         if not current:
             return False
-    return bool(current & a.accepting_set)
+    return not current.isdisjoint(a.accepting)
 
 
 # ---------------------------------------------------------------------------

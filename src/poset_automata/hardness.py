@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import comb
 
-from .caps import Caps, default_caps
+from .caps import default_caps
 from .core import Nfa, Word, sorted_unique, tokenize
 from .errors import InputError, ResourceLimitError
 
@@ -25,19 +25,19 @@ def sigma_alphabet(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(1, n + 1))
 
 
-def w_word(k: int, n: int, caps: Caps | None = None) -> Word:
+def w_word(k: int, n: int) -> Word:
     """W_{k,1} = a1^k, W_{1,n} = a1 a2 .. an, and
     W_{k,n} = W_{k,n-1} a_n W_{k-1,n}; empty whenever k*n = 0.
     Letter a_i is represented by id i-1.  The ``word_len`` check runs over
     C(max(k,n)+i, i) for i <= min(k,n), which grow with i up to C(k+n, n),
     and stops at the first one past the cap."""
-    caps = caps or default_caps()
     if k < 0 or n < 0:
         raise InputError("k and n must be nonnegative")
+    limit = default_caps().word_len
     for i in range(1, min(k, n) + 1):
-        if comb(max(k, n) + i, i) - 1 > caps.word_len:
+        if comb(max(k, n) + i, i) - 1 > limit:
             raise ResourceLimitError(
-                f"|W_{{{k},{n}}}| = C({k + n},{n})-1 exceeds word_len cap ({caps.word_len})")
+                f"|W_{{{k},{n}}}| = C({k + n},{n})-1 exceeds word_len cap ({limit})")
 
     if k == 0 or n == 0:
         return ()
@@ -68,7 +68,7 @@ def _st(i: int, m: int) -> str:
     return f"({i};{m})"
 
 
-def build_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
+def build_aknn(k: int, n: int) -> Nfa:
     """The ptNFA over a1..an that accepts exactly Sigma_n^* minus {W_{k,n}}.
 
     Level m holds states (0;m)..(2k;m); (0;m) is initial and (i;m) with
@@ -83,12 +83,12 @@ def build_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
     """
     if k < 1 or n < 1:
         raise InputError("A_{k,n} needs k >= 1 and n >= 1")
-    caps = caps or default_caps()
     # level m adds 2k+2 arcs by items 2-3 and (m-1)(5k+2) by items 1 and 4-6
     arcs = n * (2 * k + 2) + (5 * k + 2) * n * (n - 1) // 2
-    if arcs > caps.aknn_arcs:
+    limit = default_caps().aknn_arcs
+    if arcs > limit:
         raise ResourceLimitError(f"A_{{{k},{n}}} has {arcs} transitions, "
-                                 f"over the aknn_arcs cap ({caps.aknn_arcs})")
+                                 f"over the aknn_arcs cap ({limit})")
     w = 2 * k + 1  # states per level: (i;m) is state (m-1)w + i
     top = n * w  # max
     names = [_st(i, m) for m in range(1, n + 1) for i in range(w)] + ["max"]
@@ -106,11 +106,11 @@ def build_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
                tuple(names))
 
 
-def trim_aknn(k: int, n: int, caps: Caps | None = None) -> Nfa:
+def trim_aknn(k: int, n: int) -> Nfa:
     """Corollary-style trimming: build A_{k,n}, then delete states
     (k+1;i)..(2k;i) for every level i with their incident transitions.
     Language-equivalent but no longer complete."""
-    a = build_aknn(k, n, caps)
+    a = build_aknn(k, n)
     removed = {a.state_index[_st(i, m)]
                for m in range(1, n + 1) for i in range(k + 1, 2 * k + 1)}
     keep = [q for q in range(a.n_states) if q not in removed]
@@ -165,7 +165,7 @@ class Dag:
             raise InputError("graph has a cycle; a DAG is required")
 
 
-def parse_dag(text: str, caps: Caps | None = None) -> Dag:
+def parse_dag(text: str) -> Dag:
     """Line format: ``nodes: n``, ``source: s`` and ``target: t`` once
     each, repeated ``edge: u v``; '#' starts a comment token.  The node count is checked
     against the ``dag_nodes`` cap before anything of that size is built."""
@@ -189,10 +189,10 @@ def parse_dag(text: str, caps: Caps | None = None) -> Dag:
     if len(single) < 3:
         raise InputError("DAG file needs nodes:, source: and target: lines")
     n_nodes, source, target = single["nodes"], single["source"], single["target"]
-    caps = caps or default_caps()
-    if n_nodes > caps.dag_nodes:
+    limit = default_caps().dag_nodes
+    if n_nodes > limit:
         raise ResourceLimitError(f"DAG node count {n_nodes} exceeds dag_nodes cap "
-                                 f"({caps.dag_nodes})")
+                                 f"({limit})")
     return Dag(n_nodes, tuple(edges), source, target)
 
 

@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .caps import Caps, default_caps
+from .caps import default_caps
 from .core import Nfa, Word
 from .dtm import Dtm, check_run_args, simulate_dtm
 from .errors import InputError, ResourceLimitError
@@ -166,8 +166,7 @@ def config_count(m: Dtm, pval: int) -> int:
     return (len(m.tape_alphabet) * (len(m.states) + 1)) ** pval
 
 
-def encode_run(m: Dtm, x: Sequence[str], pval: int, n: int,
-               caps: Caps | None = None) -> Word:
+def encode_run(m: Dtm, x: Sequence[str], pval: int, n: int) -> Word:
     """The unique word over Pi spelling W_{n,n} in the first components and
     the padded accepting-run encoding # w_1 # ... # w_k # $^j in the second.
     The accepting configuration is repeated until fewer than p+1 places
@@ -176,7 +175,7 @@ def encode_run(m: Dtm, x: Sequence[str], pval: int, n: int,
     record = simulate_dtm(m, x, pval, step_cap=config_count(m, pval) + 1)
     if record.verdict != "accept":
         raise InputError(f"machine does not accept the input (verdict {record.verdict})")
-    word = w_word(n, n, caps)
+    word = w_word(n, n)
     total = len(word)
     blocks = (total - 1) // (pval + 1)
     dollars = (total - 1) % (pval + 1)
@@ -397,11 +396,11 @@ class ReductionArtifact:
     attachment_states: tuple[str, ...]
 
 
-def choose_n(m: Dtm, x: Sequence[str], pval: int, caps: Caps | None = None) -> int:
+def choose_n(m: Dtm, x: Sequence[str], pval: int) -> int:
     """Least n with |W_{n,n}| = C(2n,n)-1 >= 1 + C(x)(p+1), at most the
     ``reduce_n`` cap.  C(x) >= 3^p (two states, a blank) and C(2n,n) < 4^n,
     so a p of 2*reduce_n or more is refused before C(x) is computed."""
-    limit = (caps or default_caps()).reduce_n
+    limit = default_caps().reduce_n
     if pval < 2 * limit:
         need = 1 + config_count(m, pval) * (pval + 1)
         for n in range(1, limit + 1):
@@ -410,11 +409,10 @@ def choose_n(m: Dtm, x: Sequence[str], pval: int, caps: Caps | None = None) -> i
     raise ResourceLimitError(f"reduction needs n above the reduce_n cap ({limit})")
 
 
-def reduce(m: Dtm, x: Sequence[str], pval: int,
-           caps: Caps | None = None) -> ReductionArtifact:
+def reduce(m: Dtm, x: Sequence[str], pval: int) -> ReductionArtifact:
     """Build the full ptNFA; universal iff M does not accept x in space p."""
     check_run_args(m, x, pval)
-    n = choose_n(m, x, pval, caps)
+    n = choose_n(m, x, pval)
     bb = _Backbone(PairAlphabet(m, n))
     components = [("enc-backbone", 0, len(bb.names))]
     for name, build_part in (("part-a", build_part_a), ("part-b", build_part_b),

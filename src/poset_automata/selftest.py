@@ -85,7 +85,7 @@ def _suite_dag(seed: int, samples: int) -> SuiteResult:
     gadgets must reject a^{n-1}."""
     rng = random.Random(seed + 1)
     failures = []
-    total = min(samples, 200) or 200
+    total = min(samples, 200)
     for i in range(total):
         g = random_dag(rng)
         gadget = dag_gadget(g)
@@ -106,12 +106,12 @@ SUITES: tuple[tuple[str, Callable[[int, int], SuiteResult]], ...] = (
 )
 
 
-def run_selftest(seed: int = 0, samples: int = 1000, emit=print) -> bool:
+def run_selftest(seed: int = 0, samples: int = 1000) -> bool:
     if samples < 0:
         raise InputError("the sample count must be nonnegative")
     results = [fn(seed, samples) for _name, fn in SUITES]
     for r in results:
-        emit(f"suite {r.name}: {r.passed}/{r.total} pass")
+        print(f"suite {r.name}: {r.passed}/{r.total} pass")
     ok = all(r.ok for r in results)
-    emit(f"selftest: {'PASS' if ok else 'FAIL'} ({len(results)} suites)")
+    print(f"selftest: {'PASS' if ok else 'FAIL'} ({len(results)} suites)")
     return ok

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .caps import Caps, default_caps
+from .caps import default_caps
 from .classify import is_partially_ordered, is_saturated
 from .core import Nfa, Word, format_word
 from .errors import InputError, ResourceLimitError
@@ -38,7 +38,7 @@ def universal_sponfa(a: Nfa) -> UniversalityResult:
 
 
 def _sponfa_constant(a: Nfa) -> UniversalityResult:
-    if a.initial_set & a.accepting_set:
+    if a.initial_mask & a.accepting_mask:
         return UniversalityResult(True, None, "spoNFA-constant", 0, 0)
     return UniversalityResult(False, (), "spoNFA-constant", 0, 0)
 
@@ -125,7 +125,7 @@ def _predecessors(rows, within: int) -> list[int]:
     return preds
 
 
-def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
+def universal_antichain(a: Nfa) -> UniversalityResult:
     """BFS over subset-construction states that skips every new image
     containing an already kept subset.  Skipping a superset is sound: the
     smaller kept set reaches a rejecting subset whenever the larger one does,
@@ -168,7 +168,6 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     plus |Sigma| bits per state for the letters into ``u_mask``; ``has``
     holds |Q| bits per kept set, no more than the kept sets
     themselves take as keys of ``parents`` (see ``caps``)."""
-    caps = caps or default_caps()
     acc = a.accepting_mask
     start = a.initial_mask
     parents: dict[int, Optional[tuple[int, int]]] = {start: None}
@@ -197,12 +196,13 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     queue = deque([start])
     explored = 0
     max_frontier = 1
+    limit = default_caps().antichain_nodes
     while queue:
         mask = queue.popleft()
         explored += 1
-        if explored > caps.antichain_nodes:
+        if explored > limit:
             raise ResourceLimitError(
-                f"antichain search exceeded antichain_nodes cap ({caps.antichain_nodes})")
+                f"antichain search exceeded antichain_nodes cap ({limit})")
         packed = 0
         m = mask
         while m:
@@ -255,12 +255,11 @@ def universal_antichain(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     return UniversalityResult(True, None, "antichain", explored, max_frontier)
 
 
-def universal_subset(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
+def universal_subset(a: Nfa) -> UniversalityResult:
     """Plain subset-construction BFS with exact deduplication; complete
     because the subset space is finite (any rejected word has a rejected
     representative shorter than 2^|Q|).  Used as the oracle the antichain
     decider is validated against."""
-    caps = caps or default_caps()
     acc = a.accepting_mask
     start = a.initial_mask
     parents: dict[int, Optional[tuple[int, int]]] = {start: None}
@@ -269,12 +268,13 @@ def universal_subset(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
     queue = deque([start])
     explored = 0
     max_frontier = 1
+    limit = default_caps().antichain_nodes
     while queue:
         mask = queue.popleft()
         explored += 1
-        if explored > caps.antichain_nodes:
+        if explored > limit:
             raise ResourceLimitError(
-                f"subset search exceeded antichain_nodes cap ({caps.antichain_nodes})")
+                f"subset search exceeded antichain_nodes cap ({limit})")
         for x in range(a.n_letters):
             img = a.step_mask(mask, x)
             if img in parents:
@@ -298,7 +298,7 @@ def _word_at(index: int, length: int, n_letters: int) -> Word:
     return tuple(reversed(word))
 
 
-def universal_brute(a: Nfa, max_len: int, caps: Caps | None = None) -> UniversalityResult:
+def universal_brute(a: Nfa, max_len: int) -> UniversalityResult:
     """Literal enumeration of every word up to max_len in length-lex order.
     A 'universal' verdict only certifies the explored bound; with
     max_len >= 2^|Q| it is exact.
@@ -309,13 +309,13 @@ def universal_brute(a: Nfa, max_len: int, caps: Caps | None = None) -> Universal
     through ``Nfa.succ``, never through the step table the searches use, and
     equal images share one frozenset.  ``enum_nodes`` is checked before a
     set joins the level, so the list never holds more sets than the cap."""
-    caps = caps or default_caps()
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
+    caps = default_caps()
     if max_len > caps.enum_len:
         raise ResourceLimitError(f"brute-force length {max_len} exceeds enum_len cap "
                                  f"({caps.enum_len})")
-    succ, acc, letters = a.succ, a.accepting_set, range(a.n_letters)
+    succ, acc, letters = a.succ, frozenset(a.accepting), range(a.n_letters)
     images: dict[tuple[frozenset[int], int], frozenset[int]] = {}
 
     def image(states: frozenset[int], x: int) -> frozenset[int]:
@@ -327,7 +327,7 @@ def universal_brute(a: Nfa, max_len: int, caps: Caps | None = None) -> Universal
 
     checked = 0
     level: list[frozenset[int]] = []
-    new = iter((a.initial_set,))  # the one word of length 0
+    new = iter((frozenset(a.initial),))  # the one word of length 0
     for length in range(max_len + 1):
         for states in new:
             checked += 1
@@ -343,7 +343,7 @@ def universal_brute(a: Nfa, max_len: int, caps: Caps | None = None) -> Universal
     return UniversalityResult(True, None, "brute-force", checked, 1)
 
 
-def universal(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
+def universal(a: Nfa) -> UniversalityResult:
     """Dispatcher: saturated -> constant check, unary partially ordered ->
     pumping check, otherwise antichain.  Each class test runs once: the
     dispatcher calls the deciders' bodies, not their checked entry points."""
@@ -351,7 +351,7 @@ def universal(a: Nfa, caps: Caps | None = None) -> UniversalityResult:
         return _sponfa_constant(a)
     if a.n_letters == 1 and is_partially_ordered(a)[0]:
         return _unary_pumping(a)
-    return universal_antichain(a, caps)
+    return universal_antichain(a)
 
 
 def format_result(a: Nfa, res: UniversalityResult) -> str:

@@ -8,7 +8,6 @@ import random
 import time
 from math import comb
 
-from poset_automata.caps import Caps
 from poset_automata.classify import classify
 from poset_automata.core import Nfa, accepts
 from poset_automata.errors import ResourceLimitError
@@ -148,7 +147,8 @@ def test_criterion_7_universality_oracle_agreement():
            f"{mismatches} mismatches, {elapsed:.1f}s (< 60 s)")
 
 
-def test_criterion_8_tm_reduction_end_to_end():
+def test_criterion_8_tm_reduction_end_to_end(monkeypatch):
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "antichain_nodes=1000000")
     lines = []
     ok = True
     for pval in (1, 2):
@@ -178,7 +178,7 @@ def test_criterion_8_tm_reduction_end_to_end():
                 lines.append(f"{tag}: ptNFA={ptnfa} witness-rejected={rejected} "
                              f"corruptions-missed={missed}/{len(word) * (pa.n_delta - 1)}")
             try:
-                res = universal_antichain(art.automaton, Caps(antichain_nodes=10**6))
+                res = universal_antichain(art.automaton)
                 ok = ok and res.universal == (not accepts_input)
                 lines.append(f"{tag}: full universality verdict={res.universal} "
                              f"expected={not accepts_input} "
@@ -202,14 +202,14 @@ def test_criterion_9_sponfa_constant_decider():
            f"poNFAs, {mismatches} mismatches")
 
 
-def test_criterion_10_unary_pumping_decider():
+def test_criterion_10_unary_pumping_decider(monkeypatch):
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_len=512,enum_nodes=1000000")
     rng = random.Random(1010)
-    caps = Caps(enum_len=512, enum_nodes=10**6)
     mismatches = 0
     for _ in range(500):
         a = random_unary_po(rng, max_states=8)
         res = universal_unary_po(a)
-        brute = universal_brute(a, 2 ** a.n_states, caps)
+        brute = universal_brute(a, 2 ** a.n_states)
         if res.universal != brute.universal:
             mismatches += 1
         elif not res.universal and res.counterexample != brute.counterexample:

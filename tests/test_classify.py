@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poset_automata.caps import Caps
-from poset_automata.classify import (_confluent_raw, classify,
-                                     format_report, is_complete, is_confluent,
+from poset_automata.classify import (classify, format_report, is_complete, is_confluent,
                                      is_deterministic, is_partially_ordered,
                                      is_saturated,
                                      is_self_loop_deterministic, is_ums)
 from poset_automata.core import Nfa
-from poset_automata.errors import InputError, ResourceLimitError
+from poset_automata.errors import ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn
 from poset_automata.reduction import reduce
 from poset_automata.sampling import (random_complete_po_sld, random_nfa,
@@ -101,10 +99,25 @@ def test_confluence_same_letter_split():
     assert not ok and witness == (0, 0, 0, 1, 2)
 
 
-def test_confluence_requires_partial_order():
+def test_confluence_matches_classify_without_partial_order():
+    """Confluence is asked of every NFA: on inputs that are not partially
+    ordered, ``is_confluent`` gives ``classify``'s flag and witness."""
     cyclic = simple_nfa(2, 1, [(0, 0, 1), (1, 0, 0)], [0], [0])
-    with pytest.raises(InputError):
-        is_confluent(cyclic)
+    # p -a-> q, p -a-> r, q -b-> p, r -a-> r: the NFA of the CI report
+    split = simple_nfa(3, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 0), (2, 0, 2)], [0], [2])
+    rng = random.Random(5)
+    cases = [cyclic, split] + [_with_extra_arcs(rng, random_nfa(rng)) for _ in range(200)]
+    verdicts = set()
+    for a in cases:
+        if is_partially_ordered(a)[0]:
+            continue
+        ok, w = is_confluent(a)
+        rep = classify(a)
+        assert (ok, w) == (rep.confluent, rep.witnesses.get("confluent"))
+        verdicts.add(ok)
+    assert is_confluent(cyclic) == (True, None)
+    assert is_confluent(split) == (False, (0, 0, 0, 1, 2))
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -568,15 +581,15 @@ def test_step_table_predicates_match_succ_references(seed, sampler, dense):
     assert is_self_loop_deterministic(a) == _ref_self_loop_deterministic(a)
     assert is_saturated(a) == _ref_saturated(a)
     assert is_deterministic(a) == _ref_deterministic(a)
-    assert _confluent_raw(a) == _ref_confluent(a)
+    assert is_confluent(a) == _ref_confluent(a)
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
 def test_confluence_matches_set_pair_reference_on_aknn(k, n):
     a = build_aknn(k, n)
-    assert _confluent_raw(a) == _ref_confluent(a) == (True, None)
+    assert is_confluent(a) == _ref_confluent(a) == (True, None)
     t = trim_aknn(k, n)  # not confluent from n = 2 on
-    assert _confluent_raw(t) == _ref_confluent(t)
+    assert is_confluent(t) == _ref_confluent(t)
 
 
 @pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine])
@@ -585,7 +598,7 @@ def test_confluence_matches_set_pair_reference_on_reductions(machine):
     second per machine.  ``scripts/antichain_scaling.py``, which CI runs at
     bounds 1 and 2, asserts the confluent verdict there."""
     a = reduce(machine(), "1", 1).automaton
-    assert _confluent_raw(a) == _ref_confluent(a) == (True, None)
+    assert is_confluent(a) == _ref_confluent(a) == (True, None)
 
 
 def _with_extra_arcs(rng, a):
@@ -630,12 +643,14 @@ def test_po_and_ums_match_transition_references_on_reductions(machine):
     assert is_ums(a) == _ref_ums(a)
 
 
-def test_confluence_cap_fires_on_a_small_override():
+def test_confluence_cap_fires_on_a_small_override(monkeypatch):
     """A(3,3) needs searches; a cap of 5 held pairs stops the first one
     that grows past it."""
     a = build_aknn(3, 3)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "confluence_nodes=5")
     with pytest.raises(ResourceLimitError, match="confluence_nodes cap"):
-        is_confluent(a, Caps(confluence_nodes=5))
+        is_confluent(a)
     with pytest.raises(ResourceLimitError, match="confluence_nodes cap"):
-        classify(a, Caps(confluence_nodes=5))
-    assert is_confluent(a, Caps()) == (True, None)
+        classify(a)
+    monkeypatch.delenv("POSET_AUTOMATA_CAPS")
+    assert is_confluent(a) == (True, None)

@@ -284,11 +284,48 @@ def test_caps_env_bad_key_exit_two(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+_VALID_RUNS = {
+    "classify": ["classify", "AUT"],
+    "universal": ["universal", "AUT"],
+    "gen-word": ["gen-word", "--k", "1", "--n", "1"],
+    "gen-aknn": ["gen-aknn", "--k", "1", "--n", "1"],
+    "gen-dag": ["gen-dag", "DAG"],
+    "reduce": ["reduce", "--tm", "TM", "--input", "1", "--space", "1"],
+    "selftest": ["selftest", "--samples", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_RUNS))
+def test_malformed_caps_exit_two_on_every_subcommand(capsys, monkeypatch, tmp_path, command):
+    """The caps are read before any subcommand runs, so a malformed value is
+    reported also where no cap is reached (a one-state automaton is decided
+    without a search, gen-word --k 1 needs no check)."""
+    files = {"AUT": ("a.aut", "alphabet: a\nstates: p\ninitial: p\naccepting: p\n"
+                     "trans: p a p\n"),
+             "DAG": ("g.dag", DAG_TEXT), "TM": ("m.tm", TM_TEXT)}
+    for name, text in files.values():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / files[tok][0]) if tok in files else tok
+            for tok in _VALID_RUNS[command]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "bogus=1")
+    assert run_main(capsys, argv) == (
+        2, "", "error: unknown resource cap 'bogus' in POSET_AUTOMATA_CAPS\n")
+
+
 def test_selftest_cli(capsys):
     code, out, _ = run_main(capsys, ["selftest", "--samples", "60", "--seed", "1"])
     assert code == 0
     assert "suite lemma2-equivalence: 60/60 pass" in out
     assert "selftest: PASS" in out
+
+
+def test_selftest_zero_samples_runs_no_samples(capsys):
+    code, out, _ = run_main(capsys, ["selftest", "--samples", "0"])
+    assert code == 0
+    assert "suite lemma2-equivalence: 0/0 pass" in out
+    assert "suite dag-gadget: 0/0 pass" in out
 
 
 def test_selftest_negative_samples_exit_two(capsys):
@@ -417,6 +454,56 @@ def test_main_on_hostile_stdin_never_raises(run):
     assert code in (0, 1, 2, 3)
     message = err.getvalue()
     if code in (2, 3):
+        assert message.startswith(("error: ", "resource limit: "))
+        assert message.count("\n") == 1
+    else:
+        assert message == ""
+
+
+# ---------------------------------------------------------------------------
+# main() on edge and huge numeric arguments, with low caps: an exit code in
+# {0, 1, 2, 3}, a one-line message on 2 and 3, and no wait
+
+
+_NUMBERS = st.sampled_from([-10**30, -1, 0, 1, 2, 3, 10**9, 10**30]).map(str)
+_LOW_CAPS = ("antichain_nodes=2000,enum_len=12,enum_nodes=5000,word_len=1000,"
+             "reduce_n=3,dag_nodes=64,aknn_arcs=500,confluence_nodes=5000")
+
+
+@st.composite
+def numeric_runs(draw):
+    """A command with drawn numbers and its stdin.  ``--samples`` takes only
+    small values: selftest is linear in it and has no cap."""
+    kind = draw(st.sampled_from(["reduce", "gen-word", "gen-aknn", "brute", "selftest"]))
+    if kind == "reduce":
+        return ["reduce", "--tm", "-", "--input", "1", "--space", draw(_NUMBERS)], TM_TEXT
+    if kind in ("gen-word", "gen-aknn"):
+        argv = [kind, "--k", draw(_NUMBERS), "--n", draw(_NUMBERS)]
+        if kind == "gen-aknn" and draw(st.booleans()):
+            argv.append("--trim")
+        return argv, ""
+    if kind == "brute":
+        return (["universal", "--method", "brute", "--max-len", draw(_NUMBERS), "-"],
+                _AUTOMATON_TEXT)
+    samples = draw(st.sampled_from(["-1", "0", "1", "2"]))
+    return ["selftest", "--samples", samples, "--seed", draw(_NUMBERS)], ""
+
+
+@given(numeric_runs())
+@settings(max_examples=150, deadline=None)
+def test_main_on_numeric_edge_arguments_ends_at_once(run):
+    argv, text = run
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.dict(os.environ, {"POSET_AUTOMATA_CAPS": _LOW_CAPS}), \
+            mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2
+    assert code in (0, 1, 2, 3)
+    message = err.getvalue()
+    if code in (2, 3):
+        assert out.getvalue() == ""
         assert message.startswith(("error: ", "resource limit: "))
         assert message.count("\n") == 1
     else:

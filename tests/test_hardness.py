@@ -4,7 +4,6 @@ from math import comb
 
 import pytest
 
-from poset_automata.caps import Caps
 from poset_automata.classify import classify
 from poset_automata.core import Nfa, accepts, print_automaton
 from poset_automata.errors import InputError, ResourceLimitError
@@ -57,34 +56,38 @@ def test_w_word_deep_levels_need_no_recursion(k, n):
     assert len(w_word(k, n)) == comb(1502, 2) - 1
 
 
-def test_w_word_caps():
+def test_w_word_caps(monkeypatch):
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "word_len=1000000")
     with pytest.raises(ResourceLimitError):
-        w_word(30, 30, Caps(word_len=10**6))
+        w_word(30, 30)
     with pytest.raises(InputError):
         w_word(-1, 2)
 
 
-def test_w_word_cap_holds_at_its_bound():
-    caps = Caps(word_len=251)
-    assert len(w_word(5, 5, caps)) == 251  # C(10,5) - 1
+def test_w_word_cap_holds_at_its_bound(monkeypatch):
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "word_len=251")
+    assert len(w_word(5, 5)) == 251  # C(10,5) - 1
     for k, n in ((5, 6), (6, 5)):  # C(11,5) - 1 = 461
         with pytest.raises(ResourceLimitError):
-            w_word(k, n, caps)
+            w_word(k, n)
 
 
 # ---------------------------------------------------------------------------
 # A_{k,n}
 
 
-def test_aknn_arc_cap_is_exact_and_checked_first():
+def test_aknn_arc_cap_is_exact_and_checked_first(monkeypatch):
     """The cap counts A_{k,n}'s transitions exactly, and it is checked
     before anything is built, so a huge k and n fail at once."""
     arcs = len(build_aknn(3, 4).transitions)
-    assert build_aknn(3, 4, Caps(aknn_arcs=arcs)).transitions
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", f"aknn_arcs={arcs}")
+    assert build_aknn(3, 4).transitions
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", f"aknn_arcs={arcs - 1}")
     with pytest.raises(ResourceLimitError, match="aknn_arcs cap"):
-        build_aknn(3, 4, Caps(aknn_arcs=arcs - 1))
+        build_aknn(3, 4)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=1000000")
     with pytest.raises(ResourceLimitError, match="aknn_arcs cap"):
-        build_aknn(10**9, 10**9, Caps(aknn_arcs=10**6))
+        build_aknn(10**9, 10**9)
 
 
 def test_aknn_11_shape_and_rejected_set():

@@ -4,7 +4,6 @@ from math import comb
 
 import pytest
 
-from poset_automata.caps import Caps
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
 from poset_automata.errors import InputError, ResourceLimitError, SimulationError
@@ -262,13 +261,14 @@ def test_part_c_behaviour(setup_p1):
 # end-to-end pipeline
 
 
-def test_reduce_validates_input(tm_accepting):
+def test_reduce_validates_input(tm_accepting, monkeypatch):
     with pytest.raises(InputError):
         reduce(tm_accepting, "11", 1)
     with pytest.raises(InputError):
         reduce(tm_accepting, "z", 2)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "reduce_n=3")
     with pytest.raises(ResourceLimitError):
-        reduce(tm_accepting, "1", 2, Caps(reduce_n=3))
+        reduce(tm_accepting, "1", 2)
 
 
 def test_reduce_artifact_inventory(tm_accepting):
@@ -498,7 +498,7 @@ def test_shared_states_have_distinct_rows(machine, pval):
     for (q, x, r) in a.transitions:
         if q in arcs:
             arcs[q].add((x, r))
-    rows = {(q in a.accepting_set, frozenset(arcs[q])) for q in states}
+    rows = {(q in a.accepting, frozenset(arcs[q])) for q in states}
     assert len(rows) == len(states)
     assert not any(name.startswith("C2:g") for name in a.state_names)
     assert f"C3:s{pval + 1}" not in a.state_index and f"C3:s{pval}" in a.state_index

@@ -1,5 +1,7 @@
+import os
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import (accepting_machine, chain_nfa, reference_universal_state_mask,
                       rejecting_machine)
-from poset_automata.caps import Caps
 from poset_automata.core import Nfa, accepts
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn, w_word
@@ -112,9 +113,11 @@ def test_antichain_empty_initial_rejects_epsilon():
     assert not res.universal and res.counterexample == ()
 
 
-def test_antichain_node_cap():
+def test_antichain_node_cap(monkeypatch):
+    a = build_aknn(3, 3)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "antichain_nodes=3")
     with pytest.raises(ResourceLimitError):
-        universal_antichain(build_aknn(3, 3), Caps(antichain_nodes=3))
+        universal_antichain(a)
 
 
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3),
@@ -139,21 +142,24 @@ def test_brute_force_bounded():
     assert universal_brute(a, 0).universal  # epsilon only: accepted
 
 
-def test_brute_caps():
+def test_brute_caps(monkeypatch):
     a = saturated_chain(2, accept_initial=True)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_len=10")
     with pytest.raises(ResourceLimitError):
-        universal_brute(a, 100, Caps(enum_len=10))
+        universal_brute(a, 100)
 
 
-def test_brute_node_cap_counts_every_word():
+def test_brute_node_cap_counts_every_word(monkeypatch):
     """enum_nodes is checked before a word's set joins the level list: a
     universal two-letter automaton checks 1 + 2 + 4 + 8 words up to length
     3, so a cap of 15 suffices and a cap of 14 fires."""
     a = simple_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], [0], [0])
-    res = universal_brute(a, 3, Caps(enum_nodes=15))
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_nodes=15")
+    res = universal_brute(a, 3)
     assert res.universal and res.explored == 15
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_nodes=14")
     with pytest.raises(ResourceLimitError, match="enum_nodes cap"):
-        universal_brute(a, 3, Caps(enum_nodes=14))
+        universal_brute(a, 3)
 
 
 def test_brute_counterexample_and_count_in_length_lex_order():
@@ -223,7 +229,8 @@ def test_subset_oracle_agrees_with_literal_enumeration(seed):
     rng = random.Random(seed)
     a = random_nfa(rng, max_states=4, max_letters=2)
     oracle = universal_subset(a)
-    brute = universal_brute(a, 2 ** a.n_states, Caps(enum_len=64, enum_nodes=10**6))
+    with mock.patch.dict(os.environ, {"POSET_AUTOMATA_CAPS": "enum_len=64,enum_nodes=1000000"}):
+        brute = universal_brute(a, 2 ** a.n_states)
     assert oracle.universal == brute.universal
     if not oracle.universal:
         assert oracle.counterexample == brute.counterexample  # both length-lex first
@@ -248,7 +255,8 @@ def test_unary_pumping_agrees_with_literal_brute(seed):
     rng = random.Random(seed)
     a = random_unary_po(rng, max_states=6)
     res = universal_unary_po(a)
-    brute = universal_brute(a, 2 ** a.n_states, Caps(enum_len=256, enum_nodes=10**6))
+    with mock.patch.dict(os.environ, {"POSET_AUTOMATA_CAPS": "enum_len=256,enum_nodes=1000000"}):
+        brute = universal_brute(a, 2 ** a.n_states)
     assert res.universal == brute.universal
     if not res.universal:
         assert len(res.counterexample) == len(brute.counterexample)
