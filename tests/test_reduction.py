@@ -271,6 +271,16 @@ def test_reduce_validates_input(tm_accepting, monkeypatch):
         reduce(tm_accepting, "1", 2)
 
 
+def test_reduce_backbone_obeys_the_aknn_arcs_cap(tm_accepting, monkeypatch):
+    """The backbone A(n,n) is built under the same caps as the rest of the
+    reduction: at p = 1, n = 3 and A(3,3) has 75 arcs."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=74")
+    with pytest.raises(ResourceLimitError, match=r"A_\{3,3\} has 75 transitions"):
+        reduce(tm_accepting, "1", 1)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=75")
+    assert reduce(tm_accepting, "1", 1).n == 3
+
+
 def test_reduce_artifact_inventory(tm_accepting):
     art = reduce(tm_accepting, "1", 1)
     assert art.n == 3 and art.pval == 1
