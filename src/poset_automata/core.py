@@ -1,13 +1,15 @@
 """Representation and basic semantics of NFAs.
 
-Text comes in on one path: ``parse_automaton`` splits each line once (the
-shared ``tokenize`` drops comments), resolves names with dict lookups and
-hands the columns to the ``Nfa`` constructor, which validates them with a
-few whole-column tests and re-sorts transitions only when they do not come
-sorted and duplicate-free already.  The slow per-item loops run only to word
-an error, so a rejected text gets the same message either way.  The
-generators make their automata through the same constructor, from index
-triples, letter names and state names.
+Text comes in on one path: ``parse_automaton`` reads the text in bulk (all
+lines split at once, the comment cut only on lines that contain '#', the
+directives and ``trans:`` rows checked over whole columns), resolves names
+with dict lookups and hands the columns to the ``Nfa`` constructor, which
+validates them with a few whole-column tests and re-sorts transitions only
+when they do not come sorted and duplicate-free already.  The slow per-line
+and per-item loops (``tokenize`` over the lines, the per-name checks) run
+only to word an error, so a rejected text gets the same message either
+way.  The generators make their automata through the same constructor,
+from index triples, letter names and state names.
 
 Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
@@ -35,7 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import lt
+from itertools import compress, repeat
+from operator import contains, itemgetter, lt
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -118,8 +121,9 @@ class Nfa:
         if trans:
             if set(map(len, trans)) != {3}:
                 raise InputError("transitions must be (src, letter, dst) triples")
-            qs, xs, rs = zip(*trans)
-            if not (0 <= min(qs) and max(qs) < n and 0 <= min(xs) and max(xs) < L
+            # sorted: the sources' range is that of the first and last triple
+            xs, rs = set(map(itemgetter(1), trans)), set(map(itemgetter(2), trans))
+            if not (0 <= trans[0][0] and trans[-1][0] < n and 0 <= min(xs) and max(xs) < L
                     and 0 <= min(rs) and max(rs) < n):
                 for (q, a, r) in trans:
                     if not (0 <= q < n and 0 <= r < n and 0 <= a < L):
@@ -203,34 +207,76 @@ def accepts(a: Nfa, word: Sequence[int]) -> bool:
 # text format
 
 
-_COMMENT_RE = re.compile(r"(?:^|\s)#")  # a token that starts with '#'
+def _uncomment(tokens: list[str]) -> list[str]:
+    """The tokens before the first one that starts with '#', which opens a
+    comment to the end of its line; a '#' inside a token, as in the pair
+    letter ``(a1,#)``, does not."""
+    for i, tok in enumerate(tokens):
+        if tok[0] == "#":
+            return tokens[:i]
+    return tokens
 
 
 def tokenize(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """The line tokenizer of every text format: (line number, raw line,
-    tokens) for each line that keeps a token once the first token starting
-    with '#' has cut off the rest of its line.  Each line is split once."""
+    tokens) for each line that keeps a token once its comment is cut off.
+    Each line is split once."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
         if "#" in raw:
-            comment = _COMMENT_RE.search(raw)
-            tokens = (raw[:comment.start()] if comment else raw).split()
-        else:
-            tokens = raw.split()
+            tokens = _uncomment(tokens)
         if tokens:
             yield lineno, raw, tokens
 
 
 _DIRECTIVES = ("alphabet", "states", "initial", "accepting")
+_HEADS = {key + ":" for key in _DIRECTIVES}
 
 
 def parse_automaton(text: str) -> Nfa:
-    """Parse the line-oriented automaton format (see print_automaton)."""
-    directives: dict[str, list[str]] = {}
-    trans_lines: list[list[str]] = []
+    """Parse the line-oriented automaton format (see print_automaton).
+
+    The text is read in bulk: all lines are split at once, the comment cut
+    runs only on lines that contain '#', and the structure is checked over
+    whole columns (the four directives, each once, and four tokens in every
+    ``trans:`` row).  A text that fails this check goes through the
+    ``tokenize`` loop of ``_misformatted``, which reports the first fault
+    with its line number."""
+    lines = text.splitlines()
+    rows = list(map(str.split, lines))
+    for i in compress(range(len(lines)), map(contains, lines, repeat("#"))):
+        rows[i] = _uncomment(rows[i])
+    rows = list(filter(None, rows))
+    trans_lines = [row for row in rows if row[0] == "trans:"]
+    heads = {row[0]: row[1:] for row in rows if row[0] != "trans:"}
+    if not (len(rows) - len(trans_lines) == len(heads) and heads.keys() == _HEADS
+            and set(map(len, trans_lines)) <= {4}):
+        _misformatted(text)
+        raise AssertionError("the line loop passed a text the bulk check refused")
+    alphabet = tuple(heads["alphabet:"])
+    _check_names(alphabet, "letter")  # a bad letter is reported before a bad state
+    names = tuple(heads["states:"])
+    letter_of = {name: x for x, name in enumerate(alphabet)}
+    state_of = {name: i for i, name in enumerate(names)}
+    if len(state_of) != len(names):
+        _check_names(names, "state")  # words the duplicate before any lookup fails
+    try:
+        trans = [(state_of[s], letter_of[x], state_of[d]) for (_, s, x, d) in trans_lines]
+        initial = [state_of[tok] for tok in heads["initial:"]]
+        accepting = [state_of[tok] for tok in heads["accepting:"]]
+    except KeyError:
+        _undeclared(trans_lines, heads["initial:"] + heads["accepting:"], state_of, letter_of)
+        raise  # not reached: _undeclared finds the name the lookup missed
+    return Nfa(len(names), alphabet, trans, initial, accepting, names)
+
+
+def _misformatted(text: str) -> None:
+    """Raise about the first line that breaks the format, read line by line,
+    or else about the first missing directive."""
+    seen = set()
     for lineno, _raw, tokens in tokenize(text):
         head = tokens[0]
         if head == "trans:" and len(tokens) == 4:
-            trans_lines.append(tokens)
             continue
         if not head.endswith(":"):
             raise InputError(f"line {lineno}: expected a directive, got {head!r}")
@@ -239,39 +285,24 @@ def parse_automaton(text: str) -> Nfa:
             raise InputError(f"line {lineno}: trans needs <src> <letter> <dst>")
         if key not in _DIRECTIVES:
             raise InputError(f"line {lineno}: unknown directive {key!r}")
-        if key in directives:
+        if key in seen:
             raise InputError(f"line {lineno}: duplicate directive {key!r}")
-        directives[key] = tokens[1:]
+        seen.add(key)
     for key in _DIRECTIVES:
-        if key not in directives:
+        if key not in seen:
             raise InputError(f"missing directive {key!r}")
-    alphabet = tuple(directives["alphabet"])
-    _check_names(alphabet, "letter")  # a bad letter is reported before a bad state
-    names = tuple(directives["states"])
-    letter_of = {name: x for x, name in enumerate(alphabet)}
-    state_of = {name: i for i, name in enumerate(names)}
-    if len(state_of) != len(names):
-        _check_names(names, "state")  # words the duplicate before any lookup fails
-    try:
-        trans = [(state_of[s], letter_of[x], state_of[d]) for (_, s, x, d) in trans_lines]
-        initial = [state_of[tok] for tok in directives["initial"]]
-        accepting = [state_of[tok] for tok in directives["accepting"]]
-    except KeyError:
-        _undeclared(trans_lines, directives, state_of, letter_of)
-        raise  # not reached: _undeclared finds the name the lookup missed
-    return Nfa(len(names), alphabet, trans, initial, accepting, names)
 
 
-def _undeclared(trans_lines, directives, state_of, letter_of) -> None:
+def _undeclared(trans_lines, ends, state_of, letter_of) -> None:
     """Raise about the first undeclared name, in the order the names are
     resolved: each trans line's source, letter and target, then the
-    initial and the accepting states."""
+    initial and the accepting states (``ends``)."""
     for (_, s, x, d) in trans_lines:
         for tok, table, kind in ((s, state_of, "state"), (x, letter_of, "letter"),
                                  (d, state_of, "state")):
             if tok not in table:
                 raise InputError(f"undeclared {kind} {tok!r}")
-    for tok in directives["initial"] + directives["accepting"]:
+    for tok in ends:
         if tok not in state_of:
             raise InputError(f"undeclared state {tok!r}")
 

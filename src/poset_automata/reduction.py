@@ -81,6 +81,7 @@ completeness, partial order and UMS on the outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from math import comb
 from typing import Optional, Sequence
 
@@ -225,6 +226,8 @@ class _Backbone:
         self.hosts = tuple((index[f"({i};{m})"], m - 1)
                            for m in range(1, n + 1) for i in range(n))
         self.register: dict[tuple[bool, tuple[int, ...]], int] = {}
+        # (a_idx, d) of every pair letter, by pair id: the arguments of dst_of
+        self.pairs = tuple(divmod(x, nd) for x in range(len(pa.alphabet)))
 
     def state(self, name: str, *, initial: bool = False, accepting: bool = False) -> int:
         q = len(self.names)
@@ -238,8 +241,8 @@ class _Backbone:
     def fan(self, src: int, dst_of) -> None:
         """Arcs src --(a_i, d)--> dst_of(i, d) over every pair letter; a None
         destination adds no arc."""
-        self.arcs += [(src, x, dst) for x in range(len(self.pa.alphabet))
-                      if (dst := dst_of(*divmod(x, self.pa.n_delta))) is not None]
+        self.arcs += [(src, x, dst) for x, dst in enumerate(starmap(dst_of, self.pairs))
+                      if dst is not None]
 
     def host_entries(self, entry_of) -> None:
         """Attach a check entry at every host: host --(a,d)--> entry_of(d) for
@@ -255,7 +258,7 @@ class _Backbone:
         acceptance ``accepting``, made under ``name`` on the first call with
         this pair.  Its arcs are final: no ``fan`` or ``host_entries`` may
         extend it."""
-        row = tuple(dst_of(*divmod(x, self.pa.n_delta)) for x in range(len(self.pa.alphabet)))
+        row = tuple(starmap(dst_of, self.pairs))
         q = self.register.get((accepting, row))
         if q is None:
             q = self.register[accepting, row] = self.state(name, accepting=accepting)

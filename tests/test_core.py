@@ -246,7 +246,10 @@ def _outcome(f, *args):
         return ("InputError", str(exc))
 
 
-_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+# str.split splits at \x1f, \xa0 and \u3000, but str.splitlines does not end a line there
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u3000"])
+# every line break that str.splitlines knows, besides \n and \r\n
+_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 _COMMENTS = ["", "   ", "\t", "# only a comment", "#trans: s0 a s0"]
 _JUNK = _COMMENTS + ["bogus: x", "noColon x", "trans:", "trans: s0 a", "trans: s0 a s0 s1",
                      "states", "initial: s0 # s1", "alphabet:"]
@@ -256,8 +259,10 @@ _JUNK = _COMMENTS + ["bogus: x", "noColon x", "trans:", "trans: s0 a", "trans: s
 def automaton_texts(draw):
     """Automaton texts, valid and not: declared and undeclared names,
     duplicate and missing directives, wrong token counts, comments at line
-    start and mid-line next to ``b#k`` tokens that are names, tabs, CRLF,
-    blank lines, and unsorted or duplicated ``trans:`` lines.  About half
+    start and mid-line next to ``b#k`` and ``(a1,#)`` tokens that are
+    names, tabs and other whitespace, every line break of
+    ``str.splitlines``, blank lines, and unsorted or duplicated ``trans:``
+    lines.  About half
     the texts are drawn clean (each directive once, no junk lines), and
     undeclared names go into at most the trans lines or the initial and
     accepting lists, so that many texts parse."""
@@ -265,9 +270,9 @@ def automaton_texts(draw):
     spoiled = draw(st.sampled_from([(), (), ("trans",), ("initial",), ("accepting",),
                                     ("initial", "accepting")]))  # may hold undeclared names
     size = 1 if clean else 0
-    states = draw(st.lists(st.sampled_from(["s0", "s1", "s2", "b#k"]), min_size=size,
-                           max_size=4, unique=clean))
-    letters = draw(st.lists(st.sampled_from(["a", "b", "b#k"]), min_size=size,
+    states = draw(st.lists(st.sampled_from(["s0", "s1", "s2", "b#k", "(a1,#)"]),
+                           min_size=size, max_size=4, unique=clean))
+    letters = draw(st.lists(st.sampled_from(["a", "b", "b#k", "(a1,#)"]), min_size=size,
                             max_size=3, unique=clean))
 
     def names(pool, max_size, role="trans"):
@@ -303,8 +308,11 @@ def automaton_texts(draw):
             tokens.insert(at, draw(st.sampled_from(["#c", "# note", "#", "##x"])))
         lead = draw(st.sampled_from(["", "", " ", "\t"]))
         out.append(lead + draw(_SEPARATORS).join(tokens) + draw(st.sampled_from(["", "", " "])))
-    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
-    return eol.join(out) + draw(st.sampled_from(["", eol, eol + eol]))
+    eol = st.sampled_from(["\n", "\n", "\r\n", *_LINE_BREAKS])  # drawn for each line
+    ends = [draw(eol) for _ in out]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, out, ends)) + draw(st.sampled_from(["", "", "\n"]))
 
 
 @given(automaton_texts())
@@ -313,6 +321,8 @@ def automaton_texts(draw):
 @example("alphabet: a\nstates: s s\ninitial: s\naccepting:\ntrans: s a q\n")
 @example("alphabet: a a\nstates: s s\ninitial: s\naccepting:\n")
 @example("alphabet: a b#k\r\nstates: s\t#c\ninitial: s\naccepting: s\ntrans: s b#k s #x\n")
+@example("alphabet: (a1,#)\u2028states: s\xa0#c\x85initial: s\x0baccepting:\x1fs\x0c"
+         "trans:\u3000s (a1,#) s #x\x1c")
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_reference_parser(text):
     assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)

@@ -524,6 +524,27 @@ def test_reduce_language_is_exact_at_p1():
     assert universal_subset(reduce(rejecting_machine(), "1", 1).automaton).universal
 
 
+def test_reduce_trailing_dollar_checks_at_p2():
+    """At space bound 2 the accepting run's encoding ends in one $, which
+    p = 1 encodings never do, so this reaches the trailing-$ checks (C.1 to
+    C.3): the word is rejected, and each of its one-edit neighbours within
+    the last p + 1 letters is accepted ($ appended, a letter deleted, or a
+    letter replaced)."""
+    m, pval = accepting_machine(), 2
+    art = reduce(m, "1", pval)
+    a, pa = art.automaton, art.pair_alphabet
+    word = encode_run(m, "1", pval, art.n)
+    assert len(word) == 251
+    assert word[-1] % pa.n_delta == pa.dollar_id != word[-2] % pa.n_delta
+    assert not accepts(a, word)
+    edits = [word + (pa.pi_id(word[-1] // pa.n_delta, pa.dollar_id),)]
+    for i in range(len(word) - pval - 1, len(word)):
+        edits.append(word[:i] + word[i + 1:])
+        edits += [word[:i] + (x,) + word[i + 1:] for x in range(a.n_letters) if x != word[i]]
+    assert len(edits) == 121
+    assert all(accepts(a, edit) for edit in edits)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_prefix_attachability(n):
     """For every proper prefix of W_{n,n}, some reached state of A_{n,n}
