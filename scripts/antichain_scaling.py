@@ -4,9 +4,10 @@ micro machines (one accepting, one looping) on input ``1`` at space bounds
 1..pmax.
 
 Each reduction goes through the printed text and back, as in the shell
-pipeline ``reduce | universal``; only the antichain search and, on the same
-parsed automaton, the confluence check are timed.  Prints one row per
-machine and bound: states, explored nodes, peak queue length
+pipeline ``reduce | universal``; the parse of that text, the antichain
+search and, on the same parsed automaton, the confluence check are timed.
+Prints one row per machine and bound: states, size of the printed text
+in KB, parse seconds, explored nodes, peak queue length
 (``max_frontier``), counterexample length (``-`` for a universal
 automaton), antichain seconds and confluence seconds.
 
@@ -26,11 +27,14 @@ from poset_automata.universality import universal_antichain
 
 def main():
     pmax = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    print(f"{'machine':>9} {'p':>2} {'states':>6} {'explored':>8} {'frontier':>8} {'ce len':>6} "
-          f"{'seconds':>8} {'confluence s':>12}")
+    print(f"{'machine':>9} {'p':>2} {'states':>6} {'text KB':>7} {'parse s':>7} {'explored':>8} "
+          f"{'frontier':>8} {'ce len':>6} {'seconds':>8} {'confluence s':>12}")
     for pval in range(1, pmax + 1):
         for label, machine in machines():
-            a = parse_automaton(print_automaton(reduce(machine, "1", pval).automaton))
+            text = print_automaton(reduce(machine, "1", pval).automaton)
+            t0 = time.perf_counter()
+            a = parse_automaton(text)
+            parse_s = time.perf_counter() - t0
             t0 = time.perf_counter()
             res = universal_antichain(a)
             elapsed = time.perf_counter() - t0
@@ -40,7 +44,8 @@ def main():
             confluence_s = time.perf_counter() - t0
             assert confluent
             ce = "-" if res.universal else len(res.counterexample)
-            print(f"{label:>9} {pval:>2} {a.n_states:>6} {res.explored:>8} "
+            print(f"{label:>9} {pval:>2} {a.n_states:>6} {len(text.encode()) / 1000:>7.1f} "
+                  f"{parse_s:>7.4f} {res.explored:>8} "
                   f"{res.max_frontier:>8} {ce:>6} "
                   f"{elapsed:>8.2f} {confluence_s:>12.2f}", flush=True)
 

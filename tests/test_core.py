@@ -261,11 +261,11 @@ def automaton_texts(draw):
     duplicate and missing directives, wrong token counts, comments at line
     start and mid-line next to ``b#k`` and ``(a1,#)`` tokens that are
     names, tabs and other whitespace, every line break of
-    ``str.splitlines``, blank lines, and unsorted or duplicated ``trans:``
-    lines.  About half
-    the texts are drawn clean (each directive once, no junk lines), and
-    undeclared names go into at most the trans lines or the initial and
-    accepting lists, so that many texts parse."""
+    ``str.splitlines`` (drawn line by line, so breaks mix), blank lines,
+    and unsorted or duplicated ``trans:`` lines.  About half the texts are
+    drawn clean (each directive once, no junk lines), and undeclared names
+    go into at most the trans lines or the initial and accepting lists, so
+    that many texts parse."""
     clean = draw(st.booleans())
     spoiled = draw(st.sampled_from([(), (), ("trans",), ("initial",), ("accepting",),
                                     ("initial", "accepting")]))  # may hold undeclared names
@@ -308,7 +308,7 @@ def automaton_texts(draw):
             tokens.insert(at, draw(st.sampled_from(["#c", "# note", "#", "##x"])))
         lead = draw(st.sampled_from(["", "", " ", "\t"]))
         out.append(lead + draw(_SEPARATORS).join(tokens) + draw(st.sampled_from(["", "", " "])))
-    eol = st.sampled_from(["\n", "\n", "\r\n", *_LINE_BREAKS])  # drawn for each line
+    eol = st.sampled_from(["\n", "\n", "\r\n", *_LINE_BREAKS])
     ends = [draw(eol) for _ in out]
     if ends and draw(st.booleans()):
         ends[-1] = ""
