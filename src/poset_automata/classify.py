@@ -2,9 +2,12 @@
 
 Predicates: completeness, partial order, self-loop determinism, saturation,
 confluence, and the unique-maximal-state (UMS) property.  The ptNFA verdict
-is always derived from complete + partially ordered + UMS, never from
-confluence, so the equivalence "complete confluent self-loop deterministic
-poNFA = ptNFA" stays testable as a theorem.
+is derived from complete + partially ordered + UMS.  On a complete,
+partially ordered, self-loop deterministic NFA, confluence holds exactly
+when UMS does (the rpoNFA/ptNFA equivalence), so inside that class
+``classify`` reads confluence off UMS; outside it the pair search
+``is_confluent`` runs and names the witness.  ``is_confluent`` itself never
+takes that shortcut, so the equivalence stays testable as a theorem.
 
 Every predicate reads ``Nfa.step_rows`` and holds state sets as int
 bitmasks.  Partial order is a depth-first search over per-state successor
@@ -394,26 +397,27 @@ def _label(complete: bool, po: bool, sld: bool, saturated: bool, confluent: bool
 
 
 # The six flags in report order, which is also the field order of
-# ``ClassReport`` and ``_label``, each with its predicate; every predicate
-# returns (holds, witness).  Confluence is searched whether or not the input
-# is partially ordered.
-FLAGS = (
-    ("complete", is_complete),
-    ("partially_ordered", is_partially_ordered),
-    ("self_loop_deterministic", is_self_loop_deterministic),
-    ("saturated", is_saturated),
-    ("confluent", is_confluent),
-    ("ums", is_ums),
-)
+# ``ClassReport`` and ``_label``.  ``classify`` takes confluence from UMS
+# inside the class of the rpoNFA/ptNFA equivalence and from the pair search
+# ``is_confluent`` outside it.
+FLAGS = ("complete", "partially_ordered", "self_loop_deterministic", "saturated",
+         "confluent", "ums")
 
 
 def classify(a: Nfa) -> ClassReport:
-    values, witnesses = [], {}
-    for name, test in FLAGS:
-        ok, w = test(a)
-        values.append(ok)
-        if not ok:
-            witnesses[name] = w
+    """The six flags, the label and a witness for each flag that fails.
+    On a complete, partially ordered, self-loop deterministic input,
+    confluence equals UMS, so when UMS holds too confluence is true without
+    a search; otherwise the pair search runs and names the witness.  Each
+    predicate runs at most once."""
+    complete, po, sld, saturated, ums = (
+        is_complete(a), is_partially_ordered(a), is_self_loop_deterministic(a),
+        is_saturated(a), is_ums(a))
+    # inside the class, ums is (True, None): the answer of a search that fails nowhere
+    confluent = ums if complete[0] and po[0] and sld[0] and ums[0] else is_confluent(a)
+    results = (complete, po, sld, saturated, confluent, ums)
+    values = [ok for ok, _w in results]
+    witnesses = {name: w for name, (ok, w) in zip(FLAGS, results) if not ok}
     deterministic = is_deterministic(a)
     return ClassReport(*values, deterministic, _label(*values, deterministic), witnesses)
 
@@ -436,7 +440,7 @@ def _fmt_witness(a: Nfa, flag: str, w: tuple) -> str:
 def format_report(a: Nfa, report: ClassReport) -> str:
     """Line-oriented serialization with a stable field order."""
     lines = []
-    for name, _test in FLAGS:
+    for name in FLAGS:
         value = getattr(report, name)
         line = f"{name}: {'true' if value else 'false'}"
         if not value and name in report.witnesses:

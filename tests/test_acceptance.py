@@ -8,7 +8,7 @@ import random
 import time
 from math import comb
 
-from poset_automata.classify import classify
+from poset_automata.classify import classify, is_confluent, is_ums
 from poset_automata.core import Nfa, accepts
 from poset_automata.errors import ResourceLimitError
 from poset_automata.hardness import (build_aknn, dag_gadget, dag_reachable,
@@ -87,7 +87,8 @@ def test_criterion_4_confluent_iff_ums():
         a = random_complete_po_sld(rng, max_states=8, max_letters=3)
         rep = classify(a)
         assert rep.complete and rep.partially_ordered and rep.self_loop_deterministic
-        if rep.confluent != rep.ums:
+        confluent = is_confluent(a)[0]  # the pair search, not classify's shortcut
+        if confluent != is_ums(a)[0] or rep.confluent != confluent:
             discrepancies += 1
     report(4, discrepancies == 0,
            f"confluent <-> UMS on {samples} complete po self-loop-deterministic "

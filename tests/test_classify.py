@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poset_automata.classify import (classify, format_report, is_complete, is_confluent,
-                                     is_deterministic, is_partially_ordered,
-                                     is_saturated,
+from poset_automata.classify import (FLAGS, ClassReport, _label, classify, format_report,
+                                     is_complete, is_confluent, is_deterministic,
+                                     is_partially_ordered, is_saturated,
                                      is_self_loop_deterministic, is_ums)
 from poset_automata.core import Nfa
 from poset_automata.errors import ResourceLimitError
@@ -365,7 +365,9 @@ def test_confluent_iff_ums_on_complete_po_sld(seed):
     a = random_complete_po_sld(rng)
     rep = classify(a)
     assert rep.complete and rep.partially_ordered and rep.self_loop_deterministic
-    assert rep.confluent == rep.ums
+    confluent = is_confluent(a)[0]  # the pair search, not classify's shortcut
+    assert rep.confluent == confluent
+    assert confluent == is_ums(a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +584,7 @@ def test_step_table_predicates_match_succ_references(seed, sampler, dense):
     assert is_saturated(a) == _ref_saturated(a)
     assert is_deterministic(a) == _ref_deterministic(a)
     assert is_confluent(a) == _ref_confluent(a)
+    assert classify(a).confluent == _ref_confluent(a)[0]
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
@@ -643,14 +646,70 @@ def test_po_and_ums_match_transition_references_on_reductions(machine):
     assert is_ums(a) == _ref_ums(a)
 
 
+# ---------------------------------------------------------------------------
+# classify against a reference that runs all six predicates, as the report
+# was built before confluence was read off UMS inside the lemma's class
+
+
+def _ref_classify(a):
+    """Every predicate on its own, in report order, the pair search always."""
+    results = [is_complete(a), is_partially_ordered(a), is_self_loop_deterministic(a),
+               is_saturated(a), is_confluent(a), is_ums(a)]
+    values = [ok for ok, _w in results]
+    witnesses = {}
+    for name, (ok, w) in zip(FLAGS, results):
+        if not ok:
+            witnesses[name] = w
+    deterministic = is_deterministic(a)
+    return ClassReport(*values, deterministic, _label(*values, deterministic), witnesses)
+
+
+def _in_lemma_class(a):
+    return all(test(a)[0] for test in (is_complete, is_partially_ordered,
+                                       is_self_loop_deterministic, is_ums))
+
+
+def _report_cases():
+    rng = random.Random(16)
+    for sampler in _SAMPLERS:
+        for i in range(120):
+            a = sampler(rng)
+            yield _with_extra_arcs(rng, a) if i % 2 else a
+    for k in range(1, 6):
+        for n in range(1, 6):
+            yield build_aknn(k, n)
+            yield trim_aknn(k, n)
+    for machine in (accepting_machine, rejecting_machine):
+        yield reduce(machine(), "1", 1).automaton
+
+
+def test_report_bytes_match_the_all_predicate_reference():
+    """The report of ``classify`` is byte-identical to the reference's, on
+    inputs both inside the lemma's class (no search) and outside it."""
+    inside = outside = 0
+    for a in _report_cases():
+        rep = classify(a)
+        ref = _ref_classify(a)
+        assert rep == ref
+        assert format_report(a, rep) == format_report(a, ref)
+        if _in_lemma_class(a):
+            inside += 1
+        else:
+            outside += 1
+    assert inside > 50 and outside > 50
+
+
 def test_confluence_cap_fires_on_a_small_override(monkeypatch):
     """A(3,3) needs searches; a cap of 5 held pairs stops the first one
-    that grows past it."""
+    that grows past it.  ``classify`` answers A(3,3) from UMS without a
+    search, so its cap is checked on the trimmed A(3,3), which is
+    incomplete and so outside the lemma's class."""
     a = build_aknn(3, 3)
     monkeypatch.setenv("POSET_AUTOMATA_CAPS", "confluence_nodes=5")
     with pytest.raises(ResourceLimitError, match="confluence_nodes cap"):
         is_confluent(a)
     with pytest.raises(ResourceLimitError, match="confluence_nodes cap"):
-        classify(a)
+        classify(trim_aknn(3, 3))
+    assert classify(a).label == "ptNFA"
     monkeypatch.delenv("POSET_AUTOMATA_CAPS")
     assert is_confluent(a) == (True, None)

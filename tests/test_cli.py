@@ -389,13 +389,19 @@ def test_gen_aknn_arc_cap_exit_three(capsys, monkeypatch):
 
 
 def test_classify_confluence_cap_exit_three(capsys, monkeypatch):
-    """The confluence search stops at its pair cap: exit 3, one line."""
+    """The confluence search stops at its pair cap: exit 3, one line.  The
+    trimmed A(3,3) is incomplete, so ``classify`` runs the pair search;
+    A(3,3) itself is answered from UMS and passes under the same cap."""
     monkeypatch.setenv("POSET_AUTOMATA_CAPS", "confluence_nodes=5")
     code, out, err = run_main(capsys, ["classify", "-"],
-                              stdin=print_automaton(build_aknn(3, 3)),
+                              stdin=print_automaton(trim_aknn(3, 3)),
                               monkeypatch=monkeypatch)
     assert code == 3 and out == ""
     assert err == "resource limit: confluence search exceeded confluence_nodes cap (5)\n"
+    code, out, err = run_main(capsys, ["classify", "--expect", "ptNFA", "-"],
+                              stdin=print_automaton(build_aknn(3, 3)),
+                              monkeypatch=monkeypatch)
+    assert code == 0 and out.endswith("class: ptNFA\n") and err == ""
 
 
 # ---------------------------------------------------------------------------
