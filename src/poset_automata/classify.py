@@ -3,11 +3,11 @@
 Predicates: completeness, partial order, self-loop determinism, saturation,
 confluence, and the unique-maximal-state (UMS) property.  The ptNFA verdict
 is derived from complete + partially ordered + UMS.  On a complete,
-partially ordered, self-loop deterministic NFA, confluence holds exactly
-when UMS does (the rpoNFA/ptNFA equivalence), so inside that class
-``classify`` reads confluence off UMS; outside it the pair search
-``is_confluent`` runs and names the witness.  ``is_confluent`` itself never
-takes that shortcut, so the equivalence stays testable as a theorem.
+partially ordered, self-loop deterministic NFA confluence holds exactly
+when UMS does (the rpoNFA/ptNFA equivalence), so ``classify`` runs the pair
+search ``is_confluent``, which names the witness, only outside that class
+or where UMS fails.  ``is_confluent`` itself takes no such shortcut, so the
+equivalence stays testable as a theorem.
 
 Every predicate reads ``Nfa.step_rows`` and holds state sets as int
 bitmasks.  Partial order is a depth-first search over per-state successor
@@ -398,22 +398,19 @@ def _label(complete: bool, po: bool, sld: bool, saturated: bool, confluent: bool
 
 # The six flags in report order, which is also the field order of
 # ``ClassReport`` and ``_label``.  ``classify`` takes confluence from UMS
-# inside the class of the rpoNFA/ptNFA equivalence and from the pair search
-# ``is_confluent`` outside it.
+# inside the class of the rpoNFA/ptNFA equivalence when UMS holds, and from
+# the pair search ``is_confluent`` in every other case.
 FLAGS = ("complete", "partially_ordered", "self_loop_deterministic", "saturated",
          "confluent", "ums")
 
 
 def classify(a: Nfa) -> ClassReport:
-    """The six flags, the label and a witness for each flag that fails.
-    On a complete, partially ordered, self-loop deterministic input,
-    confluence equals UMS, so when UMS holds too confluence is true without
-    a search; otherwise the pair search runs and names the witness.  Each
-    predicate runs at most once."""
+    """The six ``FLAGS``, the label and a witness for each flag that fails.
+    Each predicate runs at most once, the pair search only where UMS cannot
+    answer for it (see the module docstring)."""
     complete, po, sld, saturated, ums = (
         is_complete(a), is_partially_ordered(a), is_self_loop_deterministic(a),
         is_saturated(a), is_ums(a))
-    # inside the class, ums is (True, None): the answer of a search that fails nowhere
     confluent = ums if complete[0] and po[0] and sld[0] and ums[0] else is_confluent(a)
     results = (complete, po, sld, saturated, confluent, ums)
     values = [ok for ok, _w in results]
