@@ -31,14 +31,14 @@ def main():
         print(f"== {label} machine, input '1', space bound {pval} ==")
         t0 = time.time()
         art = reduce(machine, "1", pval)
-        print(f"built in {time.time() - t0:.2f}s: n={art.n}, "
+        print(f"built in {time.time() - t0:.2f}s: backbone A({art.k},{art.n}), "
               f"{art.automaton.n_states} states, "
               f"{len(art.automaton.alphabet)} pair letters")
         for name, offset, count in art.components:
             print(f"  {name:<12} offset={offset:<6} states={count}")
         print(f"class: {classify(art.automaton).label}")
         if label == "accepting":
-            word = encode_run(machine, "1", pval, art.n)
+            word = encode_run(machine, "1", pval, art.k, art.n)
             print(f"run encoding: {len(word)} letters, "
                   f"rejected={not accepts(art.automaton, word)}")
         t0 = time.time()

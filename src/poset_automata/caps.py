@@ -39,7 +39,7 @@ class Caps:
     enum_len: int = 64           # maximum word length for brute-force enumeration
     enum_nodes: int = 10**6      # words checked by brute-force enumeration
     word_len: int = 10**7        # maximum |W_{k,n}| the word generator will build
-    reduce_n: int = 16           # maximum n chosen by the TM reduction
+    reduce_n: int = 16           # largest k and n of the TM reduction's backbone A_{k,n}
     dag_nodes: int = 10**6       # nodes a parsed DAG file may declare
     aknn_arcs: int = 10**6       # transitions of an A_{k,n} that build_aknn will build
     confluence_nodes: int = 2 * 10**6  # state pairs held by the confluence search

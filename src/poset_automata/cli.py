@@ -139,7 +139,7 @@ def _cmd_reduce(args) -> int:
     word = [tok for tok in args.input.replace(",", " ").split() if tok]
     artifact = tm_reduce(machine, word, args.space)
     header = [
-        f"reduction: n={artifact.n} space={artifact.pval} "
+        f"reduction: k={artifact.k} n={artifact.n} space={artifact.pval} "
         f"pi-letters={len(artifact.automaton.alphabet)}",
     ]
     header.extend(f"component {name}: offset={off} states={count}"

@@ -3,14 +3,16 @@ universality.
 
 Given a machine M, an input x and a space bound p, the pipeline builds a
 ptNFA over the pair alphabet Pi = Sigma_n x Delta_{#$} that accepts every
-word except the ones spelling W_{n,n} in their first components while
+word except the ones spelling W_{k,n} in their first components while
 encoding an accepting run of M on x in their second components.  Hence the
-output is universal iff M does not accept x within space p.
+output is universal iff M does not accept x within space p.  ``choose_kn``
+picks the A_{k,n} with the fewest states n(2k+1)+1 whose |W_{k,n}| holds
+the run.
 
 Components, in the output's state order:
-  enc-backbone  enc(A_{n,n}): A_{n,n} with every a_i transition duplicated
+  enc-backbone  enc(A_{k,n}): A_{k,n} with every a_i transition duplicated
        over all second components; it accepts every word whose first
-       projection is not W_{n,n}.
+       projection is not W_{k,n}.
   (A)  words differing from the initial configuration at some position
        0..p+1 (one chain c_0..c_{p+1});
   (B)  windows of three consecutive symbols whose successor cell, one
@@ -23,11 +25,13 @@ Components, in the output's state order:
 
 A check cannot simply end in a fresh accepting sink (that would break the
 unique-maximal-state property), so every leading Pi* is read by the
-backbone and every missing transition is completed into a state (n+1;i),
-from which the unread rest of W_{n,n} is never accepted.  Checks start at
-the hosts (i;m), i < n: accepting backbone states whose self-loops are
+backbone and every missing transition is completed into a state (k+1;i),
+from which the unread rest of W_{k,n} is never accepted.  Checks start at
+the hosts (i;m), i < k: accepting backbone states whose self-loops are
 exactly the letters with first component a_1..a_{m-1}, so entries through
-a_m..a_n keep the result self-loop deterministic.
+a_m..a_n keep the result self-loop deterministic.  So k sets the length of
+each level's chain, the k*n hosts and the completion targets' level k+1,
+and n sets the letters: n first components, |Pi| = n*|Delta_{#$}|.
 
 Deviation from the paper.  The paper gives every check its own copy of the
 backbone and takes the disjoint union of the parts (p+6 copies here).  This
@@ -37,36 +41,36 @@ part A's automaton for words shorter than the initial configuration.  The
 language stays the same:
 
 (1) One backbone accepts the union of the parts.  Let U hold the states
-    (i;m) with i > n, and max.  Every arc of A_{n,n} from U stays in U
-    (``build_aknn`` with k = n: rule 1 is a self-loop, rule 2 leads from
-    (i;m) to (i+1;m), rules 3 and 6 lead to max and (n+1;m), rules 4 and 5
-    leave only states with i < n), and no check is entered from U, so no
-    host and no check state is reachable from U.  The arcs of a check P
-    lead to P's own states, to the completion targets (n+1;i) and to max,
-    all but the first in U.  So an accepting run starts in the backbone or
-    in a check, enters at most one check P, and from then on stays in P
-    and U: every arc it takes belongs to "backbone + P" on its own.
-    Conversely each part's runs are runs of the whole.  The language is
-    therefore the union of the parts' languages, as in the paper.
+    (i;m) with i > k, and max.  Every arc of A_{k,n} from U stays in U
+    (``build_aknn``: rule 1 is a self-loop, rule 2 leads from (i;m) to
+    (i+1;m), rules 3 and 6 lead to max and (k+1;m), rules 4 and 5 leave
+    only states with i < k), and no check is entered from U, so no host
+    and no check state is reachable from U.  The arcs of a check P lead to
+    P's own states, to the completion targets (k+1;i) and to max, all but
+    the first in U.  So an accepting run starts in the backbone or in a
+    check, enters at most one check P, and from then on stays in P and U:
+    every arc it takes belongs to "backbone + P" on its own.  Conversely
+    each part's runs are runs of the whole.  The language is therefore the
+    union of the parts' languages, as in the paper.
 (2) Non-initial states with equal arcs and equal acceptance have equal
     futures.  ``_Backbone.shared`` keeps one state per (acceptance, arc
     row), as in acyclic-automaton minimisation (Revuz 1992; Daciuk et al.
     2000), and registers only states whose arcs are final when made, so a
     part handed an earlier part's state accepts what it would alone.  This
     rule makes every merge.  The paper's state for the window (dl, dc, dr)
-    reads p-1 arbitrary letters, then exits under (a_i, d) to (n+1;i) when
-    v = expected_next(dl, dc, dr) permits d, and to max otherwise; so all
-    windows with one verdict v share a delay line, and part B's w[dl,dc]
-    and w[dl] with equal successor rows are one state.  The $-runs of C.1
+    reads p-1 arbitrary letters, then exits under (a_i, d) to (k+1;i) when
+    the window's verdict v from ``expected_next`` permits d, and to max
+    otherwise; so all windows with one verdict v share a delay line, and
+    part B's w[dl,dc] and w[dl] with equal successor rows are one state.  The $-runs of C.1
     (d_1..d_p), C.2 (g_1..g_p after h) and C.3 (s_1..s_{p+1}) read $ into
     the next state and exit on anything else, so C.2's g_j is C.1's d_j,
     and C.3's last state is d_p.
 (3) One chain does the work of part A.  c_t reads any letter into c_{t+1}
-    (t <= p) and exits under (a_i, d) to (n+1;i) when d is the forced
+    (t <= p) and exits under (a_i, d) to (k+1;i) when d is the forced
     symbol of position t and to max otherwise.  No c_t is accepting, so an
     accepting run leaves the chain at some c_t, and from there on it is a
     run of the paper's chain for position t.  Words of length <= p+1 need
-    no automaton of their own: ``choose_n`` makes |W_{n,n}| >= 1 +
+    no automaton of their own: ``choose_kn`` makes |W_{k,n}| >= 1 +
     C(x)(p+1) > p+1, so the backbone accepts them.
 
 The ptNFA property carries over from the parts: arcs lead from the backbone
@@ -119,32 +123,55 @@ class PairAlphabet:
         return a_idx * self.n_delta + d_idx
 
 
-def expected_next(m: Dtm, pa: PairAlphabet, dl: int, dc: int, dr: int):
-    """The symbol forced one configuration later for the cell encoded by dc,
-    with dl/dr its neighbors.  Returns a Delta id, VACUOUS (window contains
-    $, nothing is checked) or IMPOSSIBLE (the machine halts in this window,
-    so only $ may follow)."""
-    if pa.dollar_id in (dl, dc, dr):
-        return VACUOUS
-    if dc == pa.hash_id:
-        return pa.hash_id
-    theta, marker = pa.cells[dc]
-    if marker is not None:
-        if marker == m.accepting:
-            return dc  # the accepting state behaves as a self-loop
-        rule = m.delta.get((marker, theta))
-        if rule is None:
-            return IMPOSSIBLE
-        q2, write, move = rule
-        return pa.cell_id(write, q2 if move == "S" else None)
-    # unmarked cell: a head may move onto it from either neighbor
-    for d, move in ((dl, "R"), (dr, "L")):
-        sym, q = pa.cells[d]
-        if q not in (None, m.accepting):
-            rule = m.delta.get((q, sym))
-            if rule is not None and rule[2] == move:
-                return pa.cell_id(theta, rule[0])
-    return pa.cell_id(theta, None)
+def expected_next(m: Dtm, pa: PairAlphabet) -> dict[tuple[int, int], tuple]:
+    """For the window (dl, dc, dr), ``expected_next(m, pa)[dl, dc][dr]`` is
+    the symbol forced one configuration later for the cell encoded by dc:
+    a Delta id, VACUOUS (window contains $, nothing is checked) or
+    IMPOSSIBLE (the machine halts in this window, so only $ may follow).
+    One row over dr per (dl, dc), in (dl, dc) order, the order in which
+    part B makes its delay lines: only an unmarked dc whose left neighbor
+    brings no head depends on dr."""
+    nd, dollar = pa.n_delta, pa.dollar_id
+
+    def arrival(d: int, move: str) -> Optional[str]:
+        """The state that the head in cell d brings to its neighbor under
+        ``move``, or None."""
+        theta, q = pa.cells[d]
+        if q in (None, m.accepting):
+            return None
+        rule = m.delta.get((q, theta))
+        return rule[0] if rule is not None and rule[2] == move else None
+
+    from_left = [arrival(d, "R") for d in range(nd)]
+    from_right = [arrival(d, "L") for d in range(nd)]
+    # the successor of each dc that ignores its neighbors (None: it does not)
+    fixed = []
+    for dc, (theta, marker) in enumerate(pa.cells):
+        if dc == pa.hash_id:
+            fixed.append(dc)
+        elif marker is None:
+            fixed.append(None)
+        elif marker == m.accepting:
+            fixed.append(dc)  # the accepting state behaves as a self-loop
+        elif (rule := m.delta.get((marker, theta))) is None:
+            fixed.append(IMPOSSIBLE)
+        else:
+            q2, write, move = rule
+            fixed.append(pa.cell_id(write, q2 if move == "S" else None))
+    rows = {}
+    for dl in range(nd):
+        for dc, (theta, _marker) in enumerate(pa.cells):
+            if dollar in (dl, dc):
+                row = [VACUOUS] * nd
+            elif fixed[dc] is not None:
+                row = [fixed[dc]] * nd
+            elif from_left[dl] is not None:  # a head moves onto dc from dl...
+                row = [pa.cell_id(theta, from_left[dl])] * nd
+            else:  # ...or from dr
+                row = [dc if q is None else pa.cell_id(theta, q) for q in from_right]
+            row[dollar] = VACUOUS
+            rows[dl, dc] = tuple(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +194,21 @@ def config_count(m: Dtm, pval: int) -> int:
     return (len(m.tape_alphabet) * (len(m.states) + 1)) ** pval
 
 
-def encode_run(m: Dtm, x: Sequence[str], pval: int, n: int) -> Word:
-    """The unique word over Pi spelling W_{n,n} in the first components and
-    the padded accepting-run encoding # w_1 # ... # w_k # $^j in the second.
+def encode_run(m: Dtm, x: Sequence[str], pval: int, k: int, n: int) -> Word:
+    """The unique word over Pi spelling W_{k,n} in the first components and
+    the padded accepting-run encoding # w_1 # ... # w_r # $^j in the second.
     The accepting configuration is repeated until fewer than p+1 places
     remain, which are then filled with $ (so j <= p)."""
     pa = PairAlphabet(m, n)
     record = simulate_dtm(m, x, pval, step_cap=config_count(m, pval) + 1)
     if record.verdict != "accept":
         raise InputError(f"machine does not accept the input (verdict {record.verdict})")
-    word = w_word(n, n)
+    word = w_word(k, n)
     total = len(word)
     blocks = (total - 1) // (pval + 1)
     dollars = (total - 1) % (pval + 1)
     if blocks < len(record.configs):
-        raise RuntimeError("n-selection invariant violated: run does not fit |W_{n,n}|")
+        raise RuntimeError("(k, n)-selection invariant violated: run does not fit |W_{k,n}|")
     w2: list[int] = [pa.hash_id]
     last = record.configs[-1]
     for i in range(blocks):
@@ -198,17 +225,18 @@ def encode_run(m: Dtm, x: Sequence[str], pval: int, n: int) -> Word:
 
 
 class _Backbone:
-    """The automaton under construction: enc(A_{n,n}) under A_{n,n}'s own
-    state names, then the checks attached to it.  States are indices.
+    """The automaton under construction: enc(A_{k,n}) under A_{k,n}'s own
+    state names, then the checks attached to it.  States are indices; n is
+    ``pa.n_sigma``.
 
-    Every a_i transition of A_{n,n} is duplicated over all second
+    Every a_i transition of A_{k,n} is duplicated over all second
     components and the initial states are kept, so the backbone accepts
-    Pi^* minus the W_{n,n} encodings on its own."""
+    Pi^* minus the W_{k,n} encodings on its own."""
 
-    def __init__(self, pa: PairAlphabet):
+    def __init__(self, pa: PairAlphabet, k: int):
         self.pa = pa
         n, nd = pa.n_sigma, pa.n_delta
-        base = build_aknn(n, n)
+        base = build_aknn(k, n)
         self.names = list(base.state_names)
         self.initial = list(base.initial)
         self.accepting = list(base.accepting)
@@ -216,15 +244,15 @@ class _Backbone:
                      for d in range(nd)]
         index = base.state_index
         self.max = index["max"]  # the accepting sink
-        # completion state (n+1;i) for first component a_i: the rest of
-        # W_{n,n} is never accepted from it (suffix-rejection corollary)
-        self.target = tuple(index[f"({n + 1};{a_idx + 1})"] for a_idx in range(n))
-        # (host, minimal conflict-free a_idx): (i;m) with i < n is accepting
+        # completion state (k+1;i) for first component a_i: the rest of
+        # W_{k,n} is never accepted from it (suffix-rejection corollary)
+        self.target = tuple(index[f"({k + 1};{a_idx + 1})"] for a_idx in range(n))
+        # (host, minimal conflict-free a_idx): (i;m) with i < k is accepting
         # and carries self-loops exactly under a_1..a_{m-1}; entries through
         # a_m..a_n cannot create the forbidden self-loop/exit pattern.  max
         # never hosts entries.
         self.hosts = tuple((index[f"({i};{m})"], m - 1)
-                           for m in range(1, n + 1) for i in range(n))
+                           for m in range(1, n + 1) for i in range(k))
         self.register: dict[tuple[bool, tuple[int, ...]], int] = {}
         # (a_idx, d) of every pair letter, by pair id: the arguments of dst_of
         self.pairs = tuple(divmod(x, nd) for x in range(len(pa.alphabet)))
@@ -321,16 +349,15 @@ def build_part_b(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     from the forced successor, with $ always permitted.  All of it is built
     from its ends through the register."""
     pa, nd = bb.pa, bb.pa.n_delta
-    verdict = {(dl, dc, dr): expected_next(m, pa, dl, dc, dr)
-               for dl in range(nd) for dc in range(nd) for dr in range(nd)}
+    verdict = expected_next(m, pa)
     head = {}
-    for v in dict.fromkeys(verdict.values()):
+    for v in dict.fromkeys(v for row in verdict.values() for v in row):
         dst_of = lambda a_idx, d: (bb.target[a_idx] if v == VACUOUS or d in (v, pa.dollar_id)
                                    else bb.max)
         for i in reversed(range(pval)):
             head[v] = bb.shared(f"B:next[{v}]" + (f"+{i}" if i else ""), dst_of)
             dst_of = lambda a_idx, d, q=head[v]: q
-    w2 = {(dl, dc): bb.shared(f"B:w[{dl},{dc}]", lambda a_idx, dr: head[verdict[dl, dc, dr]])
+    w2 = {(dl, dc): bb.shared(f"B:w[{dl},{dc}]", lambda a_idx, dr: head[verdict[dl, dc][dr]])
           for dl in range(nd) for dc in range(nd)}
     w1 = [bb.shared(f"B:w[{dl}]", lambda a_idx, dc: w2[dl, dc]) for dl in range(nd)]
     bb.host_entries(lambda d: w1[d])
@@ -392,6 +419,7 @@ def build_part_c4(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
 @dataclass(frozen=True)
 class ReductionArtifact:
     automaton: Nfa
+    k: int
     n: int
     pval: int
     pair_alphabet: PairAlphabet
@@ -399,24 +427,33 @@ class ReductionArtifact:
     attachment_states: tuple[str, ...]
 
 
-def choose_n(m: Dtm, x: Sequence[str], pval: int) -> int:
-    """Least n with |W_{n,n}| = C(2n,n)-1 >= 1 + C(x)(p+1), at most the
-    ``reduce_n`` cap.  C(x) >= 3^p (two states, a blank) and C(2n,n) < 4^n,
-    so a p of 2*reduce_n or more is refused before C(x) is computed."""
+def choose_kn(m: Dtm, x: Sequence[str], pval: int) -> tuple[int, int]:
+    """The (k, n) with |W_{k,n}| = C(k+n,n)-1 >= 1 + C(x)(p+1) and the
+    fewest states n(2k+1)+1 in A_{k,n}, on a tie the smaller n (fewer
+    letters); k and n are at most the ``reduce_n`` cap.  For each n the
+    least fitting k is the best, so the search makes at most reduce_n^2
+    ``comb`` calls.  C(x) >= 3^p (two states, a blank) and C(k+n,n) <=
+    C(2L,L) < 4^L for k, n <= L = reduce_n, so a p of 2L or more is refused
+    before C(x) is computed."""
     limit = default_caps().reduce_n
+    fits = []  # (states - 1, n, k)
     if pval < 2 * limit:
         need = 1 + config_count(m, pval) * (pval + 1)
         for n in range(1, limit + 1):
-            if comb(2 * n, n) - 1 >= need:
-                return n
-    raise ResourceLimitError(f"reduction needs n above the reduce_n cap ({limit})")
+            k = next((k for k in range(1, limit + 1) if comb(k + n, n) - 1 >= need), None)
+            if k is not None:
+                fits.append((n * (2 * k + 1), n, k))
+    if not fits:
+        raise ResourceLimitError(f"reduction needs k or n above the reduce_n cap ({limit})")
+    _states, n, k = min(fits)
+    return k, n
 
 
 def reduce(m: Dtm, x: Sequence[str], pval: int) -> ReductionArtifact:
     """Build the full ptNFA; universal iff M does not accept x in space p."""
     check_run_args(m, x, pval)
-    n = choose_n(m, x, pval)
-    bb = _Backbone(PairAlphabet(m, n))
+    k, n = choose_kn(m, x, pval)
+    bb = _Backbone(PairAlphabet(m, n), k)
     components = [("enc-backbone", 0, len(bb.names))]
     for name, build_part in (("part-a", build_part_a), ("part-b", build_part_b),
                              ("part-c1", build_part_c1), ("part-c2", build_part_c2),
@@ -425,4 +462,4 @@ def reduce(m: Dtm, x: Sequence[str], pval: int) -> ReductionArtifact:
         build_part(bb, m, x, pval)
         components.append((name, offset, len(bb.names) - offset))
     hosts = tuple(bb.names[host] for host, _min_a in bb.hosts)
-    return ReductionArtifact(bb.build(), n, pval, bb.pa, tuple(components), hosts)
+    return ReductionArtifact(bb.build(), k, n, pval, bb.pa, tuple(components), hosts)

@@ -125,6 +125,33 @@ def w_reference(k: int, n: int) -> tuple[int, ...]:
     return w_reference(k, n - 1) + (n - 1,) + w_reference(k - 1, n)
 
 
+def expected_next_reference(m: Dtm, pa, dl: int, dc: int, dr: int):
+    """The forced successor of one window (dl, dc, dr), straight from the
+    transition rules: the oracle for ``reduction.expected_next``'s rows.
+    Returns a Delta id, "vacuous" (window contains $) or "impossible" (the
+    machine halts in this window)."""
+    if pa.dollar_id in (dl, dc, dr):
+        return "vacuous"
+    if dc == pa.hash_id:
+        return pa.hash_id
+    theta, marker = pa.cells[dc]
+    if marker is not None:
+        if marker == m.accepting:
+            return dc
+        rule = m.delta.get((marker, theta))
+        if rule is None:
+            return "impossible"
+        q2, write, move = rule
+        return pa.cell_id(write, q2 if move == "S" else None)
+    for d, move in ((dl, "R"), (dr, "L")):
+        sym, q = pa.cells[d]
+        if q not in (None, m.accepting):
+            rule = m.delta.get((q, sym))
+            if rule is not None and rule[2] == move:
+                return pa.cell_id(theta, rule[0])
+    return pa.cell_id(theta, None)
+
+
 def accepting_machine() -> Dtm:
     """Enters the accepting state on the first input symbol."""
     return Dtm(states=("q0", "qf"), initial="q0", accepting="qf",

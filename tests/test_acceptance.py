@@ -158,9 +158,9 @@ def test_criterion_8_tm_reduction_end_to_end(monkeypatch):
             art = reduce(machine, "1", pval)
             ptnfa, failures = is_ptnfa(art.automaton)
             ok = ok and ptnfa
-            tag = f"p={pval} {'acc' if accepts_input else 'rej'} n={art.n}"
+            tag = f"p={pval} {'acc' if accepts_input else 'rej'} k={art.k} n={art.n}"
             if accepts_input:
-                word = encode_run(machine, "1", pval, art.n)
+                word = encode_run(machine, "1", pval, art.k, art.n)
                 u = universal_state_mask(art.automaton)
                 rejected = not accepts_with_cutoff(art.automaton, word, u)
                 ok = ok and rejected

@@ -142,18 +142,18 @@ def test_reduce_cli(capsys, monkeypatch, tmp_path):
     code, out, _ = run_main(capsys, ["reduce", "--tm", str(path),
                                      "--input", "1", "--space", "1"])
     assert code == 0
-    assert out.startswith("# reduction: n=3")
+    assert out.startswith("# reduction: k=4 n=2 space=1 pi-letters=16\n")
     components = [line.split(":")[0].removeprefix("# component ")
                   for line in out.splitlines() if line.startswith("# component ")]
     assert components == ["enc-backbone", "part-a", "part-b", "part-c1",
                           "part-c2", "part-c3", "part-c4"]
-    assert "# component enc-backbone: offset=0 states=22\n" in out
+    assert "# component enc-backbone: offset=0 states=19\n" in out
     automaton = parse_automaton(out)
     code, out2, _ = run_main(capsys, ["universal", "-"], stdin=out,
                              monkeypatch=monkeypatch)
     assert code == 1  # the machine accepts, so the output is not universal
     word = out2.splitlines()[1].removeprefix("counterexample: ").split()
-    assert len(word) == len(w_word(3, 3))
+    assert len(word) == len(w_word(4, 2))
 
 
 # SHA-256 of the generators' output bytes: state order, names and arcs
@@ -163,9 +163,9 @@ _PINNED_OUTPUTS = [
     (["gen-aknn", "--k", "3", "--n", "3", "--trim"],
      "1178af9e3935946facc5b4d6c553a87c6114b438c463bb6ac3f0044328a9bdf0"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "1"],
-     "1e9c500bf3ca21dfeb25493b5e1a875ec9f984bb0b000e9978a34a59cfa71c42"),
+     "ba215683405e50c70153a150ff8d778599777dbb915f9b9898dc3fb26a8cbad5"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "2"],
-     "caa0101c43df4eb5edadeb9319949846dd84fa7ece73bd75c24e4dcae9f4e86c"),
+     "f1fadf48b2dc04ca21ef3dbac8b5dae7cf1e6f7141e739746bb6e1c38041f04c"),
 ]
 
 
@@ -177,6 +177,37 @@ def test_generator_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run_main(capsys, [str(path) if tok == "TM" else tok for tok in argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reduce_p3_output_is_the_square_backbones_apart_from_the_header(capsys, tmp_path):
+    """At p = 3 the fewest-state backbone is A(6,6), the square one, so
+    every byte after the ``reduction:`` line is the SHA-256-pinned output
+    that ``reduce`` gave when it always built A(n,n)."""
+    path = tmp_path / "m.tm"
+    path.write_text(TM_TEXT)
+    code, out, _ = run_main(capsys, ["reduce", "--tm", str(path), "--input", "1",
+                                     "--space", "3"])
+    assert code == 0
+    head, rest = out.split("\n", 1)
+    assert head == "# reduction: k=6 n=6 space=3 pi-letters=48"
+    assert hashlib.sha256(rest.encode()).hexdigest() == (
+        "9742df3979e27d093ff8df02ba331a8a843678b93ab0eeffb7d32608e8b08b10")
+
+
+@pytest.mark.parametrize("caps, space, limit", [("reduce_n=3", "2", 3),
+                                                ("", "1000000000", 16)],
+                         ids=["cap-3-p2", "huge-space"])
+def test_reduce_refuses_what_no_backbone_under_the_cap_holds(capsys, monkeypatch, tmp_path,
+                                                             caps, space, limit):
+    """No A(k,n) with k, n <= reduce_n holds the run: exit 3, one line."""
+    path = tmp_path / "m.tm"
+    path.write_text(TM_TEXT)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", caps)
+    code, out, err = run_main(capsys, ["reduce", "--tm", str(path), "--input", "1",
+                                       "--space", space])
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: reduction needs k or n above the reduce_n cap "
+                   f"({limit})\n")
 
 
 def test_classify_and_universal_report_bytes_are_pinned(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from poset_automata.caps import default_caps
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
 from poset_automata.errors import InputError, ResourceLimitError, SimulationError
@@ -11,15 +12,16 @@ from poset_automata.hardness import build_aknn, w_word
 from poset_automata.reduction import (PairAlphabet, _Backbone,
                                       build_part_a, build_part_b,
                                       build_part_c1, build_part_c2,
-                                      build_part_c3, build_part_c4, choose_n,
+                                      build_part_c3, build_part_c4, choose_kn,
                                       config_count, encode_run, expected_next,
                                       initial_config_symbols, reduce)
 from poset_automata.selftest import rejects_exactly
 from poset_automata.universality import (universal_antichain, universal_state_mask,
                                          universal_subset)
 
-from conftest import (accepting_machine, accepts_with_cutoff, head_moving_machine,
-                      incrementing_machine, is_ptnfa, rejecting_machine, w_reference)
+from conftest import (accepting_machine, accepts_with_cutoff, expected_next_reference,
+                      head_moving_machine, incrementing_machine, is_ptnfa,
+                      rejecting_machine, w_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +113,44 @@ def test_simulate_input_checks(tm_accepting):
 
 
 def test_choose_n_is_minimal(tm_accepting):
-    for pval in (1, 2):
-        n = choose_n(tm_accepting, "1", pval)
+    """Brute force over every (k, n) up to the ``reduce_n`` cap: the pick
+    fits the run and has the fewest states n(2k+1)+1 of A_{k,n}, on a tie
+    the smaller n."""
+    limit = default_caps().reduce_n
+    for machine in (tm_accepting, head_moving_machine()):
+        for pval in range(1, 6):
+            need = 1 + config_count(machine, pval) * (pval + 1)
+            fitting = [(n * (2 * k + 1) + 1, n, k) for k in range(1, limit + 1)
+                       for n in range(1, limit + 1) if comb(k + n, n) - 1 >= need]
+            _states, n, k = min(fitting)
+            assert choose_kn(machine, "1", pval) == (k, n)
+    assert choose_kn(tm_accepting, "1", 1) == (4, 2)
+    assert choose_kn(tm_accepting, "1", 2) == (5, 4)
+    assert choose_kn(tm_accepting, "1", 3) == (6, 6)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5])
+def test_choose_refuses_exactly_when_the_square_is_too_short(tm_accepting, monkeypatch,
+                                                             limit):
+    """|W_{k,n}| is largest at k = n = reduce_n, so the (k, n) choice
+    refuses exactly the space bounds that the square A_{n,n} did."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", f"reduce_n={limit}")
+    for pval in range(1, 2 * limit + 2):
         need = 1 + config_count(tm_accepting, pval) * (pval + 1)
-        assert comb(2 * n, n) - 1 >= need
-        assert n == 1 or comb(2 * (n - 1), n - 1) - 1 < need
-    assert choose_n(tm_accepting, "1", 1) == 3
-    assert choose_n(tm_accepting, "1", 2) == 5
+        if comb(2 * limit, limit) - 1 >= need:
+            k, n = choose_kn(tm_accepting, "1", pval)
+            assert max(k, n) <= limit
+        else:
+            with pytest.raises(ResourceLimitError, match="reduce_n cap"):
+                choose_kn(tm_accepting, "1", pval)
 
 
 def test_encode_run_shape(tm_accepting):
-    n = 3
+    k, n = 4, 2
     pa = PairAlphabet(tm_accepting, n)
-    word = encode_run(tm_accepting, "1", 1, n)
-    assert len(word) == len(w_word(n, n))
-    assert tuple(pi // pa.n_delta for pi in word) == w_word(n, n) == w_reference(n, n)
+    word = encode_run(tm_accepting, "1", 1, k, n)
+    assert len(word) == len(w_word(k, n))
+    assert tuple(pi // pa.n_delta for pi in word) == w_word(k, n) == w_reference(k, n)
     w2 = [pi % pa.n_delta for pi in word]
     # begins with the separator-wrapped initial configuration
     assert w2[:3] == [pa.hash_id, pa.cell_id("1", "q0"), pa.hash_id]
@@ -140,7 +165,7 @@ def test_encode_run_shape(tm_accepting):
 
 def test_encode_run_requires_acceptance(tm_rejecting):
     with pytest.raises(InputError):
-        encode_run(tm_rejecting, "1", 1, 3)
+        encode_run(tm_rejecting, "1", 1, 4, 2)
 
 
 def test_initial_config_symbols_empty_input(tm_accepting):
@@ -155,33 +180,59 @@ def test_expected_next_rules(tm_incrementing):
     pa = PairAlphabet(m, 2)
     h, d = pa.hash_id, pa.dollar_id
     c = pa.cell_id
+    nxt = expected_next(m, pa)
     # separators propagate
-    assert expected_next(m, pa, c("1", None), h, c("1", "q0")) == h
+    assert nxt[c("1", None), h][c("1", "q0")] == h
     # marked cell under an R-move loses the marker
-    assert expected_next(m, pa, h, c("1", "q0"), c("_", None)) == c("1", None)
+    assert nxt[h, c("1", "q0")][c("_", None)] == c("1", None)
     # right neighbor of an R-move gains the marker
-    assert expected_next(m, pa, c("1", "q0"), c("_", None), h) == c("_", "q0")
+    assert nxt[c("1", "q0"), c("_", None)][h] == c("_", "q0")
     # accepting state acts as a self-loop
-    assert expected_next(m, pa, h, c("1", "qf"), h) == c("1", "qf")
+    assert nxt[h, c("1", "qf")][h] == c("1", "qf")
     # windows containing $ are never flagged
-    assert expected_next(m, pa, d, c("1", None), h) == "vacuous"
+    assert nxt[d, c("1", None)][h] == "vacuous"
+    assert nxt[h, c("1", None)][d] == "vacuous"
 
 
 def test_expected_next_impossible_on_halt():
     m = Dtm(("q0", "q1", "qf"), "q0", "qf", ("_", "1"), ("1",), "_",
             (("q0", "1", "q1", "1", "S"),))
     pa = PairAlphabet(m, 2)
-    assert expected_next(m, pa, pa.hash_id, pa.cell_id("1", "q1"),
-                         pa.hash_id) == "impossible"
+    assert expected_next(m, pa)[pa.hash_id, pa.cell_id("1", "q1")][pa.hash_id] == "impossible"
+
+
+def _random_dtm(rng: random.Random) -> Dtm:
+    states = ("q0", "q1", "q2", "qf")
+    tape = ("_", "0", "1")
+    rules = tuple((q, t, rng.choice(states), rng.choice(tape), rng.choice("LRS"))
+                  for q in states[:-1] for t in tape if rng.random() < 0.7)
+    return Dtm(states, "q0", "qf", tape, ("0", "1"), "_", rules)
+
+
+def test_expected_next_rows_match_the_window_reference():
+    """Every window of the fixture machines and of 200 random machines with
+    L, R and S moves and missing rules: the rows agree with the one-window
+    reference, and list the windows in (dl, dc) order."""
+    rng = random.Random(11)
+    machines = [accepting_machine(), rejecting_machine(), incrementing_machine(),
+                head_moving_machine()] + [_random_dtm(rng) for _ in range(200)]
+    for m in machines:
+        pa = PairAlphabet(m, 1)
+        nd = pa.n_delta
+        rows = expected_next(m, pa)
+        assert list(rows) == [(dl, dc) for dl in range(nd) for dc in range(nd)]
+        for (dl, dc), row in rows.items():
+            assert row == tuple(expected_next_reference(m, pa, dl, dc, dr)
+                                for dr in range(nd)), (m, dl, dc)
 
 
 # ---------------------------------------------------------------------------
 # the parts, each on its own
 
 
-def parts_alone(m, x, pval, n, *builders):
-    """The given parts on a fresh backbone."""
-    bb = _Backbone(PairAlphabet(m, n))
+def parts_alone(m, x, pval, k, n, *builders):
+    """The given parts on a fresh backbone A_{k,n}."""
+    bb = _Backbone(PairAlphabet(m, n), k)
     for build_part in builders:
         build_part(bb, m, x, pval)
     return bb.build()
@@ -190,15 +241,15 @@ def parts_alone(m, x, pval, n, *builders):
 @pytest.fixture(scope="module")
 def setup_p1():
     m = accepting_machine()
-    n = choose_n(m, "1", 1)
+    k, n = choose_kn(m, "1", 1)
     pa = PairAlphabet(m, n)
-    word = encode_run(m, "1", 1, n)
-    return m, n, pa, word
+    word = encode_run(m, "1", 1, k, n)
+    return m, k, n, pa, word
 
 
 def test_part_a_behaviour(setup_p1):
-    m, n, pa, word = setup_p1
-    part = parts_alone(m, "1", 1, n, build_part_a)
+    m, k, n, pa, word = setup_p1
+    part = parts_alone(m, "1", 1, k, n, build_part_a)
     ok, failures = is_ptnfa(part)
     assert ok, failures
     assert not accepts(part, word)
@@ -211,8 +262,8 @@ def test_part_a_behaviour(setup_p1):
 
 
 def test_part_b_behaviour(setup_p1):
-    m, n, pa, word = setup_p1
-    part = parts_alone(m, "1", 1, n, build_part_b)
+    m, k, n, pa, word = setup_p1
+    part = parts_alone(m, "1", 1, k, n, build_part_b)
     ok, failures = is_ptnfa(part)
     assert ok, failures
     assert not accepts(part, word)
@@ -229,28 +280,28 @@ def test_part_b_behaviour(setup_p1):
 
 
 def test_each_c_part_is_ptnfa(setup_p1):
-    m, n, pa, _word = setup_p1
+    m, k, n, pa, _word = setup_p1
     for builder in (build_part_c1, build_part_c2, build_part_c3, build_part_c4):
-        ok, failures = is_ptnfa(parts_alone(m, "1", 1, n, builder))
+        ok, failures = is_ptnfa(parts_alone(m, "1", 1, k, n, builder))
         assert ok, (builder.__name__, failures)
 
 
 def test_part_c_behaviour(setup_p1):
-    m, n, pa, word = setup_p1
-    part = parts_alone(m, "1", 1, n, build_part_c1, build_part_c2,
+    m, k, n, pa, word = setup_p1
+    part = parts_alone(m, "1", 1, k, n, build_part_c1, build_part_c2,
                        build_part_c3, build_part_c4)
     ok, failures = is_ptnfa(part)
     assert ok, failures
     assert not accepts(part, word)
     # final configuration not in the accepting state -> accepted via C.2
-    c2 = parts_alone(m, "1", 1, n, build_part_c2)
-    pos = len(word) - 2
+    c2 = parts_alone(m, "1", 1, k, n, build_part_c2)
+    pos = len(word) - 3  # the last cell: |W_{4,2}| = 14 ends in '# $'
     assert word[pos] % pa.n_delta == pa.cell_id("1", "qf")
     ending_bad = word[:pos] + (pa.pi_id(word[pos] // pa.n_delta, pa.cell_id("1", "q0")),) + word[pos + 1:]
     assert accepts(c2, ending_bad)
     assert accepts(part, ending_bad)
     # $ followed by a different symbol -> accepted via C.4
-    c4 = parts_alone(m, "1", 1, n, build_part_c4)
+    c4 = parts_alone(m, "1", 1, k, n, build_part_c4)
     mid = len(word) // 2
     dollar_mid = word[:mid] + (pa.pi_id(word[mid] // pa.n_delta, pa.dollar_id),) + word[mid + 1:]
     assert accepts(c4, dollar_mid)
@@ -272,18 +323,19 @@ def test_reduce_validates_input(tm_accepting, monkeypatch):
 
 
 def test_reduce_backbone_obeys_the_aknn_arcs_cap(tm_accepting, monkeypatch):
-    """The backbone A(n,n) is built under the same caps as the rest of the
-    reduction: at p = 1, n = 3 and A(3,3) has 75 arcs."""
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=74")
-    with pytest.raises(ResourceLimitError, match=r"A_\{3,3\} has 75 transitions"):
+    """The backbone A(k,n) is built under the same caps as the rest of the
+    reduction: at p = 1, (k, n) = (4, 2) and A(4,2) has 42 arcs."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=41")
+    with pytest.raises(ResourceLimitError, match=r"A_\{4,2\} has 42 transitions"):
         reduce(tm_accepting, "1", 1)
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=75")
-    assert reduce(tm_accepting, "1", 1).n == 3
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=42")
+    art = reduce(tm_accepting, "1", 1)
+    assert (art.k, art.n) == (4, 2)
 
 
 def test_reduce_artifact_inventory(tm_accepting):
     art = reduce(tm_accepting, "1", 1)
-    assert art.n == 3 and art.pval == 1
+    assert (art.k, art.n, art.pval) == (4, 2, 1)
     names = [name for (name, _o, _c) in art.components]
     assert names == ["enc-backbone", "part-a", "part-b", "part-c1", "part-c2",
                      "part-c3", "part-c4"]
@@ -294,13 +346,13 @@ def test_reduce_artifact_inventory(tm_accepting):
         assert o + c == o2
     total = offsets[-1] + art.components[-1][2]
     assert total == art.automaton.n_states
-    # the one backbone comes first and spells A_{n,n}'s state names
+    # the one backbone comes first and spells A_{k,n}'s state names
     bb_off, bb_count = inventory["enc-backbone"]
     assert bb_off == 0
-    assert bb_count == art.n * (2 * art.n + 1) + 1
-    base = build_aknn(art.n, art.n)
+    assert bb_count == art.n * (2 * art.k + 1) + 1
+    base = build_aknn(art.k, art.n)
     assert art.automaton.state_names[:bb_count] == base.state_names
-    assert len(art.attachment_states) == art.n * art.n
+    assert len(art.attachment_states) == art.k * art.n
     for name in art.attachment_states:
         assert name in art.automaton.state_index
     # pair alphabet size: n * (|T|(|Q|+1) + 2)
@@ -321,8 +373,8 @@ def test_reduce_is_ptnfa(tm_accepting, tm_rejecting):
 def test_reduce_accepting_machine_witness(tm_accepting):
     for pval in (1, 2):
         art = reduce(tm_accepting, "1", pval)
-        word = encode_run(tm_accepting, "1", pval, art.n)
-        assert tuple(pi // art.pair_alphabet.n_delta for pi in word) == w_word(art.n, art.n)
+        word = encode_run(tm_accepting, "1", pval, art.k, art.n)
+        assert tuple(pi // art.pair_alphabet.n_delta for pi in word) == w_word(art.k, art.n)
         assert not accepts(art.automaton, word)
         res = universal_antichain(art.automaton)
         assert not res.universal
@@ -338,7 +390,7 @@ def test_reduce_rejecting_machine_sampling(tm_rejecting):
     """Sampling proxy: random words over Pi up to |W| are all accepted."""
     art = reduce(tm_rejecting, "1", 1)
     u = universal_state_mask(art.automaton)
-    total = len(w_word(art.n, art.n))
+    total = len(w_word(art.k, art.n))
     rng = random.Random(3)
     n_letters = len(art.automaton.alphabet)
     for _ in range(10**4):
@@ -351,7 +403,7 @@ def test_reduce_corruption_sample(tm_accepting):
     must be accepted (the full battery runs in the acceptance suite)."""
     art = reduce(tm_accepting, "1", 1)
     pa = art.pair_alphabet
-    word = encode_run(tm_accepting, "1", 1, art.n)
+    word = encode_run(tm_accepting, "1", 1, art.k, art.n)
     u = universal_state_mask(art.automaton)
     for pos in (0, 1, 2, 9, len(word) - 2, len(word) - 1):
         a_idx, d_orig = divmod(word[pos], pa.n_delta)
@@ -362,10 +414,10 @@ def test_reduce_corruption_sample(tm_accepting):
 
 
 def test_backbone_law_first_projection_perturbations(tm_accepting):
-    """Any word whose first projection differs from W_{n,n} is accepted."""
+    """Any word whose first projection differs from W_{k,n} is accepted."""
     art = reduce(tm_accepting, "1", 1)
     pa = art.pair_alphabet
-    word = encode_run(tm_accepting, "1", 1, art.n)
+    word = encode_run(tm_accepting, "1", 1, art.k, art.n)
     u = universal_state_mask(art.automaton)
     rng = random.Random(5)
     for _ in range(60):
@@ -383,7 +435,7 @@ def test_reduce_machine_with_head_movement():
     art = reduce(lr, "11", 2)
     ok, failures = is_ptnfa(art.automaton)
     assert ok, failures
-    word = encode_run(lr, "11", 2, art.n)
+    word = encode_run(lr, "11", 2, art.k, art.n)
     u = universal_state_mask(art.automaton)
     assert not accepts_with_cutoff(art.automaton, word, u)
     pa = art.pair_alphabet
@@ -418,7 +470,7 @@ def test_reduce_three_state_machine():
                       ("q0", "_", "q0", "_", "S"), ("q1", "_", "q1", "_", "S")))
     art = reduce(acc3, "1", 1)
     assert is_ptnfa(art.automaton)[0]
-    word = encode_run(acc3, "1", 1, art.n)
+    word = encode_run(acc3, "1", 1, art.k, art.n)
     u = universal_state_mask(art.automaton)
     assert not accepts_with_cutoff(art.automaton, word, u)
     pa = art.pair_alphabet
@@ -437,7 +489,7 @@ def test_reduce_out_of_bounds_run_is_reported():
     silently wrong encoding."""
     inc = incrementing_machine()
     with pytest.raises(SimulationError):
-        encode_run(inc, "1", 1, 3)  # walks right off a 1-cell tape
+        encode_run(inc, "1", 1, 4, 2)  # walks right off a 1-cell tape
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +502,14 @@ STRUCTURE_MACHINES = [accepting_machine, rejecting_machine, head_moving_machine]
 @pytest.mark.parametrize("pval", [1, 2])
 @pytest.mark.parametrize("machine", STRUCTURE_MACHINES)
 def test_completion_targets_reach_no_host(machine, pval):
-    """BFS over the emitted transitions from every (n+1;i) and from max
-    stays among (n+1..2n;i) and max: no attachment state, no check state."""
+    """BFS over the emitted transitions from every (k+1;i) and from max
+    stays among (k+1..2k;i) and max: no attachment state, no check state."""
     art = reduce(machine(), "1", pval)
-    a, n = art.automaton, art.n
+    a, k, n = art.automaton, art.k, art.n
     succ: dict[int, set[int]] = {}
     for (q, _x, r) in a.transitions:
         succ.setdefault(q, set()).add(r)
-    start = {a.state_index[f"({n + 1};{i})"] for i in range(1, n + 1)}
+    start = {a.state_index[f"({k + 1};{i})"] for i in range(1, n + 1)}
     start.add(a.state_index["max"])
     seen, stack = set(start), list(start)
     while stack:
@@ -467,7 +519,7 @@ def test_completion_targets_reach_no_host(machine, pval):
                 stack.append(r)
     reached = {a.state_names[q] for q in seen}
     assert not reached & set(art.attachment_states)
-    completion = {f"({i};{m})" for i in range(n + 1, 2 * n + 1) for m in range(1, n + 1)}
+    completion = {f"({i};{m})" for i in range(k + 1, 2 * k + 1) for m in range(1, n + 1)}
     assert reached <= completion | {"max"}
 
 
@@ -476,11 +528,11 @@ def test_completion_targets_reach_no_host(machine, pval):
 def test_one_backbone_and_verdict_delay_lines(machine, pval):
     m = machine()
     art = reduce(m, "1", pval)
-    a, n, pa = art.automaton, art.n, art.pair_alphabet
-    backbone_names = set(build_aknn(n, n).state_names)
-    assert sum(name in backbone_names for name in a.state_names) == n * (2 * n + 1) + 1
+    a, k, n, pa = art.automaton, art.k, art.n, art.pair_alphabet
+    backbone_names = set(build_aknn(k, n).state_names)
+    assert sum(name in backbone_names for name in a.state_names) == n * (2 * k + 1) + 1
     nd = pa.n_delta
-    verdict = {(dl, dc, dr): expected_next(m, pa, dl, dc, dr)
+    verdict = {(dl, dc, dr): expected_next_reference(m, pa, dl, dc, dr)
                for dl in range(nd) for dc in range(nd) for dr in range(nd)}
     delay = [name for name in a.state_names if name.startswith("B:next[")]
     assert len(delay) == len(set(verdict.values())) * pval
@@ -520,7 +572,7 @@ def test_reduce_language_is_exact_at_p1():
     else, and the looping machine's automaton is universal."""
     m = accepting_machine()
     art = reduce(m, "1", 1)
-    assert rejects_exactly(art.automaton, encode_run(m, "1", 1, art.n))
+    assert rejects_exactly(art.automaton, encode_run(m, "1", 1, art.k, art.n))
     assert universal_subset(reduce(rejecting_machine(), "1", 1).automaton).universal
 
 
@@ -533,25 +585,27 @@ def test_reduce_trailing_dollar_checks_at_p2():
     m, pval = accepting_machine(), 2
     art = reduce(m, "1", pval)
     a, pa = art.automaton, art.pair_alphabet
-    word = encode_run(m, "1", pval, art.n)
-    assert len(word) == 251
+    word = encode_run(m, "1", pval, art.k, art.n)
+    assert (art.k, art.n, len(word)) == (5, 4, 125)
     assert word[-1] % pa.n_delta == pa.dollar_id != word[-2] % pa.n_delta
     assert not accepts(a, word)
     edits = [word + (pa.pi_id(word[-1] // pa.n_delta, pa.dollar_id),)]
     for i in range(len(word) - pval - 1, len(word)):
         edits.append(word[:i] + word[i + 1:])
         edits += [word[:i] + (x,) + word[i + 1:] for x in range(a.n_letters) if x != word[i]]
-    assert len(edits) == 121
+    assert len(edits) == 1 + (pval + 1) * a.n_letters == 97
     assert all(accepts(a, edit) for edit in edits)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_prefix_attachability(n):
-    """For every proper prefix of W_{n,n}, some reached state of A_{n,n}
-    has no self-loop under the next letter (so a check can start there)."""
-    a = build_aknn(n, n)
-    word = w_word(n, n)
-    frontier = set(a.initial)
-    for pos, letter in enumerate(word):
-        assert any(q not in a.succ.get((q, letter), ()) for q in frontier), pos
-        frontier = {r for q in frontier for r in a.succ.get((q, letter), ())}
+    """For every proper prefix of W_{k,n}, some reached state of A_{k,n}
+    has no self-loop under the next letter (so a check can start there),
+    for every k <= 5."""
+    for k in range(1, 6):
+        a = build_aknn(k, n)
+        word = w_word(k, n)
+        frontier = set(a.initial)
+        for pos, letter in enumerate(word):
+            assert any(q not in a.succ.get((q, letter), ()) for q in frontier), (k, pos)
+            frontier = {r for q in frontier for r in a.succ.get((q, letter), ())}
