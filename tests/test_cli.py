@@ -194,20 +194,17 @@ def test_reduce_p3_output_is_the_square_backbones_apart_from_the_header(capsys, 
         "9742df3979e27d093ff8df02ba331a8a843678b93ab0eeffb7d32608e8b08b10")
 
 
-@pytest.mark.parametrize("caps, space, limit", [("reduce_n=3", "2", 3),
-                                                ("", "1000000000", 16)],
-                         ids=["cap-3-p2", "huge-space"])
-def test_reduce_refuses_what_no_backbone_under_the_cap_holds(capsys, monkeypatch, tmp_path,
-                                                             caps, space, limit):
-    """No A(k,n) with k, n <= reduce_n holds the run: exit 3, one line."""
+def test_reduce_refuses_what_no_backbone_under_the_cap_holds(capsys, monkeypatch, tmp_path):
+    """At p = 2 the run needs |W| >= 109, and the longest word under
+    reduce_n = 3, W(3,3), has 19 letters: exit 3 with one line.  (A huge
+    --space is refused in ``test_huge_size_arguments_are_refused_at_once``.)"""
     path = tmp_path / "m.tm"
     path.write_text(TM_TEXT)
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", caps)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "reduce_n=3")
     code, out, err = run_main(capsys, ["reduce", "--tm", str(path), "--input", "1",
-                                       "--space", space])
+                                       "--space", "2"])
     assert (code, out) == (3, "")
-    assert err == ("resource limit: reduction needs k or n above the reduce_n cap "
-                   f"({limit})\n")
+    assert err == "resource limit: reduction needs k or n above the reduce_n cap (3)\n"
 
 
 def test_classify_and_universal_report_bytes_are_pinned(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from poset_automata import reduction
 from poset_automata.caps import default_caps
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
@@ -112,21 +113,21 @@ def test_simulate_input_checks(tm_accepting):
 # encoding
 
 
-def test_choose_n_is_minimal(tm_accepting):
-    """Brute force over every (k, n) up to the ``reduce_n`` cap: the pick
-    fits the run and has the fewest states n(2k+1)+1 of A_{k,n}, on a tie
-    the smaller n."""
-    limit = default_caps().reduce_n
-    for machine in (tm_accepting, head_moving_machine()):
-        for pval in range(1, 6):
-            need = 1 + config_count(machine, pval) * (pval + 1)
-            fitting = [(n * (2 * k + 1) + 1, n, k) for k in range(1, limit + 1)
-                       for n in range(1, limit + 1) if comb(k + n, n) - 1 >= need]
-            _states, n, k = min(fitting)
-            assert choose_kn(machine, "1", pval) == (k, n)
+def test_choose_n_is_minimal(tm_accepting, monkeypatch):
+    """Brute force over every (k, n) up to the ``reduce_n`` cap, for every
+    run length bound 1 + 2C(x) with C(x) < 2000: the pick fits the run and
+    has the fewest states n(2k+1)+1 of A_{k,n}, on a tie the smaller n."""
     assert choose_kn(tm_accepting, "1", 1) == (4, 2)
     assert choose_kn(tm_accepting, "1", 2) == (5, 4)
     assert choose_kn(tm_accepting, "1", 3) == (6, 6)
+    limit = default_caps().reduce_n
+    for count in range(1, 2000):
+        monkeypatch.setattr(reduction, "config_count", lambda m, pval: count)
+        need = 1 + count * 2
+        fitting = [(n * (2 * k + 1) + 1, n, k) for k in range(1, limit + 1)
+                   for n in range(1, limit + 1) if comb(k + n, n) - 1 >= need]
+        _states, n, k = min(fitting)
+        assert choose_kn(tm_accepting, "1", 1) == (k, n), count
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5])
