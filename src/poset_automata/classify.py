@@ -95,8 +95,8 @@ def is_partially_ordered(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
 
     A depth-first search over ``_out_masks`` keeps the states on its path in
     the mask ``on`` and the finished ones in ``done``; an arc into ``on``
-    closes a cycle.  Only then do the strongly connected components run, to
-    name the same witness as before: the first component of two or more
+    closes a cycle.  Only then does ``_first_cycle_pair`` run, to name the
+    witness: the two lowest states of the first component of two or more
     states in Tarjan's order."""
     out = _out_masks(a.step_rows or [[0] * a.n_states])
     done = 0
@@ -108,8 +108,7 @@ def is_partially_ordered(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
             q = path[-1]
             rest = out[q] & ~done
             if rest & on:
-                comp = next(c for c in strongly_connected_components(a) if len(c) > 1)
-                return False, (comp[0], comp[1])
+                return False, _first_cycle_pair(a)
             if rest:
                 low = rest & -rest
                 path.append(low.bit_length() - 1)
@@ -121,10 +120,12 @@ def is_partially_ordered(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
     return True, None
 
 
-def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
-    """Tarjan SCCs in deterministic order (iterative).  Each state's
-    successors are read from ``step_rows`` letter by letter, ascending within
-    a letter, self-loops left out: the order of the sorted transitions."""
+def _first_cycle_pair(a: Nfa) -> tuple[int, int]:
+    """The two lowest states of the first strongly connected component of
+    two or more states in Tarjan's order (iterative); the search stops
+    there.  Each state's successors are read from ``step_rows`` letter by
+    letter, ascending within a letter, self-loops left out: the order of
+    the sorted transitions."""
     n = a.n_states
     succ: list[list[int]] = [[] for _ in range(n)]
     for row in a.step_rows:
@@ -132,7 +133,6 @@ def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
             succ[q] += _members(mask & ~(1 << q))
     index, low, on_stack = [-1] * n, [0] * n, [False] * n
     stack: list[int] = []
-    sccs: list[tuple[int, ...]] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
@@ -160,11 +160,13 @@ def strongly_connected_components(a: Nfa) -> list[tuple[int, ...]]:
                     while not comp or comp[-1] != node:
                         comp.append(stack.pop())
                         on_stack[comp[-1]] = False
-                    sccs.append(tuple(sorted(comp)))
+                    if len(comp) > 1:
+                        comp.sort()
+                        return comp[0], comp[1]
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
-    return sccs
+    raise AssertionError("no cycle of two or more states")
 
 
 def is_self_loop_deterministic(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int]]]:

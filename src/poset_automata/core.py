@@ -48,25 +48,22 @@ Word = tuple[int, ...]  # letter ids
 _NAME_RE = re.compile(r"[^\s#]\S*")
 
 
-def _check_name(name: str, kind: str) -> None:
-    if not _NAME_RE.fullmatch(name):
-        raise InputError(f"bad {kind} name {name!r}: names are nonempty, whitespace-free "
-                         "and must not start with '#'")
-
-
 def _check_names(names: Sequence[str], kind: str) -> None:
-    """Every name passes ``_check_name`` and no name repeats.  ``str.split``
-    and the pattern's ``\\s`` agree on whitespace, so the names are good iff
-    joining them with single spaces and splitting gives them back, no name
-    starts with '#' and a set keeps them all; the loop runs only to word the
-    error about the first bad name."""
+    """Every name is nonempty, whitespace-free and does not start with '#',
+    and no name repeats.  ``str.split`` and the pattern's ``\\s`` agree on
+    whitespace, so the names are good iff joining them with single spaces
+    and splitting gives them back, no name starts with '#' and a set keeps
+    them all; the loop runs only to word the error about the first bad
+    name."""
     joined = " ".join(names)
     if (len(set(names)) == len(names) and joined.split() == list(names)
             and " #" not in " " + joined):
         return
     seen = set()
     for name in names:
-        _check_name(name, kind)
+        if not _NAME_RE.fullmatch(name):
+            raise InputError(f"bad {kind} name {name!r}: names are nonempty, whitespace-free "
+                             "and must not start with '#'")
         if name in seen:
             raise InputError(f"duplicate {kind} name {name!r}")
         seen.add(name)
@@ -311,10 +308,9 @@ def print_automaton(a: Nfa, header: Sequence[str] = ()) -> str:
     """Canonical serialization: fixed directive order, names in declared
     order, transitions sorted by (src, letter, dst)."""
     lines = [f"# {h}" for h in header]
-    lines.append(("alphabet: " + " ".join(a.alphabet)).rstrip())
-    lines.append("states: " + " ".join(a.state_names))
-    lines.append(("initial: " + " ".join(a.state_names[q] for q in a.initial)).rstrip())
-    lines.append(("accepting: " + " ".join(a.state_names[q] for q in a.accepting)).rstrip())
+    names = (a.alphabet, a.state_names, [a.state_names[q] for q in a.initial],
+             [a.state_names[q] for q in a.accepting])
+    lines += [" ".join((key + ":", *row)) for key, row in zip(_DIRECTIVES, names)]
     for (q, x, r) in a.transitions:
         lines.append(f"trans: {a.state_names[q]} {a.alphabet[x]} {a.state_names[r]}")
     return "\n".join(lines) + "\n"

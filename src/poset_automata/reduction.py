@@ -56,15 +56,17 @@ language stays the same:
     futures.  ``_Backbone.shared`` keeps one state per (acceptance, arc
     row), as in acyclic-automaton minimisation (Revuz 1992; Daciuk et al.
     2000), and registers only states whose arcs are final when made, so a
-    part handed an earlier part's state accepts what it would alone.  This
-    rule makes every merge.  The paper's state for the window (dl, dc, dr)
-    reads p-1 arbitrary letters, then exits under (a_i, d) to (k+1;i) when
-    the window's verdict v from ``expected_next`` permits d, and to max
-    otherwise; so all windows with one verdict v share a delay line, and
-    part B's w[dl,dc] and w[dl] with equal successor rows are one state.  The $-runs of C.1
-    (d_1..d_p), C.2 (g_1..g_p after h) and C.3 (s_1..s_{p+1}) read $ into
-    the next state and exit on anything else, so C.2's g_j is C.1's d_j,
-    and C.3's last state is d_p.
+    part handed an earlier part's state accepts what it would alone.  A
+    state is made by hand only when it needs a self-loop or two arcs under
+    one letter.  This rule makes every merge.  The paper's state for the
+    window (dl, dc, dr) reads p-1 arbitrary letters, then exits under
+    (a_i, d) to (k+1;i) when the window's verdict v from ``expected_next``
+    permits d, and to max otherwise; so all windows with one verdict v
+    share a delay line, and part B's w[dl,dc] and w[dl] with equal
+    successor rows are one state.  The $-runs of C.1 (d_1..d_p), C.2 (h,
+    then g_1..g_p) and C.3 (s_1..s_{p+1}) read $ into the next state and
+    exit on anything else, so C.2's g_j is C.1's d_j, C.3's last state is
+    d_p, and C.2's h is C.1's last chain state u_p.  C.4 exits into max.
 (3) One chain does the work of part A.  c_t reads any letter into c_{t+1}
     (t <= p) and exits under (a_i, d) to (k+1;i) when d is the forced
     symbol of position t and to max otherwise.  No c_t is accepting, so an
@@ -305,17 +307,17 @@ class _Backbone:
 
     def chain(self, names: Sequence[str], symbol: int, tail: int,
               accepting: bool = False) -> int:
-        """New states under ``names``: each reads any letter into the next
-        one and ``symbol`` into ``tail``; the last exits to the completion
-        target on every other symbol.  Returns the first.  They are not
-        shared: ``symbol`` has two arcs at all but the last."""
-        states = [self.state(name, accepting=accepting) for name in names]
-        for q, nxt in zip(states, states[1:]):
+        """States under ``names``: each reads any letter into the next one
+        and ``symbol`` into ``tail``; the last, shared, exits to the
+        completion target on every other symbol.  Built from the last state;
+        returns the first.  The others are new: ``symbol`` has two arcs."""
+        q = self.shared(names[-1], lambda a_idx, d: tail if d == symbol
+                        else self.target[a_idx], accepting)
+        for name in reversed(names[:-1]):
+            nxt, q = q, self.state(name, accepting=accepting)
             self.fan(q, lambda a_idx, d: nxt)
-        self.fan(states[-1], lambda a_idx, d: None if d == symbol else self.target[a_idx])
-        for q in states:
             self.fan(q, lambda a_idx, d: tail if d == symbol else None)
-        return states[0]
+        return q
 
     def build(self) -> Nfa:
         return Nfa(len(self.names), self.pa.alphabet, self.arcs, self.initial,
@@ -401,15 +403,13 @@ def build_part_c3(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
 
 
 def build_part_c4(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
-    """$ followed by a different symbol: a three-state partially ordered,
-    confluent DFA of its own (it needs no backbone)."""
+    """$ followed by a different symbol: C4:scan reads up to a $ into
+    C4:dollar, which reads $ and exits into max on anything else."""
     dollar = bb.pa.dollar_id
     scan = bb.state("C4:scan", initial=True)
     seen = bb.state("C4:dollar")
-    hit = bb.state("C4:hit", accepting=True)
     bb.fan(scan, lambda a_idx, d: seen if d == dollar else scan)
-    bb.fan(seen, lambda a_idx, d: seen if d == dollar else hit)
-    bb.fan(hit, lambda a_idx, d: hit)
+    bb.fan(seen, lambda a_idx, d: seen if d == dollar else bb.max)
 
 
 # ---------------------------------------------------------------------------

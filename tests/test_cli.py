@@ -163,35 +163,23 @@ _PINNED_OUTPUTS = [
     (["gen-aknn", "--k", "3", "--n", "3", "--trim"],
      "1178af9e3935946facc5b4d6c553a87c6114b438c463bb6ac3f0044328a9bdf0"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "1"],
-     "ba215683405e50c70153a150ff8d778599777dbb915f9b9898dc3fb26a8cbad5"),
+     "d096326f352f313eb02b0209acfdba81a78718dcc1e34e33ae76c1d1fadc6670"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "2"],
-     "f1fadf48b2dc04ca21ef3dbac8b5dae7cf1e6f7141e739746bb6e1c38041f04c"),
+     "0f4000a810530e4bbfb459ab833138e39aff828cab12e9a3b3674ac28b904460"),
+    (["reduce", "--tm", "TM", "--input", "1", "--space", "3"],
+     "6b854584c1740aba454a1bb7ee61ab3f2b8c5f13a0db5726b19ff7dc56702981"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS,
-                         ids=["aknn-3-3", "aknn-3-3-trim", "reduce-p1", "reduce-p2"])
+                         ids=["aknn-3-3", "aknn-3-3-trim", "reduce-p1", "reduce-p2",
+                              "reduce-p3"])
 def test_generator_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "m.tm"
     path.write_text(TM_TEXT)
     code, out, _ = run_main(capsys, [str(path) if tok == "TM" else tok for tok in argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_reduce_p3_output_is_the_square_backbones_apart_from_the_header(capsys, tmp_path):
-    """At p = 3 the fewest-state backbone is A(6,6), the square one, so
-    every byte after the ``reduction:`` line is the SHA-256-pinned output
-    that ``reduce`` gave when it always built A(n,n)."""
-    path = tmp_path / "m.tm"
-    path.write_text(TM_TEXT)
-    code, out, _ = run_main(capsys, ["reduce", "--tm", str(path), "--input", "1",
-                                     "--space", "3"])
-    assert code == 0
-    head, rest = out.split("\n", 1)
-    assert head == "# reduction: k=6 n=6 space=3 pi-letters=48"
-    assert hashlib.sha256(rest.encode()).hexdigest() == (
-        "9742df3979e27d093ff8df02ba331a8a843678b93ab0eeffb7d32608e8b08b10")
 
 
 def test_reduce_refuses_what_no_backbone_under_the_cap_holds(capsys, monkeypatch, tmp_path):
@@ -310,6 +298,62 @@ def test_caps_env_bad_key_exit_two(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("POSET_AUTOMATA_CAPS", "bogus=1")
     code, _, err = run_main(capsys, ["universal", str(path)])
     assert code == 2
+
+
+_REDUCE = ["reduce", "--tm", "F", "--input", "1", "--space", "1"]
+_AKNN_2_2 = print_automaton(build_aknn(2, 2))
+
+# (argv with the input file as F, the file's text, POSET_AUTOMATA_CAPS,
+# exit code, the one line on stderr)
+_INPUT_CHECKS = {
+    "dtm-duplicate-states": (_REDUCE, {"states: q0 qf": "states: q0 qf q0"}, "", 2,
+                             "error: duplicate machine states"),
+    "dtm-duplicate-tape-symbols": (_REDUCE, {"tape: _ 1": "tape: _ 1 1"}, "", 2,
+                                   "error: duplicate tape symbols"),
+    "dtm-input-outside-tape": (_REDUCE, {"input: 1": "input: 1 2"}, "", 2,
+                               "error: input alphabet must be part of the tape alphabet"),
+    "dtm-rule-unknown-state": (_REDUCE, {"delta: q0 1 -> qf 1 S": "delta: q0 1 -> q9 1 S"},
+                               "", 2, "error: rule references unknown state: q0 -> q9"),
+    "dtm-rule-unknown-symbol": (_REDUCE, {"delta: q0 1 -> qf 1 S": "delta: q0 1 -> qf 7 S"},
+                                "", 2, "error: rule references unknown symbol: 1 -> 7"),
+    "dtm-rule-bad-move": (_REDUCE, {"delta: q0 1 -> qf 1 S": "delta: q0 1 -> qf 1 X"}, "", 2,
+                          "error: rule move must be one of ('L', 'R', 'S'), got 'X'"),
+    "dtm-two-initial-states": (_REDUCE, {"initial: q0": "initial: q0 q1"}, "", 2,
+                               "error: directive 'initial' needs exactly one name"),
+    "dag-no-nodes": (["gen-dag", "F"], {"nodes: 3": "nodes: 0"}, "", 2,
+                     "error: DAG needs at least one node"),
+    "dag-edge-out-of-range": (["gen-dag", "F"], {"edge: 0 1": "edge: 0 3"}, "", 2,
+                              "error: edge (0, 3) out of range"),
+    "dag-source-out-of-range": (["gen-dag", "F"], {"source: 0": "source: -1"}, "", 2,
+                                "error: node -1 out of range"),
+    "dag-target-out-of-range": (["gen-dag", "F"], {"target: 2": "target: 3"}, "", 2,
+                                "error: node 3 out of range"),
+    "caps-empty-items-skipped": (["universal", "F"], _AKNN_2_2, ", ,antichain_nodes=1,", 3,
+                                 "resource limit: antichain search exceeded antichain_nodes "
+                                 "cap (1)"),
+    "caps-non-integer": (["universal", "F"], _AKNN_2_2, "antichain_nodes=many", 2,
+                         "error: cap antichain_nodes needs an integer value, got 'many'"),
+    "subset-node-cap": (["universal", "F", "--method", "subset"], _AKNN_2_2,
+                        "antichain_nodes=1", 3,
+                        "resource limit: subset search exceeded antichain_nodes cap (1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_CHECKS))
+def test_input_checks_end_in_one_line(capsys, monkeypatch, tmp_path, case):
+    """Each input check of the machine, DAG and cap readers, and the subset
+    search's node cap, driven through ``main``: the exit code, nothing on
+    stdout and one line on stderr.  A dict of line edits applies to the
+    valid TM_TEXT or DAG_TEXT of the subcommand."""
+    argv, text, caps, code, message = _INPUT_CHECKS[case]
+    if isinstance(text, dict):
+        lines = (DAG_TEXT if argv[0] == "gen-dag" else TM_TEXT).splitlines()
+        text = "".join(text.get(line, line) + "\n" for line in lines)
+    path = tmp_path / "input"
+    path.write_text(text)
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", caps)
+    assert run_main(capsys, [str(path) if tok == "F" else tok for tok in argv]) == (
+        code, "", message + "\n")
 
 
 _VALID_RUNS = {

@@ -372,7 +372,7 @@ def test_reduce_is_ptnfa(tm_accepting, tm_rejecting):
 
 
 def test_reduce_accepting_machine_witness(tm_accepting):
-    for pval in (1, 2):
+    for pval in (1, 2, 3):
         art = reduce(tm_accepting, "1", pval)
         word = encode_run(tm_accepting, "1", pval, art.k, art.n)
         assert tuple(pi // art.pair_alphabet.n_delta for pi in word) == w_word(art.k, art.n)
@@ -550,21 +550,60 @@ def test_one_backbone_and_verdict_delay_lines(machine, pval):
 @pytest.mark.parametrize("pval", [1, 2])
 @pytest.mark.parametrize("machine", STRUCTURE_MACHINES)
 def test_shared_states_have_distinct_rows(machine, pval):
-    """No two part-B or $-run states agree in acceptance and arc set, and
-    C.2's g run and C.3's last state are C.1's d states."""
+    """No two part-B or $-run states agree in acceptance and arc set,
+    C.2's g run and C.3's last state are C.1's d states, and C.2's h is
+    C.1's last u state."""
     art = reduce(machine(), "1", pval)
     a = art.automaton
     offset, count = {name: (o, c) for (name, o, c) in art.components}["part-b"]
     states = [q for q, name in enumerate(a.state_names)
-              if offset <= q < offset + count or re.match(r"C1:d|C2:h|C3:s", name)]
+              if offset <= q < offset + count or re.match(rf"C1:d|C1:u{pval}$|C3:s", name)]
     arcs = {q: set() for q in states}
     for (q, x, r) in a.transitions:
         if q in arcs:
             arcs[q].add((x, r))
     rows = {(q in a.accepting, frozenset(arcs[q])) for q in states}
     assert len(rows) == len(states)
-    assert not any(name.startswith("C2:g") for name in a.state_names)
+    assert not any(re.match(r"C2:[gh]", name) for name in a.state_names)
     assert f"C3:s{pval + 1}" not in a.state_index and f"C3:s{pval}" in a.state_index
+
+
+def forward_bisimulation_classes(a):
+    """The classes of forward bisimulation by partition refinement over
+    ``succ``: start from acceptance, then split by the set of (letter,
+    successor block) pairs until no block splits.  Shares no code with the
+    reduction's register."""
+    block = [q in a.accepting for q in range(a.n_states)]
+    count = len(set(block))
+    while True:
+        signature = [(block[q], frozenset((x, block[r]) for x in range(a.n_letters)
+                                          for r in a.succ.get((q, x), ())))
+                     for q in range(a.n_states)]
+        ids = {sig: i for i, sig in enumerate(dict.fromkeys(signature))}
+        block = [ids[sig] for sig in signature]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    classes: dict[int, list[str]] = {}
+    for q, b in enumerate(block):
+        classes.setdefault(b, []).append(a.state_names[q])
+    return [names for names in classes.values() if len(names) > 1]
+
+
+@pytest.mark.parametrize("machine, pval", [
+    (accepting_machine, 1), (accepting_machine, 2), (accepting_machine, 3),
+    (rejecting_machine, 1), (rejecting_machine, 2), (rejecting_machine, 3),
+    (incrementing_machine, 1), (incrementing_machine, 2),
+    (head_moving_machine, 1), (head_moving_machine, 2)])
+def test_reduction_builds_no_state_twice(machine, pval):
+    """Forward-bisimilar states of the ``reduce`` output are only the n
+    backbone pairs (k;m), (2k;m) that A_{k,n} brings itself: neither has a
+    check arc, both go to max under a_m and to (k+1;m') above it.  Every
+    state the checks add has a future of its own."""
+    art = reduce(machine(), "1", pval)
+    k, n = art.k, art.n
+    twins = {frozenset({f"({k};{m})", f"({2 * k};{m})"}) for m in range(1, n + 1)}
+    assert set(map(frozenset, forward_bisimulation_classes(art.automaton))) == twins
 
 
 def test_reduce_language_is_exact_at_p1():
