@@ -2,14 +2,16 @@
 
 Text comes in on one path: ``parse_automaton`` reads the text in bulk (all
 lines split at once, the comment cut only on lines that contain '#', the
-directives and ``trans:`` rows checked over whole columns), resolves names
-with dict lookups and hands the columns to the ``Nfa`` constructor, which
-validates them with a few whole-column tests and re-sorts transitions only
-when they do not come sorted and duplicate-free already.  The slow per-line
-and per-item loops (``tokenize`` over the lines, the per-name checks) run
-only to word an error, so a rejected text gets the same message either
-way.  The generators make their automata through the same constructor,
-from index triples, letter names and state names.
+directives and ``trans:`` rows checked over whole columns) and resolves
+names with dict lookups.  Its checks imply every check of the ``Nfa``
+constructor, so it stores the fields without running them again; the
+constructor validates its arguments with a few whole-column tests and
+re-sorts transitions only when they do not come sorted and duplicate-free
+already.  The slow per-line and per-item loops (``tokenize`` over the
+lines, the per-name checks) run only to word an error, so a rejected text
+gets the same message either way.  The generators make their automata
+through the checked constructor, from index triples, letter names and
+state names.
 
 Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
@@ -24,19 +26,19 @@ successor tuple and feeds only ``accepts`` and the literal-enumeration
 oracle, so that oracle shares no code with the step table it checks.
 
 All values are immutable after construction.  Derived tables (``succ``,
-``step_rows``, the masks) are cached properties: each is a pure function of
-the fields, built complete on first use and never modified afterwards.  Two
-threads that race on first use build equal tables, one of which is kept, so
-a value can be shared between threads.  Operations are pure functions of
-their arguments and of the POSET_AUTOMATA_CAPS environment variable, which
-sets the resource caps (see ``caps``).
+``step_rows``, the masks) are ``derived`` attributes: each is a pure
+function of the fields, built complete on first use, without a lock, and
+never modified afterwards.  Two threads that race on first use build equal
+tables, one of which is kept, so a value can be shared between threads.
+Operations are pure functions of their arguments and of the
+POSET_AUTOMATA_CAPS environment variable, which sets the resource caps (see
+``caps``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from operator import contains, itemgetter, lt
 from typing import Iterator, Sequence
@@ -80,6 +82,28 @@ def sorted_unique(items: Sequence) -> tuple:
     return tuple(dict.fromkeys(sorted(items)))
 
 
+class derived:
+    """A table derived from an immutable value's fields, computed on first
+    read.  Like ``functools.cached_property``, but it takes no lock (Python
+    3.11's does, on every first read): the value goes straight into the
+    instance ``__dict__``, where later reads find it before this non-data
+    descriptor.  Threads that race on a first read compute equal values, and
+    the last one written is kept."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Nfa:
     """A = (Q, Sigma, transitions, I, F) with named states.
@@ -91,10 +115,15 @@ class Nfa:
     under one letter).  ``succ`` feeds only ``accepts`` and the
     literal-enumeration oracle.
 
-    Letter x is ``alphabet[x]``, a name.  The constructor checks names,
-    ranges and order over whole columns and sorts only input that is not
-    sorted and duplicate-free already, as ``print_automaton`` text always
-    is.
+    Letter x is ``alphabet[x]``, a name.  The constructor is the only public
+    way to make an Nfa, and it checks every value: names, ranges and order
+    over whole columns, sorting only input that is not sorted and
+    duplicate-free already, as ``print_automaton`` text always is.  Once
+    the checks pass, ``_store`` writes the normalised fields.  Checked
+    once: ``parse_automaton`` makes its Nfa without ``__init__`` and calls
+    ``_store`` after its own text checks, which imply the constructor's
+    (see there).  Either way the value is the same, with the same equality
+    and hash.
     """
 
     n_states: int
@@ -105,16 +134,17 @@ class Nfa:
     state_names: tuple[str, ...]
 
     def __post_init__(self):
-        if self.n_states <= 0:
+        n = self.n_states
+        if n <= 0:
             raise InputError("automaton needs at least one state")
-        if len(self.state_names) != self.n_states:
+        if len(self.state_names) != n:
             raise InputError("state name count does not match state count")
-        _check_names(self.state_names, "state")
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        _check_names(self.alphabet, "letter")
-        n, L = self.n_states, len(self.alphabet)
+        names = tuple(self.state_names)
+        _check_names(names, "state")
+        alphabet = tuple(self.alphabet)
+        _check_names(alphabet, "letter")
+        L = len(alphabet)
         trans = sorted_unique(map(tuple, self.transitions))
-        object.__setattr__(self, "transitions", trans)
         if trans:
             if set(map(len, trans)) != {3}:
                 raise InputError("transitions must be (src, letter, dst) triples")
@@ -125,13 +155,21 @@ class Nfa:
                 for (q, a, r) in trans:
                     if not (0 <= q < n and 0 <= r < n and 0 <= a < L):
                         raise InputError(f"transition {(q, a, r)} out of range")
-        object.__setattr__(self, "initial", sorted_unique(self.initial))
-        object.__setattr__(self, "accepting", sorted_unique(self.accepting))
-        ends = self.initial + self.accepting
+        initial, accepting = sorted_unique(self.initial), sorted_unique(self.accepting)
+        ends = initial + accepting
         if ends and not (0 <= min(ends) and max(ends) < n):
             for q in ends:
                 if not 0 <= q < n:
                     raise InputError(f"state index {q} out of range")
+        self._store(n, alphabet, trans, initial, accepting, names)
+
+    def _store(self, n_states, alphabet, transitions, initial, accepting, state_names):
+        """Write the fields, which the caller has checked and normalised:
+        tuples all, with ``transitions``, ``initial`` and ``accepting``
+        sorted and duplicate-free.  One dict update in place of a frozen
+        ``__setattr__`` per field."""
+        vars(self).update(n_states=n_states, alphabet=alphabet, transitions=transitions,
+                          initial=initial, accepting=accepting, state_names=state_names)
 
     # -- derived lookups ------------------------------------------------
 
@@ -139,28 +177,28 @@ class Nfa:
     def n_letters(self) -> int:
         return len(self.alphabet)
 
-    @cached_property
+    @derived
     def succ(self) -> dict[tuple[int, int], tuple[int, ...]]:
         table: dict[tuple[int, int], list[int]] = {}
         for (q, a, r) in self.transitions:
             table.setdefault((q, a), []).append(r)
         return {k: tuple(v) for k, v in table.items()}
 
-    @cached_property
+    @derived
     def state_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.state_names)}
 
     # -- bitmask view, used by the search routines ----------------------
 
-    @cached_property
+    @derived
     def initial_mask(self) -> int:
         return sum(1 << q for q in self.initial)
 
-    @cached_property
+    @derived
     def accepting_mask(self) -> int:
         return sum(1 << q for q in self.accepting)
 
-    @cached_property
+    @derived
     def step_rows(self) -> tuple[tuple[int, ...], ...]:
         """Letter-major step table: ``step_rows[a][q]`` is the bitmask of the
         successors of state q under letter a (0 when there are none)."""
@@ -238,11 +276,27 @@ def parse_automaton(text: str) -> Nfa:
     whole columns (the four directives, each once, and four tokens in every
     ``trans:`` row).  A text that fails this check goes through the
     ``tokenize`` loop of ``_misformatted``, which reports the first fault
-    with its line number."""
+    with its line number.
+
+    The fields are then stored with ``Nfa._store``, without the
+    constructor, whose checks the text checks already imply:
+
+    - a token from ``str.split`` is nonempty and whitespace-free, and none
+      starts with '#' once the comments are cut, so a repeat is the only
+      fault a name can have, and a name list repeats iff its dict is
+      shorter;
+    - every index comes from a dict lookup, so it is in range, and every
+      triple is built here from three of them;
+    - ``sorted_unique`` normalises the three index columns, as in the
+      constructor.
+
+    Only the state count is left; it is checked after the lookups, where
+    the constructor would have checked it."""
     lines = text.splitlines()
     rows = list(map(str.split, lines))
-    for i in compress(range(len(lines)), map(contains, lines, repeat("#"))):
-        rows[i] = _uncomment(rows[i])
+    if "#" in text:
+        for i in compress(range(len(lines)), map(contains, lines, repeat("#"))):
+            rows[i] = _uncomment(rows[i])
     rows = list(filter(None, rows))
     trans_lines = [row for row in rows if row[0] == "trans:"]
     heads = {row[0]: row[1:] for row in rows if row[0] != "trans:"}
@@ -251,9 +305,10 @@ def parse_automaton(text: str) -> Nfa:
         _misformatted(text)
         raise AssertionError("the line loop passed a text the bulk check refused")
     alphabet = tuple(heads["alphabet:"])
-    _check_names(alphabet, "letter")  # a bad letter is reported before a bad state
-    names = tuple(heads["states:"])
     letter_of = {name: x for x, name in enumerate(alphabet)}
+    if len(letter_of) != len(alphabet):
+        _check_names(alphabet, "letter")  # a bad letter is reported before a bad state
+    names = tuple(heads["states:"])
     state_of = {name: i for i, name in enumerate(names)}
     if len(state_of) != len(names):
         _check_names(names, "state")  # words the duplicate before any lookup fails
@@ -264,7 +319,12 @@ def parse_automaton(text: str) -> Nfa:
     except KeyError:
         _undeclared(trans_lines, heads["initial:"] + heads["accepting:"], state_of, letter_of)
         raise  # not reached: _undeclared finds the name the lookup missed
-    return Nfa(len(names), alphabet, trans, initial, accepting, names)
+    if not names:
+        raise InputError("automaton needs at least one state")
+    a = object.__new__(Nfa)
+    a._store(len(names), alphabet, sorted_unique(trans), sorted_unique(initial),
+             sorted_unique(accepting), names)
+    return a
 
 
 def _misformatted(text: str) -> None:

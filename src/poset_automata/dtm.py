@@ -10,10 +10,9 @@ the head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import tokenize
+from .core import derived, tokenize
 from .errors import InputError, SimulationError
 
 MOVES = ("L", "R", "S")
@@ -60,7 +59,7 @@ class Dtm:
             seen.add((q, read))
         object.__setattr__(self, "rules", tuple(sorted(self.rules)))
 
-    @cached_property
+    @derived
     def delta(self) -> dict[tuple[str, str], tuple[str, str, str]]:
         return {(q, read): (q2, write, move) for (q, read, q2, write, move) in self.rules}
 

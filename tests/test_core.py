@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -185,14 +186,20 @@ def test_parse_accepts_comments_and_blank_lines():
 
 
 def test_parse_errors():
-    with pytest.raises(InputError):
-        parse_automaton("alphabet: a\nstates: q\ninitial: q\n")  # missing accepting
-    with pytest.raises(InputError):
-        parse_automaton(GOLDEN + "trans: s0 a9 s1\n")  # unknown letter
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^missing directive 'accepting'$"):
+        parse_automaton("alphabet: a\nstates: q\ninitial: q\n")
+    with pytest.raises(InputError, match="^undeclared letter 'a9'$"):
+        parse_automaton(GOLDEN + "trans: s0 a9 s1\n")
+    with pytest.raises(InputError, match="^line 8: unknown directive 'bogus'$"):
         parse_automaton(GOLDEN + "bogus: x\n")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^automaton needs at least one state$"):
         parse_automaton("alphabet: a1\nstates: #bad\ninitial: #bad\naccepting:\n")
+    with pytest.raises(InputError, match="^duplicate letter name 'a'$"):
+        parse_automaton("alphabet: a a\nstates:\ninitial: q\naccepting:\n")
+    with pytest.raises(InputError, match="^duplicate state name 's'$"):
+        parse_automaton("alphabet: a\nstates: s t s\ninitial: q\naccepting:\n")
+    with pytest.raises(InputError, match="^undeclared state 'q'$"):
+        parse_automaton("alphabet: a\nstates:\ninitial: q\naccepting:\n")
 
 
 def test_format_word():
@@ -320,6 +327,10 @@ def automaton_texts(draw):
 @example("alphabet: a\nstates: s\ninitial: s\naccepting: y\ntrans: s b q\n")
 @example("alphabet: a\nstates: s s\ninitial: s\naccepting:\ntrans: s a q\n")
 @example("alphabet: a a\nstates: s s\ninitial: s\naccepting:\n")
+@example("alphabet: a\nstates: #bad\ninitial: #bad\naccepting:\n")
+@example("alphabet: a\nstates:\ninitial:\naccepting:\ntrans: s a s\n")
+@example("alphabet: a b a\nstates: s\ninitial: q\naccepting:\n")
+@example("alphabet: a\nstates: s t s\ninitial: s\naccepting: t\n")
 @example("alphabet: a b#k\r\nstates: s\t#c\ninitial: s\naccepting: s\ntrans: s b#k s #x\n")
 @example("alphabet: (a1,#)\u2028states: s\xa0#c\x85initial: s\x0baccepting:\x1fs\x0c"
          "trans:\u3000s (a1,#) s #x\x1c")
@@ -333,7 +344,16 @@ def test_parser_matches_reference_parser(text):
 def test_parser_matches_reference_on_printed_automata(seed):
     a = random_nfa(random.Random(seed))
     text = print_automaton(a, header=["printed # header"])
-    assert parse_automaton(text) == reference_parse_automaton(text) == a
+    parsed = parse_automaton(text)
+    assert parsed == reference_parse_automaton(text) == a
+    # the parser skips the constructor's checks; what it makes is the same value
+    checked = Nfa(*(getattr(parsed, f.name) for f in dataclasses.fields(Nfa)))
+    assert parsed == checked and hash(parsed) == hash(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.initial = ()
+    assert parsed.step_rows == checked.step_rows
+    assert parsed.initial_mask == checked.initial_mask
+    assert parsed.accepting_mask == checked.accepting_mask
 
 
 _BAD_NAMES = st.sampled_from(["", "#x", "a b", "t\n", "\tu", "s0"])
@@ -386,6 +406,10 @@ def test_constructor_keeps_sorted_transitions_and_sorts_the_rest():
     assert shuffled == ordered
     assert shuffled.transitions == ((0, 0, 1), (1, 0, 0))
     assert shuffled.initial == (0,) and shuffled.accepting == (1,)
+    listed = Nfa(2, list(alphabet), [(0, 0, 1), (1, 0, 0)], [0], [1], list(names))
+    assert listed == ordered and hash(listed) == hash(ordered)
+    assert listed.alphabet == alphabet and listed.state_names == names
+    assert parse_automaton(print_automaton(listed)) == listed
     for bad in (((0, 0, 1), (0, 0, 1, 0)), ((0, 0),)):
         with pytest.raises(InputError, match="triples"):
             Nfa(2, alphabet, bad, (0,), (1,), names)
