@@ -83,19 +83,14 @@ def sorted_unique(items: Sequence) -> tuple:
 
 
 class derived:
-    """A table derived from an immutable value's fields, computed on first
-    read.  Like ``functools.cached_property``, but it takes no lock (Python
-    3.11's does, on every first read): the value goes straight into the
-    instance ``__dict__``, where later reads find it before this non-data
-    descriptor.  Threads that race on a first read compute equal values, and
-    the last one written is kept."""
+    """``functools.cached_property`` without the lock that Python 3.11 takes
+    on each first read: the value goes straight into the instance
+    ``__dict__``, where later reads find it before this non-data descriptor.
+    Threads that race on a first read compute equal values; the last one
+    written is kept."""
 
     def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -116,14 +111,13 @@ class Nfa:
     literal-enumeration oracle.
 
     Letter x is ``alphabet[x]``, a name.  The constructor is the only public
-    way to make an Nfa, and it checks every value: names, ranges and order
-    over whole columns, sorting only input that is not sorted and
-    duplicate-free already, as ``print_automaton`` text always is.  Once
-    the checks pass, ``_store`` writes the normalised fields.  Checked
-    once: ``parse_automaton`` makes its Nfa without ``__init__`` and calls
-    ``_store`` after its own text checks, which imply the constructor's
-    (see there).  Either way the value is the same, with the same equality
-    and hash.
+    way to make an Nfa.  It checks names, ranges and order over whole
+    columns, sorts only input that is not sorted and duplicate-free
+    already, as ``print_automaton`` text always is, and then ``_store``
+    writes the normalised fields.  ``parse_automaton`` calls ``_store``
+    alone, after text checks that imply the constructor's, so a text is
+    checked once and gives the value, equality and hash the constructor
+    would.
     """
 
     n_states: int
@@ -164,10 +158,8 @@ class Nfa:
         self._store(n, alphabet, trans, initial, accepting, names)
 
     def _store(self, n_states, alphabet, transitions, initial, accepting, state_names):
-        """Write the fields, which the caller has checked and normalised:
-        tuples all, with ``transitions``, ``initial`` and ``accepting``
-        sorted and duplicate-free.  One dict update in place of a frozen
-        ``__setattr__`` per field."""
+        """Write the fields, checked and normalised by the caller: tuples,
+        with ``transitions``, ``initial`` and ``accepting`` sorted_unique."""
         vars(self).update(n_states=n_states, alphabet=alphabet, transitions=transitions,
                           initial=initial, accepting=accepting, state_names=state_names)
 
@@ -278,20 +270,14 @@ def parse_automaton(text: str) -> Nfa:
     ``tokenize`` loop of ``_misformatted``, which reports the first fault
     with its line number.
 
-    The fields are then stored with ``Nfa._store``, without the
-    constructor, whose checks the text checks already imply:
-
-    - a token from ``str.split`` is nonempty and whitespace-free, and none
-      starts with '#' once the comments are cut, so a repeat is the only
-      fault a name can have, and a name list repeats iff its dict is
-      shorter;
-    - every index comes from a dict lookup, so it is in range, and every
-      triple is built here from three of them;
-    - ``sorted_unique`` normalises the three index columns, as in the
-      constructor.
-
-    Only the state count is left; it is checked after the lookups, where
-    the constructor would have checked it."""
+    The text checks imply the ``Nfa`` constructor's, so the fields are
+    stored with ``Nfa._store`` and not checked again.  A token from
+    ``str.split`` is nonempty and whitespace-free, and none starts with '#'
+    once comments are cut, so a repeat, which shows as a shorter dict, is
+    the only fault a name can have.  Every triple is built here from dict
+    lookups, so its indices are in range, and ``sorted_unique`` normalises
+    the index columns.  Only the state count is left to check, after the
+    lookups as in the constructor."""
     lines = text.splitlines()
     rows = list(map(str.split, lines))
     if "#" in text:
@@ -307,7 +293,7 @@ def parse_automaton(text: str) -> Nfa:
     alphabet = tuple(heads["alphabet:"])
     letter_of = {name: x for x, name in enumerate(alphabet)}
     if len(letter_of) != len(alphabet):
-        _check_names(alphabet, "letter")  # a bad letter is reported before a bad state
+        _check_names(alphabet, "letter")  # a repeated letter is reported before a bad state
     names = tuple(heads["states:"])
     state_of = {name: i for i, name in enumerate(names)}
     if len(state_of) != len(names):
