@@ -16,11 +16,11 @@ themselves take as keys of the search's parent map.  That map holds at most |Sig
 explored node, so ``antichain_nodes`` bounds both, and neither needs a cap of
 its own.
 
-The confluence search holds unordered pairs of distinct states, one memo per
-pair of letters, so at most |Sigma|(|Sigma|+1)/2 * |Q|(|Q|-1)/2, about
-|Sigma|^2*|Q|^2/4, pairs in all; ``confluence_nodes`` bounds them.  The
-reductions of ``scripts/reduce_demo.py`` at space bound 5 hold about 650,000
-pairs (at roughly 50 bytes each); the default leaves three times that.
+The confluence search holds unordered pairs of distinct states, one set of
+pairs known to meet per pair of letters: at most |Sigma|(|Sigma|+1)/2 *
+|Q|(|Q|-1)/2, about |Sigma|^2*|Q|^2/4, in all; ``confluence_nodes`` bounds
+them.  The reductions of ``scripts/reduce_demo.py`` at space bound 5 hold
+about 650,000 pairs (roughly 50 bytes each); the default leaves three times that.
 """
 
 from __future__ import annotations

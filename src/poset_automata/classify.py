@@ -206,15 +206,6 @@ def is_deterministic(a: Nfa) -> bool:
 # confluence
 
 
-def _mark_path(memo: dict, parent: dict, pair: int) -> bool:
-    """Mark ``pair`` and its ancestors in the search tree as meeting: each
-    reaches ``pair`` under some word, then the word that makes it meet."""
-    while pair >= 0:
-        memo[pair] = True
-        pair = parent[pair]
-    return True
-
-
 def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]]:
     """Confluence for NFAs: for every q and letters a, b (possibly equal),
     successors s of q under a and t under b admit w in {a,b}* with sw and tw
@@ -231,15 +222,13 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
     most |Q|(|Q|-1)/2 such nodes, where sets of states would give
     exponentially many.
 
-    One memo per letter pair maps pairs to their answer, and every answer
-    stays exact.  A search that finds no meet has reached every pair
-    reachable from its start, except behind pairs already marked as not
-    meeting, so it marks all it reached as not meeting, and a pair so
-    marked is never expanded again.  A search that finds a meet marks only
-    the pairs on its path to it, each of which reaches the meet under some
-    word; pairs merely queued beside the path are left unknown.  The memo
-    thus answers each question as a search without memo would, and the
-    first failing witness is unchanged.
+    Each letter pair keeps the set of pairs known to meet.  A search stops
+    at the first pair with a one-step meet or in that set, and adds the
+    pairs on its path there, each of which reaches the meet under some
+    word; pairs merely queued beside the path stay unknown.  A search that
+    finds no meet ends the call with its witness, so it records nothing.
+    The set thus answers each question as a search without it would, and
+    the first failing witness is unchanged.
 
     When a == b the loop skips t <= s: {u, v} meets or not as one unordered
     pair, and with u < v the loop over s, then t, asks (u, v) before (v, u),
@@ -250,8 +239,8 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
     on the states, so any NFA may be asked.
 
     The search holds at most |Sigma|^2*|Q|^2/4 state pairs in all; the
-    ``confluence_nodes`` cap bounds the pairs held in all memos plus the
-    search under way and raises ResourceLimitError."""
+    ``confluence_nodes`` cap bounds the pairs held in all those sets plus
+    the search under way and raises ResourceLimitError."""
     n = a.n_states
     rows = a.step_rows
     succ: list = [None] * n  # per state, its successors per letter
@@ -261,9 +250,9 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
         return sq
 
     limit = default_caps().confluence_nodes
-    held = 0  # pairs in all memos
+    held = 0  # pairs in all sets of known meets
 
-    def meets(start: int, ax: int, bx: int, memo: dict) -> bool:
+    def meets(start: int, ax: int, bx: int, met: set) -> bool:
         ra, rb = rows[ax], rows[bx]
         letters = (ax,) if ax == bx else (ax, bx)
         room = limit - held
@@ -284,18 +273,16 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
                         if pair in parent:
                             continue
                         parent[pair] = node
-                        known = memo.get(pair)
-                        if known is None:
-                            if ra[u2] & ra[v2] or rb[u2] & rb[v2]:
-                                return _mark_path(memo, parent, pair)
-                            queue.append(pair)
-                        elif known:
-                            return _mark_path(memo, parent, pair)
-        memo.update(dict.fromkeys(parent, False))
+                        if pair in met or ra[u2] & ra[v2] or rb[u2] & rb[v2]:
+                            while pair >= 0:  # the path: each pair on it reaches the meet
+                                met.add(pair)
+                                pair = parent[pair]
+                            return True
+                        queue.append(pair)
         return False
 
     n_letters = a.n_letters
-    memos: dict[tuple[int, int], dict] = {}  # one memo per letter pair
+    known: dict[tuple[int, int], set] = {}  # per letter pair, the pairs known to meet
     for q in range(n):
         sq = succ[q] or lists(q)
         for ax in range(n_letters):
@@ -309,7 +296,7 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
                     continue
                 rb = rows[bx]
                 same = ax == bx
-                memo = memos.setdefault((ax, bx), {})
+                met = known.setdefault((ax, bx), set())
                 for s in sa:
                     for t in sb:
                         if t <= s and (same or t == s):
@@ -317,13 +304,11 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
                         if ra[s] & ra[t] or rb[s] & rb[t]:
                             continue  # meets under one letter
                         key = s * n + t if s < t else t * n + s
-                        known = memo.get(key)
-                        if known is None:
-                            size = len(memo)
-                            known = meets(key, ax, bx, memo)
-                            held += len(memo) - size
-                        if not known:
-                            return False, (q, ax, bx, s, t)
+                        if key not in met:
+                            size = len(met)
+                            if not meets(key, ax, bx, met):
+                                return False, (q, ax, bx, s, t)
+                            held += len(met) - size
     return True, None
 
 

@@ -32,6 +32,10 @@ class Dtm:
     rules: tuple[tuple[str, str, str, str, str], ...]  # (q, read, q', write, move)
 
     def __post_init__(self):
+        # tuples first, each rule too, so list arguments compare and hash alike
+        for name in ("states", "tape_alphabet", "input_alphabet"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "rules", tuple(map(tuple, self.rules)))
         if len(set(self.states)) != len(self.states):
             raise InputError("duplicate machine states")
         if len(set(self.tape_alphabet)) != len(self.tape_alphabet):

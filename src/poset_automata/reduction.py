@@ -422,7 +422,6 @@ class ReductionArtifact:
     k: int
     n: int
     pval: int
-    pair_alphabet: PairAlphabet
     components: tuple[tuple[str, int, int], ...]  # (name, state offset, state count)
     attachment_states: tuple[str, ...]
 
@@ -462,4 +461,4 @@ def reduce(m: Dtm, x: Sequence[str], pval: int) -> ReductionArtifact:
         build_part(bb, m, x, pval)
         components.append((name, offset, len(bb.names) - offset))
     hosts = tuple(bb.names[host] for host, _min_a in bb.hosts)
-    return ReductionArtifact(bb.build(), k, n, pval, bb.pa, tuple(components), hosts)
+    return ReductionArtifact(bb.build(), k, n, pval, tuple(components), hosts)

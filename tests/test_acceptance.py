@@ -13,7 +13,7 @@ from poset_automata.core import Nfa, accepts
 from poset_automata.errors import ResourceLimitError
 from poset_automata.hardness import (build_aknn, dag_gadget, dag_reachable,
                                      trim_aknn, w_word)
-from poset_automata.reduction import encode_run, reduce
+from poset_automata.reduction import PairAlphabet, encode_run, reduce
 from poset_automata.sampling import (random_complete_po_sld, random_dag,
                                      random_nfa, random_saturated,
                                      random_unary_po)
@@ -164,7 +164,7 @@ def test_criterion_8_tm_reduction_end_to_end(monkeypatch):
                 u = universal_state_mask(art.automaton)
                 rejected = not accepts_with_cutoff(art.automaton, word, u)
                 ok = ok and rejected
-                pa = art.pair_alphabet
+                pa = PairAlphabet(machine, art.n)
                 missed = 0
                 for pos in range(len(word)):
                     a_idx, d_orig = divmod(word[pos], pa.n_delta)

@@ -599,9 +599,27 @@ def test_confluence_matches_set_pair_reference_on_aknn(k, n):
 def test_confluence_matches_set_pair_reference_on_reductions(machine):
     """At space bound 1 only: at 2 the set-pair reference takes about a
     second per machine.  ``scripts/antichain_scaling.py``, which CI runs at
-    bounds 1 and 2, asserts the confluent verdict there."""
+    bounds 1 and 2, asserts the confluent verdict there.
+
+    The output also loses 1-3 seeded arcs, each the only successor of its
+    (state, letter).  It is then incomplete, so ``classify`` runs the pair
+    search as well, and both verdicts occur: searches that meet and record
+    their paths, and searches that fail and name the witness."""
     a = reduce(machine(), "1", 1).automaton
     assert is_confluent(a) == _ref_confluent(a) == (True, None)
+    lone = [t for t in a.transitions if len(a.succ[t[0], t[1]]) == 1]
+    verdicts = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        cut = set(rng.sample(lone, rng.randint(1, 3)))
+        b = Nfa(a.n_states, a.alphabet, tuple(t for t in a.transitions if t not in cut),
+                a.initial, a.accepting, a.state_names)
+        assert not is_complete(b)[0]
+        result = is_confluent(b)
+        assert result == _ref_confluent(b)
+        assert classify(b).confluent == result[0]
+        verdicts.add(result[0])
+    assert verdicts == {True, False}
 
 
 def _with_extra_arcs(rng, a):

@@ -318,6 +318,9 @@ _INPUT_CHECKS = {
                                 "", 2, "error: rule references unknown symbol: 1 -> 7"),
     "dtm-rule-bad-move": (_REDUCE, {"delta: q0 1 -> qf 1 S": "delta: q0 1 -> qf 1 X"}, "", 2,
                           "error: rule move must be one of ('L', 'R', 'S'), got 'X'"),
+    "dtm-duplicate-rule": (_REDUCE, {"delta: q0 1 -> qf 1 S": "delta: q0 1 -> qf 1 S\n"
+                                     "delta: q0 1 -> q0 1 R"}, "", 2,
+                           "error: duplicate rule for (q0, 1)"),
     "dtm-two-initial-states": (_REDUCE, {"initial: q0": "initial: q0 q1"}, "", 2,
                                "error: directive 'initial' needs exactly one name"),
     "dag-no-nodes": (["gen-dag", "F"], {"nodes: 3": "nodes: 0"}, "", 2,

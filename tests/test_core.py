@@ -272,8 +272,11 @@ def automaton_texts(draw):
     and unsorted or duplicated ``trans:`` lines.  About half the texts are
     drawn clean (each directive once, no junk lines), and undeclared names
     go into at most the trans lines or the initial and accepting lists, so
-    that many texts parse."""
+    that many texts parse.  Now and then a clean text's ``states:`` line is
+    emptied by a comment, and no other line names a state, so that its only
+    fault is the empty state list."""
     clean = draw(st.booleans())
+    hollow = clean and draw(st.integers(0, 7)) == 0
     spoiled = draw(st.sampled_from([(), (), ("trans",), ("initial",), ("accepting",),
                                     ("initial", "accepting")]))  # may hold undeclared names
     size = 1 if clean else 0
@@ -283,12 +286,15 @@ def automaton_texts(draw):
                             max_size=3, unique=clean))
 
     def names(pool, max_size, role="trans"):
+        if hollow:
+            return []
         if role in spoiled:
             pool = pool + ["q", "zz", "ww"]
         return draw(st.lists(st.sampled_from(pool or ["q"]), max_size=max_size))
 
     lines = []
-    for key, tokens in (("alphabet", letters), ("states", states),
+    for key, tokens in (("alphabet", letters),
+                        ("states", ["#" + states[0], *states[1:]] if hollow else states),
                         ("initial", names(states, 2, "initial")),
                         ("accepting", names(states, 3, "accepting"))):
         for _ in range(1 if clean else draw(st.sampled_from([1, 1, 1, 0, 2]))):

@@ -273,6 +273,9 @@ def test_dag_gadget_battery_against_bfs():
 def test_parse_dag():
     g = parse_dag("# comment\nnodes: 3\nedge: 0 1\nedge: 1 2\nsource: 0\ntarget: 2\n")
     assert g == Dag(3, ((0, 1), (1, 2)), 0, 2)
+    for edges in ([[0, 1], [1, 2]], [[1, 2], [0, 1]]):  # lists, sorted or not
+        listed = Dag(3, edges, 0, 2)
+        assert listed == g and hash(listed) == hash(g)
     with pytest.raises(InputError):
         parse_dag("nodes: 2\nsource: 0\n")
     with pytest.raises(InputError):

@@ -60,11 +60,18 @@ def test_parse_dtm_errors():
                   "delta: qf _ -> q0 _ S\n")  # rule out of the accepting state
     with pytest.raises(InputError):
         parse_dtm("states: q0\ninitial: q0\naccepting: q0\ntape: _\nblank: _\n")
+    with pytest.raises(InputError, match=r"^duplicate rule for \(q0, 1\)$"):
+        parse_dtm(TM_TEXT + "delta: q0 1 -> qf 1 S\n")
 
 
 def test_dtm_validation():
     with pytest.raises(InputError):
         Dtm(("q0", "qf"), "q0", "qf", ("_", "1"), ("1", "_"), "_", ())  # blank in input
+    rule = ("q0", "1", "qf", "1", "S")
+    listed = Dtm(["q0", "qf"], "q0", "qf", ["_", "1"], ["1"], "_", [list(rule)])
+    built = Dtm(("q0", "qf"), "q0", "qf", ("_", "1"), ("1",), "_", (rule,))
+    assert listed == built and hash(listed) == hash(built)
+    assert listed.rules == (rule,)
 
 
 def test_simulate_immediate_accept(tm_accepting):
@@ -357,8 +364,8 @@ def test_reduce_artifact_inventory(tm_accepting):
     for name in art.attachment_states:
         assert name in art.automaton.state_index
     # pair alphabet size: n * (|T|(|Q|+1) + 2)
-    pa = art.pair_alphabet
     m = tm_accepting
+    pa = PairAlphabet(m, art.n)
     assert pa.n_delta == len(m.tape_alphabet) * (len(m.states) + 1) + 2
     assert len(pa.alphabet) == art.n * pa.n_delta
     assert len(art.automaton.alphabet) == len(pa.alphabet)
@@ -375,7 +382,8 @@ def test_reduce_accepting_machine_witness(tm_accepting):
     for pval in (1, 2, 3):
         art = reduce(tm_accepting, "1", pval)
         word = encode_run(tm_accepting, "1", pval, art.k, art.n)
-        assert tuple(pi // art.pair_alphabet.n_delta for pi in word) == w_word(art.k, art.n)
+        n_delta = PairAlphabet(tm_accepting, art.n).n_delta
+        assert tuple(pi // n_delta for pi in word) == w_word(art.k, art.n)
         assert not accepts(art.automaton, word)
         res = universal_antichain(art.automaton)
         assert not res.universal
@@ -403,7 +411,7 @@ def test_reduce_corruption_sample(tm_accepting):
     """Every single-symbol change of the run encoding's second component
     must be accepted (the full battery runs in the acceptance suite)."""
     art = reduce(tm_accepting, "1", 1)
-    pa = art.pair_alphabet
+    pa = PairAlphabet(tm_accepting, art.n)
     word = encode_run(tm_accepting, "1", 1, art.k, art.n)
     u = universal_state_mask(art.automaton)
     for pos in (0, 1, 2, 9, len(word) - 2, len(word) - 1):
@@ -417,7 +425,7 @@ def test_reduce_corruption_sample(tm_accepting):
 def test_backbone_law_first_projection_perturbations(tm_accepting):
     """Any word whose first projection differs from W_{k,n} is accepted."""
     art = reduce(tm_accepting, "1", 1)
-    pa = art.pair_alphabet
+    pa = PairAlphabet(tm_accepting, art.n)
     word = encode_run(tm_accepting, "1", 1, art.k, art.n)
     u = universal_state_mask(art.automaton)
     rng = random.Random(5)
@@ -439,7 +447,7 @@ def test_reduce_machine_with_head_movement():
     word = encode_run(lr, "11", 2, art.k, art.n)
     u = universal_state_mask(art.automaton)
     assert not accepts_with_cutoff(art.automaton, word, u)
-    pa = art.pair_alphabet
+    pa = PairAlphabet(lr, art.n)
     rng = random.Random(17)
     for pos in rng.sample(range(len(word)), 30):
         a_idx, d_orig = divmod(word[pos], pa.n_delta)
@@ -474,7 +482,7 @@ def test_reduce_three_state_machine():
     word = encode_run(acc3, "1", 1, art.k, art.n)
     u = universal_state_mask(art.automaton)
     assert not accepts_with_cutoff(art.automaton, word, u)
-    pa = art.pair_alphabet
+    pa = PairAlphabet(acc3, art.n)
     for pos in range(len(word)):
         a_idx, d_orig = divmod(word[pos], pa.n_delta)
         for d in range(pa.n_delta):
@@ -529,7 +537,7 @@ def test_completion_targets_reach_no_host(machine, pval):
 def test_one_backbone_and_verdict_delay_lines(machine, pval):
     m = machine()
     art = reduce(m, "1", pval)
-    a, k, n, pa = art.automaton, art.k, art.n, art.pair_alphabet
+    a, k, n, pa = art.automaton, art.k, art.n, PairAlphabet(m, art.n)
     backbone_names = set(build_aknn(k, n).state_names)
     assert sum(name in backbone_names for name in a.state_names) == n * (2 * k + 1) + 1
     nd = pa.n_delta
@@ -624,7 +632,7 @@ def test_reduce_trailing_dollar_checks_at_p2():
     letter replaced)."""
     m, pval = accepting_machine(), 2
     art = reduce(m, "1", pval)
-    a, pa = art.automaton, art.pair_alphabet
+    a, pa = art.automaton, PairAlphabet(m, art.n)
     word = encode_run(m, "1", pval, art.k, art.n)
     assert (art.k, art.n, len(word)) == (5, 4, 125)
     assert word[-1] % pa.n_delta == pa.dollar_id != word[-2] % pa.n_delta
