@@ -134,39 +134,25 @@ def expected_next(m: Dtm, pa: PairAlphabet) -> dict[tuple[int, int], tuple]:
     part B makes its delay lines: only an unmarked dc whose left neighbor
     brings no head depends on dr."""
     nd, dollar = pa.n_delta, pa.dollar_id
-
-    def arrival(d: int, move: str) -> Optional[str]:
-        """The state that the head in cell d brings to its neighbor under
-        ``move``, or None."""
-        theta, q = pa.cells[d]
-        if q in (None, m.accepting):
-            return None
-        rule = m.delta.get((q, theta))
-        return rule[0] if rule is not None and rule[2] == move else None
-
-    from_left = [arrival(d, "R") for d in range(nd)]
-    from_right = [arrival(d, "L") for d in range(nd)]
-    # the successor of each dc that ignores its neighbors (None: it does not)
-    fixed = []
-    for dc, (theta, marker) in enumerate(pa.cells):
-        if dc == pa.hash_id:
-            fixed.append(dc)
-        elif marker is None:
-            fixed.append(None)
-        elif marker == m.accepting:
-            fixed.append(dc)  # the accepting state behaves as a self-loop
-        elif (rule := m.delta.get((marker, theta))) is None:
-            fixed.append(IMPOSSIBLE)
-        else:
-            q2, write, move = rule
-            fixed.append(pa.cell_id(write, q2 if move == "S" else None))
+    # each cell's head rule (q', write, move); IMPOSSIBLE for a live head
+    # with no rule, None for no head or the accepting head
+    rule = [None if q in (None, m.accepting) else m.delta.get((q, theta), IMPOSSIBLE)
+            for theta, q in pa.cells]
+    # the state that each cell's head brings to its right or left neighbor
+    from_left = [r[0] if r not in (None, IMPOSSIBLE) and r[2] == "R" else None for r in rule]
+    from_right = [r[0] if r not in (None, IMPOSSIBLE) and r[2] == "L" else None for r in rule]
     rows = {}
     for dl in range(nd):
-        for dc, (theta, _marker) in enumerate(pa.cells):
+        for dc, (theta, marker) in enumerate(pa.cells):
             if dollar in (dl, dc):
                 row = [VACUOUS] * nd
-            elif fixed[dc] is not None:
-                row = [fixed[dc]] * nd
+            elif rule[dc] == IMPOSSIBLE:
+                row = [IMPOSSIBLE] * nd
+            elif rule[dc] is not None:
+                q2, write, move = rule[dc]
+                row = [pa.cell_id(write, q2 if move == "S" else None)] * nd
+            elif marker is not None or dc == pa.hash_id:
+                row = [dc] * nd  # # stays, and the accepting state loops
             elif from_left[dl] is not None:  # a head moves onto dc from dl...
                 row = [pa.cell_id(theta, from_left[dl])] * nd
             else:  # ...or from dr
