@@ -127,13 +127,13 @@ class PairAlphabet:
 
 def expected_next(m: Dtm, pa: PairAlphabet) -> dict[tuple[int, int], tuple]:
     """For the window (dl, dc, dr), ``expected_next(m, pa)[dl, dc][dr]`` is
-    the symbol forced one configuration later for the cell encoded by dc:
-    a Delta id, VACUOUS (window contains $, nothing is checked) or
-    IMPOSSIBLE (the machine halts in this window, so only $ may follow).
-    One row over dr per (dl, dc), in (dl, dc) order, the order in which
-    part B makes its delay lines: only an unmarked dc whose left neighbor
-    brings no head depends on dr."""
-    nd, dollar = pa.n_delta, pa.dollar_id
+    the symbol forced one configuration later for the cell encoded by dc: a
+    Delta id, VACUOUS (window contains $, nothing is checked) or IMPOSSIBLE
+    (the machine halts here, so only $ may follow).  Leaving the tape halts
+    the run too: a head in dc that moves onto dl = # or onto dr = #.  One
+    row over dr per (dl, dc), in (dl, dc) order, the order in which part B
+    makes its delay lines."""
+    nd, hash_id, dollar = pa.n_delta, pa.hash_id, pa.dollar_id
     # each cell's head rule (q', write, move); IMPOSSIBLE for a live head
     # with no rule, None for no head or the accepting head
     rule = [None if q in (None, m.accepting) else m.delta.get((q, theta), IMPOSSIBLE)
@@ -144,14 +144,17 @@ def expected_next(m: Dtm, pa: PairAlphabet) -> dict[tuple[int, int], tuple]:
     rows = {}
     for dl in range(nd):
         for dc, (theta, marker) in enumerate(pa.cells):
+            r = rule[dc]
             if dollar in (dl, dc):
                 row = [VACUOUS] * nd
-            elif rule[dc] == IMPOSSIBLE:
+            elif r == IMPOSSIBLE or (r is not None and r[2] == "L" and dl == hash_id):
                 row = [IMPOSSIBLE] * nd
-            elif rule[dc] is not None:
-                q2, write, move = rule[dc]
+            elif r is not None:
+                q2, write, move = r
                 row = [pa.cell_id(write, q2 if move == "S" else None)] * nd
-            elif marker is not None or dc == pa.hash_id:
+                if move == "R":
+                    row[hash_id] = IMPOSSIBLE
+            elif marker is not None or dc == hash_id:
                 row = [dc] * nd  # # stays, and the accepting state loops
             elif from_left[dl] is not None:  # a head moves onto dc from dl...
                 row = [pa.cell_id(theta, from_left[dl])] * nd

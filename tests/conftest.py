@@ -129,7 +129,7 @@ def expected_next_reference(m: Dtm, pa, dl: int, dc: int, dr: int):
     """The forced successor of one window (dl, dc, dr), straight from the
     transition rules: the oracle for ``reduction.expected_next``'s rows.
     Returns a Delta id, "vacuous" (window contains $) or "impossible" (the
-    machine halts in this window)."""
+    machine halts in this window, a head leaving the tape included)."""
     if pa.dollar_id in (dl, dc, dr):
         return "vacuous"
     if dc == pa.hash_id:
@@ -142,6 +142,8 @@ def expected_next_reference(m: Dtm, pa, dl: int, dc: int, dr: int):
         if rule is None:
             return "impossible"
         q2, write, move = rule
+        if (move, pa.hash_id) in (("L", dl), ("R", dr)):
+            return "impossible"  # the head would move onto a #
         return pa.cell_id(write, q2 if move == "S" else None)
     for d, move in ((dl, "R"), (dr, "L")):
         sym, q = pa.cells[d]

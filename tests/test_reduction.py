@@ -6,6 +6,7 @@ import pytest
 
 from poset_automata import reduction
 from poset_automata.caps import default_caps
+from poset_automata.classify import classify
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
 from poset_automata.errors import InputError, ResourceLimitError, SimulationError
@@ -17,8 +18,8 @@ from poset_automata.reduction import (PairAlphabet, _Backbone,
                                       config_count, encode_run, expected_next,
                                       initial_config_symbols, reduce)
 from poset_automata.selftest import rejects_exactly
-from poset_automata.universality import (universal_antichain, universal_state_mask,
-                                         universal_subset)
+from poset_automata.universality import (universal, universal_antichain,
+                                         universal_state_mask, universal_subset)
 
 from conftest import (accepting_machine, accepts_with_cutoff, expected_next_reference,
                       head_moving_machine, incrementing_machine, is_ptnfa,
@@ -209,8 +210,8 @@ def test_expected_next_impossible_on_halt():
     assert expected_next(m, pa)[pa.hash_id, pa.cell_id("1", "q1")][pa.hash_id] == "impossible"
 
 
-def _random_dtm(rng: random.Random) -> Dtm:
-    states = ("q0", "q1", "q2", "qf")
+def _random_dtm(rng: random.Random, n_states: int = 4) -> Dtm:
+    states = tuple(f"q{i}" for i in range(n_states - 1)) + ("qf",)
     tape = ("_", "0", "1")
     rules = tuple((q, t, rng.choice(states), rng.choice(tape), rng.choice("LRS"))
                   for q in states[:-1] for t in tape if rng.random() < 0.7)
@@ -499,6 +500,30 @@ def test_reduce_out_of_bounds_run_is_reported():
     inc = incrementing_machine()
     with pytest.raises(SimulationError):
         encode_run(inc, "1", 1, 4, 2)  # walks right off a 1-cell tape
+
+
+def test_reduce_agrees_with_simulation_on_random_machines():
+    """200 seeded random machines over {_, 0, 1} with L, R and S moves and
+    missing rules, at p = 1 and 2: the output is a ptNFA, and it is
+    universal iff the run does not accept within the bound.  A run that
+    leaves the tape does not accept; about half of these machines leave
+    it.  On acceptance the counterexample is ``encode_run``'s word."""
+    rng = random.Random(21)
+    left = 0
+    for i in range(200):
+        m, pval = _random_dtm(rng, rng.randint(2, 4)), 1 + i % 2
+        x = "".join(rng.choice("01") for _ in range(rng.randint(0, pval)))
+        try:
+            accepted = simulate_dtm(m, x, pval, config_count(m, pval) + 1).verdict == "accept"
+        except SimulationError:
+            accepted, left = False, left + 1
+        art = reduce(m, x, pval)
+        res = universal(art.automaton)
+        assert res.universal == (not accepted), (m, x, pval)
+        assert classify(art.automaton).label == "ptNFA", (m, x, pval)
+        if accepted:
+            assert res.counterexample == encode_run(m, x, pval, art.k, art.n)
+    assert left > 50
 
 
 # ---------------------------------------------------------------------------
