@@ -132,7 +132,7 @@ def expected_next(m: Dtm, pa: PairAlphabet) -> dict[tuple[int, int], tuple]:
     (the machine halts here, so only $ may follow).  Leaving the tape halts
     the run too: a head in dc that moves onto dl = # or onto dr = #.  One
     row over dr per (dl, dc), in (dl, dc) order, the order in which part B
-    makes its delay lines."""
+    makes its delay lines; equal rows are one tuple."""
     nd, hash_id, dollar = pa.n_delta, pa.hash_id, pa.dollar_id
     # each cell's head rule (q', write, move); IMPOSSIBLE for a live head
     # with no rule, None for no head or the accepting head
@@ -141,7 +141,7 @@ def expected_next(m: Dtm, pa: PairAlphabet) -> dict[tuple[int, int], tuple]:
     # the state that each cell's head brings to its right or left neighbor
     from_left = [r[0] if r not in (None, IMPOSSIBLE) and r[2] == "R" else None for r in rule]
     from_right = [r[0] if r not in (None, IMPOSSIBLE) and r[2] == "L" else None for r in rule]
-    rows = {}
+    rows, distinct = {}, {}
     for dl in range(nd):
         for dc, (theta, marker) in enumerate(pa.cells):
             r = rule[dc]
@@ -161,7 +161,7 @@ def expected_next(m: Dtm, pa: PairAlphabet) -> dict[tuple[int, int], tuple]:
             else:  # ...or from dr
                 row = [dc if q is None else pa.cell_id(theta, q) for q in from_right]
             row[dollar] = VACUOUS
-            rows[dl, dc] = tuple(row)
+            rows[dl, dc] = distinct.setdefault(row := tuple(row), row)
     return rows
 
 
@@ -342,14 +342,17 @@ def build_part_b(bb: _Backbone, m: Dtm, x: Sequence[str], pval: int) -> None:
     pa, nd = bb.pa, bb.pa.n_delta
     verdict = expected_next(m, pa)
     head = {}
-    for v in dict.fromkeys(v for row in verdict.values() for v in row):
+    for v in dict.fromkeys(v for row in dict.fromkeys(verdict.values()) for v in row):
         dst_of = lambda a_idx, d: (bb.target[a_idx] if v == VACUOUS or d in (v, pa.dollar_id)
                                    else bb.max)
         for i in reversed(range(pval)):
             head[v] = bb.shared(f"B:next[{v}]" + (f"+{i}" if i else ""), dst_of)
             dst_of = lambda a_idx, d, q=head[v]: q
-    w2 = {(dl, dc): bb.shared(f"B:w[{dl},{dc}]", lambda a_idx, dr: head[verdict[dl, dc][dr]])
-          for dl in range(nd) for dc in range(nd)}
+    w2, made = {}, {}  # one state per distinct verdict row, named after its first window
+    for (dl, dc), row in verdict.items():
+        if (q := made.get(row)) is None:
+            q = made[row] = bb.shared(f"B:w[{dl},{dc}]", lambda a_idx, dr: head[row[dr]])
+        w2[dl, dc] = q
     w1 = [bb.shared(f"B:w[{dl}]", lambda a_idx, dc: w2[dl, dc]) for dl in range(nd)]
     bb.host_entries(lambda d: w1[d])
 

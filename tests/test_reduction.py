@@ -582,6 +582,27 @@ def test_one_backbone_and_verdict_delay_lines(machine, pval):
 
 @pytest.mark.parametrize("pval", [1, 2])
 @pytest.mark.parametrize("machine", STRUCTURE_MACHINES)
+def test_part_b_asks_the_register_once_per_state(machine, pval, monkeypatch):
+    """Part B calls ``_Backbone.shared`` once per delay state, once per
+    distinct verdict row and once per w[dl], not once per window; and
+    ``expected_next`` keeps equal rows as one tuple."""
+    m = machine()
+    k, n = choose_kn(m, "1", pval)
+    pa = PairAlphabet(m, n)
+    rows = list(expected_next(m, pa).values())
+    distinct = set(rows)
+    assert len(set(map(id, rows))) == len(distinct) < len(rows)
+    calls = []
+    shared = _Backbone.shared
+    monkeypatch.setattr(_Backbone, "shared",
+                        lambda bb, *args, **kwargs: calls.append(1) or shared(bb, *args, **kwargs))
+    build_part_b(_Backbone(pa, k), m, "1", pval)
+    delay_states = len({v for row in distinct for v in row}) * pval
+    assert len(calls) == delay_states + len(distinct) + pa.n_delta
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", STRUCTURE_MACHINES)
 def test_shared_states_have_distinct_rows(machine, pval):
     """No two part-B or $-run states agree in acceptance and arc set,
     C.2's g run and C.3's last state are C.1's d states, and C.2's h is
