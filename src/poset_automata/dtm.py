@@ -36,6 +36,8 @@ class Dtm:
         for name in ("states", "tape_alphabet", "input_alphabet"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "rules", tuple(map(tuple, self.rules)))
+        if any(len(rule) != 5 for rule in self.rules):
+            raise InputError("rules must be (q, read, q', write, move) 5-tuples")
         if len(set(self.states)) != len(self.states):
             raise InputError("duplicate machine states")
         if len(set(self.tape_alphabet)) != len(self.tape_alphabet):

@@ -73,6 +73,8 @@ def test_dtm_validation():
     built = Dtm(("q0", "qf"), "q0", "qf", ("_", "1"), ("1",), "_", (rule,))
     assert listed == built and hash(listed) == hash(built)
     assert listed.rules == (rule,)
+    with pytest.raises(InputError, match=r"^rules must be \(q, read, q', write, move\) 5-tuples$"):
+        Dtm(("q0", "qf"), "q0", "qf", ("_", "1"), ("1",), "_", (("q0", "1", "qf"),))
 
 
 def test_simulate_immediate_accept(tm_accepting):
