@@ -18,7 +18,9 @@ Components, in the output's state order:
   (B)  windows of three consecutive symbols whose successor cell, one
        configuration later, is not the one forced by M's transition
        function (a tree over the window's first two symbols, then one delay
-       line of p states per verdict of ``expected_next``);
+       line of p states per verdict of ``expected_next``).  Where M halts,
+       leaving the tape included, the verdict is IMPOSSIBLE: only $ may
+       follow, and C.2 then rejects the run's non-accepting end;
   (C)  runs that end prematurely (C.1), in a non-accepting state (C.2),
        with more than p trailing $ (C.3), or with $ followed by another
        symbol (C.4).
@@ -98,7 +100,7 @@ from .errors import InputError, ResourceLimitError
 from .hardness import build_aknn, w_word
 
 VACUOUS = "vacuous"        # window contains $: nothing to check
-IMPOSSIBLE = "impossible"  # the machine halts here: no successor symbol exists
+IMPOSSIBLE = "impossible"  # the machine halts or leaves the tape: no successor symbol
 
 
 class PairAlphabet:
