@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import comb
+from operator import index
 
 from .caps import default_caps
 from .core import Nfa, Word, sorted_unique, tokenize
@@ -140,8 +141,8 @@ class Dag:
         if self.n_nodes <= 0:
             raise InputError("DAG needs at least one node")
         n = self.n_nodes
-        try:  # a wrong length fails the unpacking, a non-integer the comparisons
-            edges = sorted_unique((u, v) for (u, v) in self.edges)
+        try:  # a wrong length fails the unpacking, a non-integer ``index``
+            edges = sorted_unique((index(u), index(v)) for (u, v) in self.edges)
             out = next((e for e in edges if not (0 <= e[0] < n and 0 <= e[1] < n)), None)
         except (TypeError, ValueError):
             raise InputError("edges must be (u, v) pairs of node indices") from None

@@ -216,7 +216,8 @@ def test_dag_requires_acyclic():
         Dag(2, ((0, 1), (1, 0)), 0, 1)
 
 
-@pytest.mark.parametrize("edges", [((0, 1, 2),), ((0, "1"),), ((0, 1), (0, "1")), ((0,),)])
+@pytest.mark.parametrize("edges", [((0, 1, 2),), ((0, "1"),), ((0, 1), (0, "1")), ((0,),),
+                                   ((0, 1.0),)])
 def test_dag_refuses_malformed_edges(edges):
     with pytest.raises(InputError, match=r"^edges must be \(u, v\) pairs of node indices$"):
         Dag(3, edges, 0, 2)
