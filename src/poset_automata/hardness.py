@@ -140,15 +140,14 @@ class Dag:
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise InputError("DAG needs at least one node")
-        n = self.n_nodes
         try:  # a wrong length fails the unpacking, a non-integer ``index``
             edges = sorted_unique((index(u), index(v)) for (u, v) in self.edges)
-            out = next((e for e in edges if not (0 <= e[0] < n and 0 <= e[1] < n)), None)
         except (TypeError, ValueError):
             raise InputError("edges must be (u, v) pairs of node indices") from None
-        if out is not None:
-            raise InputError(f"edge {out} out of range")
         object.__setattr__(self, "edges", edges)
+        for (u, v) in self.edges:
+            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+                raise InputError(f"edge {(u, v)} out of range")
         for node in (self.source, self.target):
             if not 0 <= node < self.n_nodes:
                 raise InputError(f"node {node} out of range")
