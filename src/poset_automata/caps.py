@@ -11,10 +11,10 @@ it guards; the variable is the only way to set a cap.
 Memory of the antichain decider: its packed columns hold at most
 |Sigma|*|Q|^2 bits, as many as the automaton's step table, plus |Q| masks
 of |Sigma| bits for the letters that lead into a universal state; its
-domination index holds |Q| bits per kept set, no more than the kept sets
-themselves take as keys of the search's parent map.  That map holds at most |Sigma| sets per
-explored node, so ``antichain_nodes`` bounds both, and neither needs a cap of
-its own.
+domination index holds |Q| bits per kept set, and its queue one OR of
+(|Q|+1)*|Sigma| bits per queued set.  Kept sets are keys of the search's
+parent map, which holds at most |Sigma| sets per explored node, so
+``antichain_nodes`` bounds all three, and none needs a cap of its own.
 
 The confluence search holds unordered pairs of distinct states, one set of
 pairs known to meet per pair of letters: at most |Sigma|(|Sigma|+1)/2 *

@@ -17,9 +17,9 @@ Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
 a, built whole from ``transitions`` on first use; a state set is an int
 bitmask (bit q set for state q).  The antichain decider packs the rows into
-one column per state and steps a set under all letters at once; the same
-columns name the letters that lead into a universal state, and those
-images are never cut out.  The other searches step a set one letter at a
+one column per state and ORs a set's columns once, when it keeps the set;
+the same columns name the letters that lead into a universal state, and
+only the other letters are stepped.  The other searches step a set one letter at a
 time with ``Nfa.step_mask``, and the class tests OR a state's entries over
 letters into one successor mask.  ``Nfa.succ`` maps (state, letter) to the
 successor tuple and feeds only ``accepts`` and the literal-enumeration

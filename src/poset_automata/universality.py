@@ -135,16 +135,19 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
     ``col[q]`` holds the successor masks of q under letters 0, 1, ... side
     by side, |Q| bits apart, so letter x's image is one shift and mask.
     Above them, from bit |Sigma|*|Q| on, ``col[q]`` holds the letters under
-    which q steps into ``u_mask``, the universal states, so the same OR
-    also names every letter whose image meets ``u_mask``.
+    which q steps into ``u_mask``, the universal states.  A set's members
+    are walked once, when it is kept (the start set too): the walk enters
+    them in the index below, builds ``col[q]`` when q joins the support
+    (``has[q]`` is still 0), and ORs their columns.  The queue holds
+    (set, OR) pairs, so a popped node walks no members.
 
-    Such letters are skipped before their image is cut out or looked up in
-    ``parents``.  Nothing observable changes: an image that meets
-    ``u_mask`` meets the accepting states, so it is never a counterexample
-    and never queued.  Entered in ``parents``, it could only mark a later
-    equal image as a duplicate, and that image meets ``u_mask`` too.  So
-    the queue, ``explored``, ``max_frontier`` and the counterexample are
-    those of a search that steps every letter.
+    A popped node steps only its live letters, those that its OR does not
+    name, lowest bit first, so in ascending order.  Nothing observable
+    changes: an image that meets ``u_mask`` meets the accepting states, so
+    it is never a counterexample and never queued.  Entered in ``parents``,
+    it could only mark a later equal image as a duplicate, and that image
+    meets ``u_mask`` too.  So the queue, ``explored``, ``max_frontier`` and
+    the counterexample are those of a search that steps every letter.
 
     Domination is answered by an inverted index.  Kept set i is bit i of
     ``all_kept`` and of ``has[q]`` for each of its members q; ``order``
@@ -162,12 +165,10 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
     them, and the queue, ``parents``, the counts and the counterexample are
     those of a search that keeps only the subset-minimal sets.
 
-    ``col[q]`` is built when q first turns up in a popped set, so a search
-    that stops at its first node pays only for the start set's columns.
     ``col`` holds |Sigma|*|Q|^2 bits at most, as many as ``Nfa.step_rows``,
     plus |Sigma| bits per state for the letters into ``u_mask``; ``has``
-    holds |Q| bits per kept set, no more than the kept sets
-    themselves take as keys of ``parents`` (see ``caps``)."""
+    holds |Q| bits per kept set and the queue (|Q|+1)*|Sigma| bits per
+    queued set; ``antichain_nodes`` bounds both (see ``caps``)."""
     acc = a.accepting_mask
     start = a.initial_mask
     parents: dict[int, Optional[tuple[int, int]]] = {start: None}
@@ -179,50 +180,59 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
     n = a.n_states
     full = (1 << n) - 1
     rows = a.step_rows
-    letters = tuple((x, 1 << x, x * n) for x in range(a.n_letters))
+    all_letters = (1 << a.n_letters) - 1
     top = a.n_letters * n  # col[q] >> top: the letters that take q into u_mask
-    col: list[Optional[int]] = [None] * n  # None until q turns up in a popped set
+    col = [0] * n  # built when q joins the support
     has = [0] * n
     order = []  # (1 << q, q) over the support q; sorted by kept sets held each time `kept` doubles
-    m = start
-    while m:
-        q = m.bit_length() - 1
-        m ^= 1 << q
-        has[q] = 1
-        order.append((1 << q, q))
-    all_kept = 1
-    kept = 1
+    all_kept = 0
+    kept = 0
     resort = 2
-    queue = deque([start])
+    queue = deque()
     explored = 0
-    max_frontier = 1
+    max_frontier = 0
     limit = default_caps().antichain_nodes
-    while queue:
-        mask = queue.popleft()
-        explored += 1
-        if explored > limit:
-            raise ResourceLimitError(
-                f"antichain search exceeded antichain_nodes cap ({limit})")
+    live = 0  # the popped node's letters not yet stepped whose image misses u_mask
+    img = start
+    while True:  # keep img, then step popped nodes until an image is kept
+        bit = 1 << kept
         packed = 0
-        m = mask
+        m = img
         while m:
             q = m.bit_length() - 1
             m ^= 1 << q
-            c = col[q]
-            if c is None:
+            h = has[q]
+            if not h:
                 c = 0
-                for x, xbit, shift in letters:
-                    r = rows[x][q]
-                    c |= r << shift
+                for x, row in enumerate(rows):
+                    r = row[q]
+                    c |= r << x * n
                     if r & u_mask:
-                        c |= xbit << top
+                        c |= 1 << top + x
                 col[q] = c
-            packed |= c
-        skip = packed >> top  # the letters that take some member into u_mask
-        for x, xbit, shift in letters:
-            if skip & xbit:
-                continue  # the image meets u_mask: accepting, never queued
-            img = packed >> shift & full
+                order.append((1 << q, q))
+            has[q] = h | bit
+            packed |= col[q]
+        all_kept |= bit
+        kept += 1
+        if kept == resort:
+            resort *= 2
+            order.sort(key=lambda pair: has[pair[1]].bit_count(), reverse=True)
+        queue.append((img, packed))
+        max_frontier = max(max_frontier, len(queue))
+        while True:
+            while not live:
+                if not queue:
+                    return UniversalityResult(True, None, "antichain", explored, max_frontier)
+                mask, node = queue.popleft()
+                explored += 1
+                if explored > limit:
+                    raise ResourceLimitError(
+                        f"antichain search exceeded antichain_nodes cap ({limit})")
+                live = ~(node >> top) & all_letters
+            x = (live & -live).bit_length() - 1
+            live ^= 1 << x
+            img = node >> x * n & full
             if img in parents:
                 continue
             parents[img] = (mask, x)
@@ -237,22 +247,7 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
                         break
             else:
                 continue  # some kept set lies inside img
-            bit = 1 << kept
-            m = img
-            while m:
-                q = m.bit_length() - 1
-                m ^= 1 << q
-                if not has[q]:
-                    order.append((1 << q, q))
-                has[q] |= bit
-            all_kept |= bit
-            kept += 1
-            if kept == resort:
-                resort *= 2
-                order.sort(key=lambda pair: has[pair[1]].bit_count(), reverse=True)
-            queue.append(img)
-            max_frontier = max(max_frontier, len(queue))
-    return UniversalityResult(True, None, "antichain", explored, max_frontier)
+            break  # img is not dominated: keep it
 
 
 def universal_subset(a: Nfa) -> UniversalityResult:
