@@ -138,13 +138,17 @@ class Dag:
     target: int
 
     def __post_init__(self):
-        if self.n_nodes <= 0:
+        try:
+            n, source, target = (index(i) for i in (self.n_nodes, self.source, self.target))
+        except TypeError:
+            raise InputError("n_nodes, source and target must be integers") from None
+        if n <= 0:
             raise InputError("DAG needs at least one node")
         try:  # a wrong length fails the unpacking, a non-integer ``index``
             edges = sorted_unique((index(u), index(v)) for (u, v) in self.edges)
         except (TypeError, ValueError):
             raise InputError("edges must be (u, v) pairs of node indices") from None
-        object.__setattr__(self, "edges", edges)
+        self.__dict__.update(n_nodes=n, edges=edges, source=source, target=target)
         for (u, v) in self.edges:
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
                 raise InputError(f"edge {(u, v)} out of range")

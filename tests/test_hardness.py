@@ -223,6 +223,13 @@ def test_dag_refuses_malformed_edges(edges):
         Dag(3, edges, 0, 2)
 
 
+@pytest.mark.parametrize("n_nodes,source,target", [(3, "0", 2), ("3", 0, 2), (3, 0.5, 2),
+                                                   (3, 0, None), (3.0, 0, 2)])
+def test_dag_refuses_non_integer_nodes(n_nodes, source, target):
+    with pytest.raises(InputError, match=r"^n_nodes, source and target must be integers$"):
+        Dag(n_nodes, (), source, target)
+
+
 def test_dag_gadget_two_nodes_reachable():
     gadget = dag_gadget(Dag(2, ((0, 1),), 0, 1))
     # brute force to length 2*2: every word accepted
