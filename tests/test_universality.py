@@ -348,17 +348,23 @@ def test_antichain_matches_linear_scan_reference_on_other_classes(generator):
         assert universal_antichain(a) == _linear_scan_antichain(a)
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)])
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 6) for n in range(1, 6)]
+                         + [(7, 4), (4, 7), (6, 5), (5, 6)])
 def test_antichain_matches_linear_scan_reference_on_aknn(k, n):
+    """Every k, n <= 5 and the other shapes the A(k,n) benchmark decides;
+    a thin search keeps one image per node."""
     a = build_aknn(k, n)
     assert universal_antichain(a) == _linear_scan_antichain(a)
     t = trim_aknn(k, n)
     assert universal_antichain(t) == _linear_scan_antichain(t)
 
 
-@pytest.mark.parametrize("pval", [1, 2])
-@pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine])
+@pytest.mark.parametrize("machine,pval",
+                         [(m, p) for m in (accepting_machine, rejecting_machine) for p in (1, 2)]
+                         + [(accepting_machine, 3)])
 def test_antichain_matches_linear_scan_reference_on_reductions(machine, pval):
+    """Here a popped node keeps several images, so the remaining letters of
+    a node are stepped after other sets were kept."""
     a = reduce(machine(), "1", pval).automaton
     res = universal_antichain(a)
     assert res == _linear_scan_antichain(a)
