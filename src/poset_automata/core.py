@@ -19,7 +19,7 @@ a, built whole from ``transitions`` on first use; a state set is an int
 bitmask (bit q set for state q).  The antichain decider packs the rows into
 one column per state and ORs a set's columns once, when it keeps the set;
 the same columns name the letters that lead into a universal state, and
-only the other letters are stepped.  The other searches step a set one letter at a
+only the others are stepped.  The other searches step a set one letter at a
 time with ``Nfa.step_mask``, and the class tests OR a state's entries over
 letters into one successor mask.  ``Nfa.succ`` maps (state, letter) to the
 successor tuple and feeds only ``accepts`` and the literal-enumeration
