@@ -139,7 +139,7 @@ class Dag:
 
     def __post_init__(self):
         try:
-            n, source, target = (index(i) for i in (self.n_nodes, self.source, self.target))
+            n, source, target = index(self.n_nodes), index(self.source), index(self.target)
         except TypeError:
             raise InputError("n_nodes, source and target must be integers") from None
         if n <= 0:
@@ -149,19 +149,19 @@ class Dag:
         except (TypeError, ValueError):
             raise InputError("edges must be (u, v) pairs of node indices") from None
         self.__dict__.update(n_nodes=n, edges=edges, source=source, target=target)
-        for (u, v) in self.edges:
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+        for (u, v) in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {(u, v)} out of range")
-        for node in (self.source, self.target):
-            if not 0 <= node < self.n_nodes:
+        for node in (source, target):
+            if not 0 <= node < n:
                 raise InputError(f"node {node} out of range")
         # Kahn's algorithm; leftovers mean a cycle
-        indeg = [0] * self.n_nodes
+        indeg = [0] * n
         succ: dict[int, list[int]] = {}
-        for (u, v) in self.edges:
+        for (u, v) in edges:
             indeg[v] += 1
             succ.setdefault(u, []).append(v)
-        queue = deque(q for q in range(self.n_nodes) if indeg[q] == 0)
+        queue = deque(q for q in range(n) if indeg[q] == 0)
         seen = 0
         while queue:
             u = queue.popleft()
@@ -170,7 +170,7 @@ class Dag:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     queue.append(v)
-        if seen != self.n_nodes:
+        if seen != n:
             raise InputError("graph has a cycle; a DAG is required")
 
 
