@@ -16,11 +16,8 @@ from functools import cache
 from .caps import default_caps
 from .classify import LABELS, classify, format_report
 from .core import parse_automaton, print_automaton
-from .dtm import parse_dtm
 from .errors import InputError, ResourceLimitError
 from .hardness import build_aknn, dag_gadget, parse_dag, trim_aknn, w_word
-from .reduction import reduce as tm_reduce
-from .selftest import run_selftest
 from .universality import (format_result, universal, universal_antichain,
                            universal_brute, universal_sponfa, universal_subset,
                            universal_unary_po)
@@ -40,7 +37,8 @@ def _read(path: str) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first call and reused.  Each subcommand's ``run`` default
     is its ``_cmd_`` function; ``_cmd_universal`` finds ``universal`` at call
-    time."""
+    time, and ``_cmd_reduce`` and ``_cmd_selftest`` import their modules when
+    they run, so the other commands never load them."""
     parser = argparse.ArgumentParser(
         prog="poset-automata",
         description="Partially ordered NFA toolkit: classify, decide "
@@ -85,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", type=int, required=True, help="space bound p(|x|)")
 
     p = sub.add_parser("selftest", help="run the cross-module oracle suites")
-    p.set_defaults(run=lambda args: 0 if run_selftest(args.seed, args.samples) else 1)
+    p.set_defaults(run=_cmd_selftest)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     return parser
@@ -135,9 +133,11 @@ def _cmd_gen_dag(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .dtm import parse_dtm
+    from .reduction import reduce
     machine = parse_dtm(_read(args.tm))
     word = [tok for tok in args.input.replace(",", " ").split() if tok]
-    artifact = tm_reduce(machine, word, args.space)
+    artifact = reduce(machine, word, args.space)
     header = [
         f"reduction: k={artifact.k} n={artifact.n} space={artifact.pval} "
         f"pi-letters={len(artifact.automaton.alphabet)}",
@@ -147,6 +147,11 @@ def _cmd_reduce(args) -> int:
     header.append("attachment states: " + " ".join(artifact.attachment_states))
     sys.stdout.write(print_automaton(artifact.automaton, header=header))
     return 0
+
+
+def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+    return 0 if run_selftest(args.seed, args.samples) else 1
 
 
 def main(argv=None) -> int:

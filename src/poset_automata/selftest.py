@@ -8,8 +8,10 @@ from typing import Callable
 
 from .classify import classify, is_complete, is_confluent, is_ums
 from .core import Nfa, Word, accepts
-from .errors import InputError
+from .dtm import Dtm, simulate_dtm
+from .errors import InputError, SimulationError
 from .hardness import build_aknn, dag_gadget, dag_reachable, trim_aknn, w_word
+from .reduction import config_count, encode_run, reduce
 from .sampling import random_complete_po_sld, random_dag
 from .universality import universal, universal_subset
 
@@ -40,6 +42,17 @@ def rejects_exactly(a: Nfa, word: Word) -> bool:
                 a.accepting + (n + m,),
                 a.state_names + tuple(f"{tag}{i}" for i in range(m + 1)))
     return universal_subset(union).universal
+
+
+def random_dtm(rng: random.Random, n_states: int = 4) -> Dtm:
+    """A machine over the tape {_, 0, 1} and input {0, 1} with states q0..
+    and qf, each (state, symbol) pair of a non-accepting state holding a
+    random rule (L, R or S move) with probability 0.7."""
+    states = tuple(f"q{i}" for i in range(n_states - 1)) + ("qf",)
+    tape = ("_", "0", "1")
+    rules = tuple((q, t, rng.choice(states), rng.choice(tape), rng.choice("LRS"))
+                  for q in states[:-1] for t in tape if rng.random() < 0.7)
+    return Dtm(states, "q0", "qf", tape, ("0", "1"), "_", rules)
 
 
 def _suite_lemma2(seed: int, samples: int) -> SuiteResult:
@@ -102,10 +115,36 @@ def _suite_dag(seed: int, samples: int) -> SuiteResult:
     return SuiteResult("dag-gadget", total - len(failures), total, failures)
 
 
+def _suite_reduction(seed: int, samples: int) -> SuiteResult:
+    """The reduction against simulation on up to 50 random machines at
+    space bound 1: the output is a ptNFA, universal iff the run does not
+    accept (a run that leaves the tape does not), and on acceptance its
+    counterexample is ``encode_run``'s word."""
+    rng = random.Random(seed + 2)
+    failures = []
+    total = min(samples, 50)
+    for i in range(total):
+        m = random_dtm(rng, rng.randint(2, 4))
+        x = rng.choice(("", "0", "1"))
+        try:
+            accepted = simulate_dtm(m, x, 1, config_count(m, 1) + 1).verdict == "accept"
+        except SimulationError:
+            accepted = False
+        art = reduce(m, x, 1)
+        res = universal(art.automaton)
+        ok = res.universal != accepted and classify(art.automaton).label == "ptNFA"
+        if accepted:
+            ok = ok and res.counterexample == encode_run(m, x, 1, art.k, art.n)
+        if not ok:
+            failures.append(i)
+    return SuiteResult("reduction", total - len(failures), total, failures)
+
+
 SUITES: tuple[tuple[str, Callable[[int, int], SuiteResult]], ...] = (
     ("lemma2-equivalence", _suite_lemma2),
     ("aknn-exact-language", _suite_aknn),
     ("dag-gadget", _suite_dag),
+    ("reduction", _suite_reduction),
 )
 
 

@@ -393,7 +393,8 @@ def test_selftest_cli(capsys):
     code, out, _ = run_main(capsys, ["selftest", "--samples", "60", "--seed", "1"])
     assert code == 0
     assert "suite lemma2-equivalence: 60/60 pass" in out
-    assert "selftest: PASS" in out
+    assert "suite reduction: 50/50 pass" in out
+    assert "selftest: PASS (4 suites)" in out
 
 
 def test_selftest_zero_samples_runs_no_samples(capsys):
@@ -401,6 +402,7 @@ def test_selftest_zero_samples_runs_no_samples(capsys):
     assert code == 0
     assert "suite lemma2-equivalence: 0/0 pass" in out
     assert "suite dag-gadget: 0/0 pass" in out
+    assert "suite reduction: 0/0 pass" in out
 
 
 def test_selftest_negative_samples_exit_two(capsys):

@@ -17,7 +17,7 @@ from poset_automata.reduction import (PairAlphabet, _Backbone,
                                       build_part_c3, build_part_c4, choose_kn,
                                       config_count, encode_run, expected_next,
                                       initial_config_symbols, reduce)
-from poset_automata.selftest import rejects_exactly
+from poset_automata.selftest import random_dtm, rejects_exactly
 from poset_automata.universality import (universal, universal_antichain,
                                          universal_state_mask, universal_subset)
 
@@ -212,21 +212,13 @@ def test_expected_next_impossible_on_halt():
     assert expected_next(m, pa)[pa.hash_id, pa.cell_id("1", "q1")][pa.hash_id] == "impossible"
 
 
-def _random_dtm(rng: random.Random, n_states: int = 4) -> Dtm:
-    states = tuple(f"q{i}" for i in range(n_states - 1)) + ("qf",)
-    tape = ("_", "0", "1")
-    rules = tuple((q, t, rng.choice(states), rng.choice(tape), rng.choice("LRS"))
-                  for q in states[:-1] for t in tape if rng.random() < 0.7)
-    return Dtm(states, "q0", "qf", tape, ("0", "1"), "_", rules)
-
-
 def test_expected_next_rows_match_the_window_reference():
     """Every window of the fixture machines and of 200 random machines with
     L, R and S moves and missing rules: the rows agree with the one-window
     reference, and list the windows in (dl, dc) order."""
     rng = random.Random(11)
     machines = [accepting_machine(), rejecting_machine(), incrementing_machine(),
-                head_moving_machine()] + [_random_dtm(rng) for _ in range(200)]
+                head_moving_machine()] + [random_dtm(rng) for _ in range(200)]
     for m in machines:
         pa = PairAlphabet(m, 1)
         nd = pa.n_delta
@@ -513,7 +505,7 @@ def test_reduce_agrees_with_simulation_on_random_machines():
     rng = random.Random(21)
     left = 0
     for i in range(200):
-        m, pval = _random_dtm(rng, rng.randint(2, 4)), 1 + i % 2
+        m, pval = random_dtm(rng, rng.randint(2, 4)), 1 + i % 2
         x = "".join(rng.choice("01") for _ in range(rng.randint(0, pval)))
         try:
             accepted = simulate_dtm(m, x, pval, config_count(m, pval) + 1).verdict == "accept"
