@@ -12,6 +12,7 @@ import system binds to the package whenever another module imports it
 first, so a lazy ``from poset_automata import classify`` could give the
 module.
 """
+
 from .caps import Caps, default_caps
 from .classify import (ClassReport, classify, format_report, is_complete,
                        is_confluent, is_partially_ordered, is_saturated,
