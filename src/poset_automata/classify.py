@@ -131,38 +131,31 @@ def _first_cycle_pair(a: Nfa) -> tuple[int, int]:
     for row in a.step_rows:
         for q, mask in enumerate(row):
             succ[q] += _members(mask & ~(1 << q))
-    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    index, low, on_stack = {}, [0] * n, [False] * n  # index: state -> visiting order
     stack: list[int] = []
-    counter = 0
     for root in range(n):
-        if index[root] >= 0:
+        if root in index:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(succ[root]))]  # the path: (state, its successors not yet read)
         while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
+            node, rest = work[-1]
+            if node not in index:
+                index[node] = low[node] = len(index)
                 stack.append(node)
                 on_stack[node] = True
-            for i in range(pi, len(succ[node])):
-                nxt = succ[node][i]
-                if index[nxt] < 0:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
+            for nxt in rest:
+                if nxt not in index:
+                    work.append((nxt, iter(succ[nxt])))
                     break
                 if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
             else:
                 work.pop()
                 if low[node] == index[node]:
-                    comp = []
-                    while not comp or comp[-1] != node:
-                        comp.append(stack.pop())
-                        on_stack[comp[-1]] = False
-                    if len(comp) > 1:
-                        comp.sort()
-                        return comp[0], comp[1]
+                    if stack[-1] != node:  # node's component (stack from node up) has 2+ states
+                        return tuple(sorted(stack[stack.index(node):])[:2])
+                    stack.pop()
+                    on_stack[node] = False
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])

@@ -33,28 +33,27 @@ class Dtm:
 
     def __post_init__(self):
         # tuples first, each rule too, so list arguments compare and hash alike
-        for name in ("states", "tape_alphabet", "input_alphabet"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "rules", tuple(map(tuple, self.rules)))
-        if any(len(rule) != 5 for rule in self.rules):
+        states, tape = tuple(self.states), tuple(self.tape_alphabet)
+        inputs, rules = tuple(self.input_alphabet), tuple(map(tuple, self.rules))
+        if any(len(rule) != 5 for rule in rules):
             raise InputError("rules must be (q, read, q', write, move) 5-tuples")
-        if len(set(self.states)) != len(self.states):
+        if len(set(states)) != len(states):
             raise InputError("duplicate machine states")
-        if len(set(self.tape_alphabet)) != len(self.tape_alphabet):
+        if len(set(tape)) != len(tape):
             raise InputError("duplicate tape symbols")
-        if self.initial not in self.states or self.accepting not in self.states:
+        if self.initial not in states or self.accepting not in states:
             raise InputError("initial/accepting must be declared states")
         if self.initial == self.accepting:
             raise InputError("initial and accepting states must differ")
-        if not set(self.input_alphabet) <= set(self.tape_alphabet):
+        if not set(inputs) <= set(tape):
             raise InputError("input alphabet must be part of the tape alphabet")
-        if self.blank not in self.tape_alphabet or self.blank in self.input_alphabet:
+        if self.blank not in tape or self.blank in inputs:
             raise InputError("blank must be a tape symbol outside the input alphabet")
         seen = set()
-        for (q, read, q2, write, move) in self.rules:
-            if q not in self.states or q2 not in self.states:
+        for (q, read, q2, write, move) in rules:
+            if q not in states or q2 not in states:
                 raise InputError(f"rule references unknown state: {q} -> {q2}")
-            if read not in self.tape_alphabet or write not in self.tape_alphabet:
+            if read not in tape or write not in tape:
                 raise InputError(f"rule references unknown symbol: {read} -> {write}")
             if move not in MOVES:
                 raise InputError(f"rule move must be one of {MOVES}, got {move!r}")
@@ -63,7 +62,8 @@ class Dtm:
             if (q, read) in seen:
                 raise InputError(f"duplicate rule for ({q}, {read})")
             seen.add((q, read))
-        object.__setattr__(self, "rules", tuple(sorted(self.rules)))
+        vars(self).update(states=states, tape_alphabet=tape, input_alphabet=inputs,
+                          rules=tuple(sorted(rules)))
 
     @derived
     def delta(self) -> dict[tuple[str, str], tuple[str, str, str]]:

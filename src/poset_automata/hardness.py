@@ -148,7 +148,7 @@ class Dag:
             edges = sorted_unique((index(u), index(v)) for (u, v) in self.edges)
         except (TypeError, ValueError):
             raise InputError("edges must be (u, v) pairs of node indices") from None
-        self.__dict__.update(n_nodes=n, edges=edges, source=source, target=target)
+        vars(self).update(n_nodes=n, edges=edges, source=source, target=target)
         for (u, v) in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {(u, v)} out of range")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .classify import classify, is_complete, is_confluent, is_ums
@@ -14,18 +13,6 @@ from .hardness import build_aknn, dag_gadget, dag_reachable, trim_aknn, w_word
 from .reduction import config_count, encode_run, reduce
 from .sampling import random_complete_po_sld, random_dag
 from .universality import universal, universal_subset
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    passed: int
-    total: int
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return self.passed == self.total
 
 
 def rejects_exactly(a: Nfa, word: Word) -> bool:
@@ -55,30 +42,28 @@ def random_dtm(rng: random.Random, n_states: int = 4) -> Dtm:
     return Dtm(states, "q0", "qf", tape, ("0", "1"), "_", rules)
 
 
-def _suite_lemma2(seed: int, samples: int) -> SuiteResult:
+def _suite_lemma2(seed: int, samples: int) -> tuple[int, int]:
     """Confluence and UMS must agree on complete partially ordered
     self-loop deterministic automata (both directions of the rpoNFA/ptNFA
     equivalence).  ``classify`` reads confluence off UMS in this class, so
     the pair search ``is_confluent`` is asked directly, and ``classify``
     must give its answer."""
     rng = random.Random(seed)
-    failures = []
-    for i in range(samples):
+    passed = 0
+    for _ in range(samples):
         a = random_complete_po_sld(rng)
         rep = classify(a)
         assert rep.complete and rep.partially_ordered and rep.self_loop_deterministic
-        confluent, ums = is_confluent(a)[0], is_ums(a)[0]
-        if confluent != ums or rep.confluent != confluent:
-            failures.append((i, confluent, ums, rep.confluent))
-    return SuiteResult("lemma2-equivalence", samples - len(failures), samples, failures)
+        passed += is_confluent(a)[0] == is_ums(a)[0] == rep.confluent
+    return passed, samples
 
 
-def _suite_aknn(seed: int, samples: int) -> SuiteResult:
+def _suite_aknn(seed: int, samples: int) -> tuple[int, int]:
     """Exact-language law for the W-rejecting family at k,n <= 3: A_{k,n}
     and its trimmed variant both reject exactly W_{k,n}, and A_{k,n} has
     n(2k+1)+1 states."""
-    failures = []
     cases = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+    passed = 0
     for (k, n) in cases:
         a = build_aknn(k, n)
         word = w_word(k, n)
@@ -89,20 +74,17 @@ def _suite_aknn(seed: int, samples: int) -> SuiteResult:
         if n >= 2:  # at n = 1 no group-6 transitions exist, so nothing is lost
             ok = ok and not is_complete(trimmed)[0]
             ok = ok and classify(trimmed).label == "rpoNFA"
-        ok = ok and rejects_exactly(trimmed, word)
-        if not ok:
-            failures.append((k, n))
-    return SuiteResult("aknn-exact-language", len(cases) - len(failures), len(cases),
-                       failures)
+        passed += ok and rejects_exactly(trimmed, word)
+    return passed, len(cases)
 
 
-def _suite_dag(seed: int, samples: int) -> SuiteResult:
+def _suite_dag(seed: int, samples: int) -> tuple[int, int]:
     """Gadget universality must equal plain BFS reachability; non-universal
     gadgets must reject a^{n-1}."""
     rng = random.Random(seed + 1)
-    failures = []
+    passed = 0
     total = min(samples, 200)
-    for i in range(total):
+    for _ in range(total):
         g = random_dag(rng)
         gadget = dag_gadget(g)
         res = universal(gadget)
@@ -110,20 +92,19 @@ def _suite_dag(seed: int, samples: int) -> SuiteResult:
         if not res.universal:
             ok = ok and not accepts(gadget, (0,) * (g.n_nodes - 1))
             ok = ok and not accepts(gadget, res.counterexample)
-        if not ok:
-            failures.append(i)
-    return SuiteResult("dag-gadget", total - len(failures), total, failures)
+        passed += ok
+    return passed, total
 
 
-def _suite_reduction(seed: int, samples: int) -> SuiteResult:
+def _suite_reduction(seed: int, samples: int) -> tuple[int, int]:
     """The reduction against simulation on up to 50 random machines at
     space bound 1: the output is a ptNFA, universal iff the run does not
     accept (a run that leaves the tape does not), and on acceptance its
     counterexample is ``encode_run``'s word."""
     rng = random.Random(seed + 2)
-    failures = []
+    passed = 0
     total = min(samples, 50)
-    for i in range(total):
+    for _ in range(total):
         m = random_dtm(rng, rng.randint(2, 4))
         x = rng.choice(("", "0", "1"))
         try:
@@ -135,12 +116,13 @@ def _suite_reduction(seed: int, samples: int) -> SuiteResult:
         ok = res.universal != accepted and classify(art.automaton).label == "ptNFA"
         if accepted:
             ok = ok and res.counterexample == encode_run(m, x, 1, art.k, art.n)
-        if not ok:
-            failures.append(i)
-    return SuiteResult("reduction", total - len(failures), total, failures)
+        passed += ok
+    return passed, total
 
 
-SUITES: tuple[tuple[str, Callable[[int, int], SuiteResult]], ...] = (
+# Each suite takes the seed and the sample count and returns its pass and
+# total counts.
+SUITES: tuple[tuple[str, Callable[[int, int], tuple[int, int]]], ...] = (
     ("lemma2-equivalence", _suite_lemma2),
     ("aknn-exact-language", _suite_aknn),
     ("dag-gadget", _suite_dag),
@@ -151,9 +133,10 @@ SUITES: tuple[tuple[str, Callable[[int, int], SuiteResult]], ...] = (
 def run_selftest(seed: int = 0, samples: int = 1000) -> bool:
     if samples < 0:
         raise InputError("the sample count must be nonnegative")
-    results = [fn(seed, samples) for _name, fn in SUITES]
-    for r in results:
-        print(f"suite {r.name}: {r.passed}/{r.total} pass")
-    ok = all(r.ok for r in results)
-    print(f"selftest: {'PASS' if ok else 'FAIL'} ({len(results)} suites)")
+    ok = True
+    for name, suite in SUITES:
+        passed, total = suite(seed, samples)
+        print(f"suite {name}: {passed}/{total} pass", flush=True)
+        ok = ok and passed == total
+    print(f"selftest: {'PASS' if ok else 'FAIL'} ({len(SUITES)} suites)")
     return ok

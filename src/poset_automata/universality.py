@@ -30,17 +30,12 @@ class UniversalityResult:
 
 def universal_sponfa(a: Nfa) -> UniversalityResult:
     """Saturated poNFAs accept everything iff some initial state is
-    accepting (then its all-letter self-loops carry every word)."""
-    saturated, _ = is_saturated(a)
-    if not saturated:
+    accepting (then its all-letter self-loops carry every word).
+    ``universal`` decides saturated input so; this entry point refuses
+    any other."""
+    if not is_saturated(a)[0]:
         raise InputError("spoNFA decider requires a saturated automaton")
-    return _sponfa_constant(a)
-
-
-def _sponfa_constant(a: Nfa) -> UniversalityResult:
-    if a.initial_mask & a.accepting_mask:
-        return UniversalityResult(True, None, "spoNFA-constant", 0, 0)
-    return UniversalityResult(False, (), "spoNFA-constant", 0, 0)
+    return universal(a)
 
 
 def universal_unary_po(a: Nfa) -> UniversalityResult:
@@ -66,10 +61,10 @@ def _unary_pumping(a: Nfa) -> UniversalityResult:
     return UniversalityResult(True, None, "unary-pumping", a.n_states + 1, 1)
 
 
-def _reconstruct(parents: dict[int, tuple[int, int]], mask: int) -> Word:
+def _reconstruct(parents: dict[int, Optional[tuple[int, int]]], mask: int) -> Word:
     word: list[int] = []
-    while parents[mask] is not None:
-        mask, letter = parents[mask][0], parents[mask][1]
+    while (step := parents[mask]) is not None:
+        mask, letter = step
         word.append(letter)
     return tuple(reversed(word))
 
@@ -339,11 +334,12 @@ def universal_brute(a: Nfa, max_len: int) -> UniversalityResult:
 
 
 def universal(a: Nfa) -> UniversalityResult:
-    """Dispatcher: saturated -> constant check, unary partially ordered ->
-    pumping check, otherwise antichain.  Each class test runs once: the
-    dispatcher calls the deciders' bodies, not their checked entry points."""
+    """Dispatcher: saturated -> the spoNFA constant check, unary partially
+    ordered -> pumping check, otherwise antichain.  Each class test runs
+    once: the dispatcher calls ``_unary_pumping``, not its checked entry."""
     if is_saturated(a)[0]:
-        return _sponfa_constant(a)
+        ok = bool(a.initial_mask & a.accepting_mask)
+        return UniversalityResult(ok, None if ok else (), "spoNFA-constant", 0, 0)
     if a.n_letters == 1 and is_partially_ordered(a)[0]:
         return _unary_pumping(a)
     return universal_antichain(a)

@@ -16,7 +16,7 @@ from poset_automata.reduction import reduce
 from poset_automata.sampling import (random_complete_po_sld, random_nfa,
                                      random_saturated, random_unary_po)
 
-from conftest import (accepting_machine, complete_with_fresh_sink, reach_order,
+from conftest import (accepting_machine, chain_nfa, complete_with_fresh_sink, reach_order,
                       rejecting_machine)
 
 
@@ -265,6 +265,24 @@ def test_partial_order_witness_is_the_first_cycle_closed():
     assert is_partially_ordered(a) == _ref_partially_ordered(a) == (False, (1, 2))
     b = simple_nfa(5, 2, [(0, 1, 1), (0, 0, 3)] + cycles, [0], [])
     assert is_partially_ordered(b) == _ref_partially_ordered(b) == (False, (3, 4))
+
+
+@pytest.mark.parametrize("shape", ["ring", "closed chain"])
+def test_partial_order_witness_on_long_cycles(shape):
+    """The witness pass walks a 5,000-state cycle, far deeper than the
+    recursion limit, on its own stack: a ring, and the two-letter chain of
+    ``chain_nfa`` (the size of the 4,000-state chain) closed by one arc back
+    to its middle."""
+    n = 5000
+    if shape == "ring":
+        a = simple_nfa(n, 1, [(q, 0, (q + 1) % n) for q in range(n)], [0], [0])
+        witness = (0, 1)
+    else:
+        c = chain_nfa(n)
+        a = Nfa(n, c.alphabet, c.transitions + ((n - 1, 0, n // 2),), c.initial,
+                c.accepting, c.state_names)
+        witness = (n // 2, n // 2 + 1)
+    assert is_partially_ordered(a) == _ref_partially_ordered(a) == (False, witness)
 
 
 @given(st.integers(0, 10**9))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -410,6 +411,21 @@ def test_selftest_negative_samples_exit_two(capsys):
         2, "", "error: the sample count must be nonnegative\n")
 
 
+def test_capped_selftest_keeps_the_lines_of_the_suites_already_done():
+    """Each suite's line is printed, and flushed, as the suite finishes, so
+    a cap hit in the reduction suite exits 3 after the three lines before."""
+    result = subprocess.run(
+        [sys.executable, "-m", "poset_automata", "selftest", "--samples", "5"],
+        capture_output=True, text=True,
+        env={**os.environ, "POSET_AUTOMATA_CAPS": "reduce_n=3"})
+    assert result.returncode == 3
+    assert result.stdout == ("suite lemma2-equivalence: 5/5 pass\n"
+                             "suite aknn-exact-language: 9/9 pass\n"
+                             "suite dag-gadget: 5/5 pass\n")
+    assert result.stderr.startswith("resource limit: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_universal_command_looks_up_the_decider_at_call_time(capsys, monkeypatch, tmp_path):
     """The parser is built once per process; replacing ``cli.universal``
     (as the benchmark does to record results) still takes effect."""
@@ -586,7 +602,10 @@ def test_main_on_numeric_edge_arguments_ends_at_once(run):
     assert code in (0, 1, 2, 3)
     message = err.getvalue()
     if code in (2, 3):
-        assert out.getvalue() == ""
+        lines = out.getvalue().splitlines()
+        if argv[0] == "selftest":  # a cap hit follows the lines of the suites done
+            lines = [s for s in lines if not re.fullmatch(r"suite \S+: (\d+)/\1 pass", s)]
+        assert lines == []
         assert message.startswith(("error: ", "resource limit: "))
         assert message.count("\n") == 1
     else:
