@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time ``reduce | universal_antichain``, ``classify`` and ``is_confluent``
-on the two micro machines (one accepting, one looping) on input ``1`` at
-space bounds 1..pmax.
+on the two micro machines (one accepting, one looping; see ``machines``) on
+input ``1`` at space bounds 1..pmax.
 
 Each reduction goes through the printed text and back, as in the shell
 pipeline ``reduce | universal``; the parse of that text, the antichain
@@ -28,12 +28,23 @@ import sys
 import time
 from functools import partial
 
-from reduce_demo import machines
-
 from poset_automata.classify import classify, is_confluent
 from poset_automata.core import parse_automaton, print_automaton
+from poset_automata.dtm import Dtm
 from poset_automata.reduction import encode_run, reduce
 from poset_automata.universality import universal_antichain
+
+
+def machines():
+    """The micro machines: one accepts input ``1`` in one step, the other
+    loops on it forever without moving."""
+    base = dict(states=("q0", "qf"), initial="q0", accepting="qf",
+                tape_alphabet=("_", "1"), input_alphabet=("1",), blank="_")
+    accept = Dtm(rules=(("q0", "1", "qf", "1", "S"), ("q0", "_", "q0", "_", "S")),
+                 **base)
+    loop = Dtm(rules=(("q0", "1", "q0", "1", "S"), ("q0", "_", "q0", "_", "S")),
+               **base)
+    return (("accepting", accept), ("looping", loop))
 
 
 def best(repeats, fn, arg):

@@ -19,8 +19,9 @@ parent map, which holds at most |Sigma| sets per explored node, so
 The confluence search holds unordered pairs of distinct states, one set of
 pairs known to meet per pair of letters: at most |Sigma|(|Sigma|+1)/2 *
 |Q|(|Q|-1)/2, about |Sigma|^2*|Q|^2/4, in all; ``confluence_nodes`` bounds
-them.  The reductions of ``scripts/reduce_demo.py`` at space bound 5 hold
-about 650,000 pairs (roughly 50 bytes each); the default leaves three times that.
+them.  The reductions of the micro machines in
+``scripts/antichain_scaling.py`` at space bound 5 hold about 650,000 pairs
+(roughly 50 bytes each); the default leaves three times that.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Caps:
     enum_nodes: int = 10**6      # words checked by brute-force enumeration
     word_len: int = 10**7        # maximum |W_{k,n}| the word generator will build
     reduce_n: int = 16           # largest k and n of the TM reduction's backbone A_{k,n}
-    dag_nodes: int = 10**6       # nodes a parsed DAG file may declare
+    dag_nodes: int = 10**6       # nodes a DAG, built or parsed, may have
     aknn_arcs: int = 10**6       # transitions of an A_{k,n} that build_aknn will build
     confluence_nodes: int = 2 * 10**6  # state pairs held by the confluence search
 

@@ -227,20 +227,16 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
     pair, and with u < v the loop over s, then t, asks (u, v) before (v, u),
     so the first failing witness still has s < t and is unchanged.
 
-    A state's successor lists are built when it is first needed and are
-    shared by the outer loop and every search.  The argument uses no order
-    on the states, so any NFA may be asked.
+    Every state's successor lists are built once, up front, and are shared
+    by the outer loop and every search.  The argument uses no order on the
+    states, so any NFA may be asked.
 
     The search holds at most |Sigma|^2*|Q|^2/4 state pairs in all; the
     ``confluence_nodes`` cap bounds the pairs held in all those sets plus
     the search under way and raises ResourceLimitError."""
     n = a.n_states
     rows = a.step_rows
-    succ: list = [None] * n  # per state, its successors per letter
-
-    def lists(q: int) -> list[list[int]]:
-        sq = succ[q] = [_members(row[q]) for row in rows]
-        return sq
+    succ = [[_members(row[q]) for row in rows] for q in range(n)]  # per state, per letter
 
     limit = default_caps().confluence_nodes
     held = 0  # pairs in all sets of known meets
@@ -257,8 +253,7 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
                     f"confluence search exceeded confluence_nodes cap ({limit})")
             node = queue.popleft()
             u, v = divmod(node, n)
-            su = succ[u] or lists(u)
-            sv = succ[v] or lists(v)
+            su, sv = succ[u], succ[v]
             for x in letters:
                 for u2 in su[x]:
                     for v2 in sv[x]:  # v2 != u2: the node has no one-step meet
@@ -276,8 +271,7 @@ def is_confluent(a: Nfa) -> tuple[bool, Optional[tuple[int, int, int, int, int]]
 
     n_letters = a.n_letters
     known: dict[tuple[int, int], set] = {}  # per letter pair, the pairs known to meet
-    for q in range(n):
-        sq = succ[q] or lists(q)
+    for q, sq in enumerate(succ):
         for ax in range(n_letters):
             sa = sq[ax]
             if not sa:

@@ -100,16 +100,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_universal(args) -> int:
     a = parse_automaton(_read(args.file))
-    max_len = args.max_len
-    if max_len is None:
-        max_len = min(2 ** a.n_states, default_caps().enum_len)
-    decide = {"auto": lambda: universal(a),
-              "sponfa": lambda: universal_sponfa(a),
-              "unary": lambda: universal_unary_po(a),
-              "antichain": lambda: universal_antichain(a),
-              "subset": lambda: universal_subset(a),
-              "brute": lambda: universal_brute(a, max_len)}
-    res = decide[args.method]()
+    if args.method == "brute":
+        max_len = args.max_len
+        if max_len is None:
+            max_len = min(2 ** a.n_states, default_caps().enum_len)
+        res = universal_brute(a, max_len)
+    else:
+        res = {"auto": universal, "sponfa": universal_sponfa, "unary": universal_unary_po,
+               "antichain": universal_antichain, "subset": universal_subset}[args.method](a)
     sys.stdout.write(format_result(a, res))
     return 0 if res.universal else 1
 

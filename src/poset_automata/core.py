@@ -37,7 +37,6 @@ POSET_AUTOMATA_CAPS environment variable, which sets the resource caps (see
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import contains, itemgetter, lt
@@ -47,23 +46,21 @@ from .errors import InputError
 
 Word = tuple[int, ...]  # letter ids
 
-_NAME_RE = re.compile(r"[^\s#]\S*")
-
 
 def _check_names(names: Sequence[str], kind: str) -> None:
     """Every name is nonempty, whitespace-free and does not start with '#',
-    and no name repeats.  ``str.split`` and the pattern's ``\\s`` agree on
-    whitespace, so the names are good iff joining them with single spaces
-    and splitting gives them back, no name starts with '#' and a set keeps
-    them all; the loop runs only to word the error about the first bad
-    name."""
+    and no name repeats.  As ``parse_automaton`` reads names, a name is
+    good iff ``str.split`` gives it back and it does not start with '#'; so
+    the names are good iff joining them with single spaces and splitting
+    gives them back, no name starts with '#' and a set keeps them all.  The
+    loop runs only to word the error about the first bad name."""
     joined = " ".join(names)
     if (len(set(names)) == len(names) and joined.split() == list(names)
             and " #" not in " " + joined):
         return
     seen = set()
     for name in names:
-        if not _NAME_RE.fullmatch(name):
+        if name.split() != [name] or name[0] == "#":
             raise InputError(f"bad {kind} name {name!r}: names are nonempty, whitespace-free "
                              "and must not start with '#'")
         if name in seen:

@@ -130,7 +130,8 @@ def trim_aknn(k: int, n: int) -> Nfa:
 
 @dataclass(frozen=True)
 class Dag:
-    """Directed acyclic graph with a source and a target node."""
+    """Directed acyclic graph with a source and a target node; its node
+    count is checked against the ``dag_nodes`` cap before anything is built."""
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
@@ -142,6 +143,9 @@ class Dag:
             n, source, target = index(self.n_nodes), index(self.source), index(self.target)
         except TypeError:
             raise InputError("n_nodes, source and target must be integers") from None
+        limit = default_caps().dag_nodes
+        if n > limit:
+            raise ResourceLimitError(f"DAG node count {n} exceeds dag_nodes cap ({limit})")
         if n <= 0:
             raise InputError("DAG needs at least one node")
         try:  # a wrong length fails the unpacking, a non-integer ``index``
@@ -176,8 +180,8 @@ class Dag:
 
 def parse_dag(text: str) -> Dag:
     """Line format: ``nodes: n``, ``source: s`` and ``target: t`` once
-    each, repeated ``edge: u v``; '#' starts a comment token.  The node count is checked
-    against the ``dag_nodes`` cap before anything of that size is built."""
+    each, repeated ``edge: u v``; '#' starts a comment token.  The node
+    count's cap is the value's: ``Dag`` checks it before it builds anything."""
     single: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     for lineno, raw, tokens in tokenize(text):
@@ -197,12 +201,7 @@ def parse_dag(text: str) -> Dag:
         raise InputError(f"line {lineno}: cannot parse {raw!r}")
     if len(single) < 3:
         raise InputError("DAG file needs nodes:, source: and target: lines")
-    n_nodes, source, target = single["nodes"], single["source"], single["target"]
-    limit = default_caps().dag_nodes
-    if n_nodes > limit:
-        raise ResourceLimitError(f"DAG node count {n_nodes} exceeds dag_nodes cap "
-                                 f"({limit})")
-    return Dag(n_nodes, tuple(edges), source, target)
+    return Dag(single["nodes"], tuple(edges), single["source"], single["target"])
 
 
 def dag_reachable(g: Dag) -> bool:

@@ -97,7 +97,7 @@ from .caps import default_caps
 from .core import Nfa, Word
 from .dtm import Dtm, check_run_args, simulate_dtm
 from .errors import InputError, ResourceLimitError
-from .hardness import build_aknn, w_word
+from .hardness import _st, build_aknn, sigma_alphabet, w_word
 
 VACUOUS = "vacuous"        # window contains $: nothing to check
 IMPOSSIBLE = "impossible"  # the machine halts or leaves the tape: no successor symbol
@@ -118,7 +118,7 @@ class PairAlphabet:
         self.hash_id, self.dollar_id = len(cells), len(cells) + 1
         self.cells = (*cells, ("#", None), ("$", None))
         self.n_delta = len(self.cells)
-        self.alphabet = tuple(f"(a{a + 1},{name})" for a in range(n) for name in names)
+        self.alphabet = tuple(f"({a},{name})" for a in sigma_alphabet(n) for name in names)
 
     def cell_id(self, theta: str, marker: Optional[str]) -> int:
         return self._cell_index[(theta, marker)]
@@ -239,12 +239,12 @@ class _Backbone:
         self.max = index["max"]  # the accepting sink
         # completion state (k+1;i) for first component a_i: the rest of
         # W_{k,n} is never accepted from it (suffix-rejection corollary)
-        self.target = tuple(index[f"({k + 1};{a_idx + 1})"] for a_idx in range(n))
+        self.target = tuple(index[_st(k + 1, a_idx + 1)] for a_idx in range(n))
         # (host, minimal conflict-free a_idx): (i;m) with i < k is accepting
         # and carries self-loops exactly under a_1..a_{m-1}; entries through
         # a_m..a_n cannot create the forbidden self-loop/exit pattern.  max
         # never hosts entries.
-        self.hosts = tuple((index[f"({i};{m})"], m - 1)
+        self.hosts = tuple((index[_st(i, m)], m - 1)
                            for m in range(1, n + 1) for i in range(k))
         self.register: dict[tuple[bool, tuple[int, ...]], int] = {}
         # (a_idx, d) of every pair letter, by pair id: the arguments of dst_of

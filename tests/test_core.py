@@ -231,6 +231,8 @@ def test_names_ending_in_newline_are_rejected():
     (("a", "b c"), "bad letter name 'b c'"),
     (("a", ""), "bad letter name ''"),
     (("a", "b", "a"), "duplicate letter name 'a'"),
+    (("a", "b\u3000c"), "bad letter name 'b\\u3000c'"),
+    (("a", "\xa0"), "bad letter name '\\xa0'"),
 ])
 def test_constructor_rejects_bad_and_duplicate_letter_names(letters, message):
     with pytest.raises(InputError) as err:

@@ -230,6 +230,14 @@ def test_dag_refuses_non_integer_nodes(n_nodes, source, target):
         Dag(n_nodes, (), source, target)
 
 
+def test_dag_refuses_more_nodes_than_the_cap(monkeypatch):
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "dag_nodes=10")
+    with pytest.raises(ResourceLimitError) as err:
+        Dag(11, (), 0, 1)
+    assert str(err.value) == "DAG node count 11 exceeds dag_nodes cap (10)"
+    assert Dag(10, (), 0, 1).n_nodes == 10
+
+
 def test_dag_gadget_two_nodes_reachable():
     gadget = dag_gadget(Dag(2, ((0, 1),), 0, 1))
     # brute force to length 2*2: every word accepted
