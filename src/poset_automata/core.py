@@ -1,17 +1,23 @@
 """Representation and basic semantics of NFAs.
 
-Text comes in on one path: ``parse_automaton`` reads the text in bulk (all
-lines split at once, the comment cut only on lines that contain '#', the
-directives and ``trans:`` rows checked over whole columns) and resolves
-names with dict lookups.  Its checks imply every check of the ``Nfa``
-constructor, so it stores the fields without running them again; the
-constructor validates its arguments with a few whole-column tests and
-re-sorts transitions only when they do not come sorted and duplicate-free
-already.  The slow per-line and per-item loops (``tokenize`` over the
-lines, the per-name checks) run only to word an error, so a rejected text
-gets the same message either way.  The generators make their automata
-through the checked constructor, from index triples, letter names and
-state names.
+An automaton comes in through one of two doors, by who made its indices.
+Outside values go through the ``Nfa`` constructor, which checks each item
+once: the state count and every index must be integers (``operator.index``),
+every name good and unique, every index in range.  The package's own makers
+build through ``Nfa._build``, which checks nothing: ``parse_automaton``
+resolves every index by a dict lookup after text checks that imply the
+constructor's, and the generators (``build_aknn``, ``trim_aknn``,
+``dag_gadget``, the reduction, ``sampling``) make their index triples and
+names themselves.  The reduction's pair letters embed the machine's names,
+so it checks them with ``_check_names`` first.  ``tests/test_constructors.py``
+rebuilds each maker's output through the constructor and compares.
+
+Text is read in bulk: all lines split at once, the comment cut only on
+lines that contain '#', the directives and ``trans:`` rows checked over
+whole columns, names resolved with dict lookups.  Only a text that fails
+the bulk check runs the per-line loop (``tokenize``), and only a repeated
+name runs ``_check_names``, to word the error; so a rejected text gets the
+same message either way.
 
 Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import contains, itemgetter, lt
+from operator import contains, index, lt
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -48,19 +54,13 @@ Word = tuple[int, ...]  # letter ids
 
 
 def _check_names(names: Sequence[str], kind: str) -> None:
-    """Every name is nonempty, whitespace-free and does not start with '#',
-    and no name repeats.  As ``parse_automaton`` reads names, a name is
-    good iff ``str.split`` gives it back and it does not start with '#'; so
-    the names are good iff joining them with single spaces and splitting
-    gives them back, no name starts with '#' and a set keeps them all.  The
-    loop runs only to word the error about the first bad name."""
-    joined = " ".join(names)
-    if (len(set(names)) == len(names) and joined.split() == list(names)
-            and " #" not in " " + joined):
-        return
+    """Every name is a nonempty, whitespace-free str that does not start
+    with '#', and no name repeats.  As ``parse_automaton`` reads names, a
+    name is good iff ``str.split`` gives it back and it does not start with
+    '#'."""
     seen = set()
     for name in names:
-        if name.split() != [name] or name[0] == "#":
+        if not isinstance(name, str) or name.split() != [name] or name[0] == "#":
             raise InputError(f"bad {kind} name {name!r}: names are nonempty, whitespace-free "
                              "and must not start with '#'")
         if name in seen:
@@ -107,14 +107,14 @@ class Nfa:
     under one letter).  ``succ`` feeds only ``accepts`` and the
     literal-enumeration oracle.
 
-    Letter x is ``alphabet[x]``, a name.  The constructor is the only public
-    way to make an Nfa.  It checks names, ranges and order over whole
-    columns, sorts only input that is not sorted and duplicate-free
-    already, as ``print_automaton`` text always is, and then ``_store``
-    writes the normalised fields.  ``parse_automaton`` calls ``_store``
-    alone, after text checks that imply the constructor's, so a text is
-    checked once and gives the value, equality and hash the constructor
-    would.
+    Letter x is ``alphabet[x]``, a name.  The constructor is the public
+    way to make an Nfa, and checks every item once: the state count and
+    each index are taken through ``operator.index`` (a wrong shape or type
+    raises ``InputError``), the names through ``_check_names``, and every
+    index must lie in range.  ``_build`` is the package's trusted door: it
+    normalises the index columns with ``sorted_unique`` and writes the
+    fields, without a check, for callers that made every index themselves.
+    Either door gives the same value, equality and hash.
     """
 
     n_states: int
@@ -125,40 +125,41 @@ class Nfa:
     state_names: tuple[str, ...]
 
     def __post_init__(self):
-        n = self.n_states
+        try:
+            n = index(self.n_states)
+        except TypeError:
+            raise InputError("state count must be an integer") from None
         if n <= 0:
             raise InputError("automaton needs at least one state")
-        if len(self.state_names) != n:
+        names, alphabet = tuple(self.state_names), tuple(self.alphabet)
+        if len(names) != n:
             raise InputError("state name count does not match state count")
-        names = tuple(self.state_names)
         _check_names(names, "state")
-        alphabet = tuple(self.alphabet)
         _check_names(alphabet, "letter")
-        L = len(alphabet)
-        trans = sorted_unique(map(tuple, self.transitions))
-        if trans:
-            if set(map(len, trans)) != {3}:
-                raise InputError("transitions must be (src, letter, dst) triples")
-            # sorted: the sources' range is that of the first and last triple
-            xs, rs = set(map(itemgetter(1), trans)), set(map(itemgetter(2), trans))
-            if not (0 <= trans[0][0] and trans[-1][0] < n and 0 <= min(xs) and max(xs) < L
-                    and 0 <= min(rs) and max(rs) < n):
-                for (q, a, r) in trans:
-                    if not (0 <= q < n and 0 <= r < n and 0 <= a < L):
-                        raise InputError(f"transition {(q, a, r)} out of range")
-        initial, accepting = sorted_unique(self.initial), sorted_unique(self.accepting)
-        ends = initial + accepting
-        if ends and not (0 <= min(ends) and max(ends) < n):
-            for q in ends:
-                if not 0 <= q < n:
-                    raise InputError(f"state index {q} out of range")
-        self._store(n, alphabet, trans, initial, accepting, names)
+        try:  # a wrong length fails the unpacking, a non-integer ``index``
+            trans = sorted_unique((index(q), index(x), index(r)) for (q, x, r) in self.transitions)
+            initial, accepting = (sorted_unique(map(index, qs))
+                                  for qs in (self.initial, self.accepting))
+        except (TypeError, ValueError):
+            raise InputError("transitions must be (src, letter, dst) triples, and every index "
+                             "an integer") from None
+        for (q, x, r) in trans:
+            if not (0 <= q < n and 0 <= r < n and 0 <= x < len(alphabet)):
+                raise InputError(f"transition {(q, x, r)} out of range")
+        for q in initial + accepting:
+            if not 0 <= q < n:
+                raise InputError(f"state index {q} out of range")
+        vars(self).update(vars(Nfa._build(n, alphabet, trans, initial, accepting, names)))
 
-    def _store(self, n_states, alphabet, transitions, initial, accepting, state_names):
-        """Write the fields, checked and normalised by the caller: tuples,
-        with ``transitions``, ``initial`` and ``accepting`` sorted_unique."""
-        vars(self).update(n_states=n_states, alphabet=alphabet, transitions=transitions,
-                          initial=initial, accepting=accepting, state_names=state_names)
+    @classmethod
+    def _build(cls, n_states, alphabet, transitions, initial, accepting, state_names) -> Nfa:
+        """The Nfa with these fields, unchecked: the caller made every index
+        and name, and passes ``alphabet`` and ``state_names`` as tuples."""
+        a = object.__new__(cls)
+        vars(a).update(n_states=n_states, alphabet=alphabet,
+                       transitions=sorted_unique(transitions), initial=sorted_unique(initial),
+                       accepting=sorted_unique(accepting), state_names=state_names)
+        return a
 
     # -- derived lookups ------------------------------------------------
 
@@ -212,12 +213,19 @@ class Nfa:
 # basic semantics
 
 
+def _check_word(a: Nfa, word: Sequence[int]) -> None:
+    """Every letter id of ``word`` names a letter of ``a``; a ``range``
+    holds only values equal to its ints, so 1.5 or '1' is refused too."""
+    letters = range(a.n_letters)
+    for x in word:
+        if x not in letters:
+            raise InputError(f"letter id {x!r} not in alphabet of size {a.n_letters}")
+
+
 def accepts(a: Nfa, word: Sequence[int]) -> bool:
     """Membership by direct simulation over ``succ``; independent of the
     step table that the searches use."""
-    for x in word:
-        if not 0 <= x < a.n_letters:
-            raise InputError(f"letter id {x} not in alphabet of size {a.n_letters}")
+    _check_word(a, word)
     succ = a.succ
     current = set(a.initial)
     for x in word:
@@ -267,13 +275,13 @@ def parse_automaton(text: str) -> Nfa:
     ``tokenize`` loop of ``_misformatted``, which reports the first fault
     with its line number.
 
-    The text checks imply the ``Nfa`` constructor's, so the fields are
-    stored with ``Nfa._store`` and not checked again.  A token from
+    The text checks imply the ``Nfa`` constructor's, so the automaton is
+    made by ``Nfa._build`` and not checked again.  A token from
     ``str.split`` is nonempty and whitespace-free, and none starts with '#'
     once comments are cut, so a repeat, which shows as a shorter dict, is
     the only fault a name can have.  Every triple is built here from dict
-    lookups, so its indices are in range, and ``sorted_unique`` normalises
-    the index columns.  Only the state count is left to check, after the
+    lookups, so its indices are in range, and ``_build`` normalises the
+    index columns.  Only the state count is left to check, after the
     lookups as in the constructor."""
     lines = text.splitlines()
     rows = list(map(str.split, lines))
@@ -304,10 +312,7 @@ def parse_automaton(text: str) -> Nfa:
         raise  # not reached: _undeclared finds the name the lookup missed
     if not names:
         raise InputError("automaton needs at least one state")
-    a = object.__new__(Nfa)
-    a._store(len(names), alphabet, sorted_unique(trans), sorted_unique(initial),
-             sorted_unique(accepting), names)
-    return a
+    return Nfa._build(len(names), alphabet, trans, initial, accepting, names)
 
 
 def _misformatted(text: str) -> None:
@@ -360,4 +365,5 @@ def print_automaton(a: Nfa, header: Sequence[str] = ()) -> str:
 
 
 def format_word(a: Nfa, word: Sequence[int]) -> str:
+    _check_word(a, word)
     return " ".join(a.alphabet[x] for x in word)

@@ -103,8 +103,8 @@ def build_aknn(k: int, n: int) -> Nfa:
         trans += [(mm * w + i, x, top if i < k else lo + k + 1)
                   for mm in range(x) for i in range(w)]
     accepting = [lo + i for lo in range(0, top, w) for i in range(k)] + [top]
-    return Nfa(top + 1, sigma_alphabet(n), trans, range(0, top, w), accepting,
-               tuple(names))
+    return Nfa._build(top + 1, sigma_alphabet(n), trans, range(0, top, w), accepting,
+                      tuple(names))
 
 
 def trim_aknn(k: int, n: int) -> Nfa:
@@ -116,12 +116,12 @@ def trim_aknn(k: int, n: int) -> Nfa:
                for m in range(1, n + 1) for i in range(k + 1, 2 * k + 1)}
     keep = [q for q in range(a.n_states) if q not in removed]
     remap = {q: j for j, q in enumerate(keep)}
-    trans = tuple((remap[q], x, remap[r]) for (q, x, r) in a.transitions
-                  if q not in removed and r not in removed)
-    return Nfa(len(keep), a.alphabet, trans,
-               tuple(remap[q] for q in a.initial if q not in removed),
-               tuple(remap[q] for q in a.accepting if q not in removed),
-               tuple(a.state_names[q] for q in keep))
+    trans = [(remap[q], x, remap[r]) for (q, x, r) in a.transitions
+             if q not in removed and r not in removed]
+    return Nfa._build(len(keep), a.alphabet, trans,
+                      [remap[q] for q in a.initial if q not in removed],
+                      [remap[q] for q in a.accepting if q not in removed],
+                      tuple(a.state_names[q] for q in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -242,4 +242,4 @@ def dag_gadget(g: Dag) -> Nfa:
     if n > 1:
         arcs.append((2 * n - 2, 0, t))
     names = [f"n{v}" for v in range(n)] + [f"f{i}" for i in range(1, n)]
-    return Nfa(2 * n - 1, _UNARY, arcs, (g.source,), range(n), tuple(names))
+    return Nfa._build(2 * n - 1, _UNARY, arcs, (g.source,), range(n), tuple(names))

@@ -94,7 +94,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .caps import default_caps
-from .core import Nfa, Word
+from .core import Nfa, Word, _check_names
 from .dtm import Dtm, check_run_args, simulate_dtm
 from .errors import InputError, ResourceLimitError
 from .hardness import _st, build_aknn, sigma_alphabet, w_word
@@ -191,7 +191,8 @@ def encode_run(m: Dtm, x: Sequence[str], pval: int, k: int, n: int) -> Word:
     """The unique word over Pi spelling W_{k,n} in the first components and
     the padded accepting-run encoding # w_1 # ... # w_r # $^j in the second.
     The accepting configuration is repeated until fewer than p+1 places
-    remain, which are then filled with $ (so j <= p)."""
+    remain, which are then filled with $ (so j <= p).  A (k, n) whose
+    |W_{k,n}| cannot hold the run is refused; ``choose_kn``'s always can."""
     pa = PairAlphabet(m, n)
     record = simulate_dtm(m, x, pval, step_cap=config_count(m, pval) + 1)
     if record.verdict != "accept":
@@ -201,7 +202,7 @@ def encode_run(m: Dtm, x: Sequence[str], pval: int, k: int, n: int) -> Word:
     blocks = (total - 1) // (pval + 1)
     dollars = (total - 1) % (pval + 1)
     if blocks < len(record.configs):
-        raise RuntimeError("(k, n)-selection invariant violated: run does not fit |W_{k,n}|")
+        raise InputError(f"|W_{{{k},{n}}}| = {total} is too short for the run")
     w2: list[int] = [pa.hash_id]
     last = record.configs[-1]
     for i in range(blocks):
@@ -311,8 +312,12 @@ class _Backbone:
         return q
 
     def build(self) -> Nfa:
-        return Nfa(len(self.names), self.pa.alphabet, self.arcs, self.initial,
-                   self.accepting, tuple(self.names))
+        """The automaton, built trusted but for the letter names: a pair
+        letter embeds the machine's names, and two cells can spell one
+        letter (tape symbol x.y unmarked, and x under state y)."""
+        _check_names(self.pa.alphabet, "letter")
+        return Nfa._build(len(self.names), self.pa.alphabet, self.arcs, self.initial,
+                          self.accepting, tuple(self.names))
 
 
 # ---------------------------------------------------------------------------

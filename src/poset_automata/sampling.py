@@ -29,7 +29,7 @@ def random_nfa(rng: random.Random, max_states: int = 6, max_letters: int = 3) ->
         initial = (rng.randrange(n),)
     acc_p = rng.choice([0.3, 0.7, 0.95])
     accepting = tuple(q for q in range(n) if rng.random() < acc_p)
-    return Nfa(n, sigma_alphabet(L), tuple(trans), initial, accepting, _names(n))
+    return Nfa._build(n, sigma_alphabet(L), trans, initial, accepting, _names(n))
 
 
 def random_complete_po_sld(rng: random.Random, max_states: int = 8,
@@ -51,7 +51,7 @@ def random_complete_po_sld(rng: random.Random, max_states: int = 8,
                     trans.append((q, x, r))
     initial = tuple(q for q in range(n) if rng.random() < 0.4) or (0,)
     accepting = tuple(q for q in range(n) if rng.random() < 0.5)
-    return Nfa(n, sigma_alphabet(L), tuple(trans), initial, accepting, _names(n))
+    return Nfa._build(n, sigma_alphabet(L), trans, initial, accepting, _names(n))
 
 
 def random_saturated(rng: random.Random, max_states: int = 8,
@@ -67,7 +67,7 @@ def random_saturated(rng: random.Random, max_states: int = 8,
                     trans.append((q, x, r))
     initial = tuple(q for q in range(n) if rng.random() < 0.4) or (rng.randrange(n),)
     accepting = tuple(q for q in range(n) if rng.random() < 0.4)
-    return Nfa(n, sigma_alphabet(L), tuple(trans), initial, accepting, _names(n))
+    return Nfa._build(n, sigma_alphabet(L), trans, initial, accepting, _names(n))
 
 
 def random_unary_po(rng: random.Random, max_states: int = 8) -> Nfa:
@@ -82,7 +82,7 @@ def random_unary_po(rng: random.Random, max_states: int = 8) -> Nfa:
     if not initial and rng.random() < 0.95:
         initial = (rng.randrange(n),)
     accepting = tuple(q for q in range(n) if rng.random() < 0.5)
-    return Nfa(n, sigma_alphabet(1), tuple(trans), initial, accepting, _names(n))
+    return Nfa._build(n, sigma_alphabet(1), trans, initial, accepting, _names(n))
 
 
 def random_dag(rng: random.Random, max_nodes: int = 12) -> Dag:

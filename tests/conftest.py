@@ -280,10 +280,12 @@ def _reference_check_names(names, kind):
 
 def reference_nfa_fields(n_states, alphabet, transitions, initial, accepting,
                          state_names):
-    """The per-item checks and normalisation of ``Nfa.__post_init__`` as they
-    were before the whole-column checks, returning the normalised fields.
-    The name pattern is matched whole (``fullmatch``), so a name ending in a
-    newline is rejected here as well."""
+    """The range checks and normalisation of ``Nfa.__post_init__``, written
+    out apart from it (names by a regex, sorting by ``sorted(set(...))``),
+    returning the normalised fields.  It takes integer indices only: the
+    constructor's integer test has no counterpart here.  The name pattern is
+    matched whole (``fullmatch``), so a name ending in a newline is rejected
+    here as well."""
     if n_states <= 0:
         raise InputError("automaton needs at least one state")
     if len(state_names) != n_states:
