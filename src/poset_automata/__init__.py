@@ -18,7 +18,7 @@ from .classify import (ClassReport, classify, format_report, is_complete,
                        is_confluent, is_partially_ordered, is_saturated,
                        is_self_loop_deterministic, is_ums)
 from .core import Nfa, Word, accepts, format_word, parse_automaton, print_automaton
-from .errors import InputError, ResourceLimitError, SimulationError
+from .errors import InputError, ResourceLimitError
 from .hardness import (Dag, build_aknn, dag_gadget, dag_reachable, parse_dag,
                        sigma_alphabet, trim_aknn, w_word)
 from .universality import (UniversalityResult, format_result, universal,

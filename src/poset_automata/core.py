@@ -8,9 +8,10 @@ build through ``Nfa._build``, which checks nothing: ``parse_automaton``
 resolves every index by a dict lookup after text checks that imply the
 constructor's, and the generators (``build_aknn``, ``trim_aknn``,
 ``dag_gadget``, the reduction, ``sampling``) make their index triples and
-names themselves.  The reduction's pair letters embed the machine's names,
-so it checks them with ``_check_names`` first.  ``tests/test_constructors.py``
-rebuilds each maker's output through the constructor and compares.
+names themselves; the reduction's pair letters, which embed the machine's
+names, are checked where ``PairAlphabet`` spells them.
+``tests/test_constructors.py`` rebuilds each maker's output through the
+constructor and compares.
 
 Text is read in bulk: all lines split at once, the comment cut only on
 lines that contain '#', the directives and ``trans:`` rows checked over
@@ -214,11 +215,16 @@ class Nfa:
 
 
 def _check_word(a: Nfa, word: Sequence[int]) -> None:
-    """Every letter id of ``word`` names a letter of ``a``; a ``range``
-    holds only values equal to its ints, so 1.5 or '1' is refused too."""
+    """Every letter id of ``word`` is an integer by the constructor's rule
+    (``operator.index``, so 1.0 and '1' are refused, True is 1) and names a
+    letter of ``a``."""
     letters = range(a.n_letters)
     for x in word:
-        if x not in letters:
+        try:
+            ok = index(x) in letters
+        except TypeError:
+            ok = False
+        if not ok:
             raise InputError(f"letter id {x!r} not in alphabet of size {a.n_letters}")
 
 

@@ -2,9 +2,12 @@
 
 The machine description mirrors the reduction's needs: a distinguished
 accepting state with no outgoing rules, a blank outside the input alphabet,
-and an explicit space bound supplied per run.  Configurations are recorded
-as tuples of (tape symbol, state-or-None) cells, the marker sitting under
-the head.
+state and tape-symbol names that are good automaton names (the reduction
+spells them into its letters), and an explicit space bound supplied per
+run.  A head that leaves the tape halts the run without accepting, as in
+the reduction; ``simulate_dtm`` reports it as the verdict "off-tape".
+Configurations are recorded as tuples of (tape symbol, state-or-None)
+cells, the marker sitting under the head.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import derived, tokenize
-from .errors import InputError, SimulationError
+from .core import _check_names, derived, tokenize
+from .errors import InputError
 
-MOVES = ("L", "R", "S")
+MOVES = {"L": -1, "R": 1, "S": 0}  # each move's head offset
 
 Cell = tuple[str, Optional[str]]
 Config = tuple[Cell, ...]
@@ -41,6 +44,8 @@ class Dtm:
             raise InputError("duplicate machine states")
         if len(set(tape)) != len(tape):
             raise InputError("duplicate tape symbols")
+        _check_names(states, "machine state")
+        _check_names(tape, "tape symbol")
         if self.initial not in states or self.accepting not in states:
             raise InputError("initial/accepting must be declared states")
         if self.initial == self.accepting:
@@ -56,7 +61,7 @@ class Dtm:
             if read not in tape or write not in tape:
                 raise InputError(f"rule references unknown symbol: {read} -> {write}")
             if move not in MOVES:
-                raise InputError(f"rule move must be one of {MOVES}, got {move!r}")
+                raise InputError(f"rule move must be one of {tuple(MOVES)}, got {move!r}")
             if q == self.accepting:
                 raise InputError("the accepting state has no outgoing rules")
             if (q, read) in seen:
@@ -72,7 +77,7 @@ class Dtm:
 
 @dataclass(frozen=True)
 class RunRecord:
-    verdict: str          # "accept" | "reject" | "cap"
+    verdict: str          # "accept" | "reject" | "cap" | "off-tape"
     configs: tuple[Config, ...]
     steps: int
 
@@ -93,8 +98,9 @@ def simulate_dtm(m: Dtm, x: Sequence[str], pval: int, step_cap: int = 10**5) -> 
     """Deterministic simulation on a pval-cell tape (cells 1..pval).
 
     Verdicts: "accept" once the accepting state is entered, "reject" when no
-    rule applies, "cap" when step_cap steps pass without either.  Leaving the
-    tape raises SimulationError.
+    rule applies, "off-tape" when the head leaves the tape (``steps`` counts
+    that move, ``configs`` ends before it), "cap" when step_cap steps pass
+    without any of these.
     """
     check_run_args(m, x, pval)
     tape = list(x) + [m.blank] * (pval - len(x))
@@ -114,12 +120,9 @@ def simulate_dtm(m: Dtm, x: Sequence[str], pval: int, step_cap: int = 10**5) -> 
         if rule is None:
             return RunRecord("reject", tuple(configs), steps)
         state, tape[head - 1], move = rule
-        if move == "L":
-            head -= 1
-        elif move == "R":
-            head += 1
+        head += MOVES[move]
         if not 1 <= head <= pval:
-            raise SimulationError(f"head left the {pval}-cell tape after {steps + 1} steps")
+            return RunRecord("off-tape", tuple(configs), steps + 1)
         steps += 1
         configs.append(config())
     return RunRecord("accept", tuple(configs), steps)

@@ -1,6 +1,8 @@
 """Exception types shared across the toolkit.
 
 Exit-code mapping used by the CLI: InputError -> 2, ResourceLimitError -> 3.
+A Turing-machine run that leaves its tape is no error: it is a valid run
+that halts without accepting, reported by ``simulate_dtm`` as a verdict.
 """
 
 
@@ -10,7 +12,3 @@ class InputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured resource cap was exceeded; the message names the cap."""
-
-
-class SimulationError(InputError):
-    """A Turing-machine run left the bounded tape."""

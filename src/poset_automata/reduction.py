@@ -108,7 +108,11 @@ class PairAlphabet:
     Pi = Sigma_n x Delta_{#$}; pair id = a_idx * |Delta_{#$}| + d_idx.
 
     ``cells`` gives each Delta id its (symbol, state marker or None): the
-    tape cells, then # and $ as ``hash_id`` and ``dollar_id``, unmarked."""
+    tape cells, then # and $ as ``hash_id`` and ``dollar_id``, unmarked.
+
+    A pair letter embeds the machine's names, and two cells can spell one
+    letter (tape symbol x.y unmarked, and x under state y), so the letters
+    are checked as they are spelled; every later use trusts them."""
 
     def __init__(self, m: Dtm, n: int):
         self.n_sigma = n
@@ -119,6 +123,7 @@ class PairAlphabet:
         self.cells = (*cells, ("#", None), ("$", None))
         self.n_delta = len(self.cells)
         self.alphabet = tuple(f"({a},{name})" for a in sigma_alphabet(n) for name in names)
+        _check_names(self.alphabet, "letter")
 
     def cell_id(self, theta: str, marker: Optional[str]) -> int:
         return self._cell_index[(theta, marker)]
@@ -312,10 +317,8 @@ class _Backbone:
         return q
 
     def build(self) -> Nfa:
-        """The automaton, built trusted but for the letter names: a pair
-        letter embeds the machine's names, and two cells can spell one
-        letter (tape symbol x.y unmarked, and x under state y)."""
-        _check_names(self.pa.alphabet, "letter")
+        """The automaton, built trusted: ``PairAlphabet`` checked the
+        letters."""
         return Nfa._build(len(self.names), self.pa.alphabet, self.arcs, self.initial,
                           self.accepting, tuple(self.names))
 

@@ -27,6 +27,13 @@ def reach_order(a: Nfa) -> list[set[int]]:
     return rows
 
 
+def simple_nfa(n, letters, trans, initial, accepting) -> Nfa:
+    """n states s0.. over the letters a1..a<letters>."""
+    return Nfa(n, tuple(f"a{i + 1}" for i in range(letters)),
+               tuple(trans), tuple(initial), tuple(accepting),
+               tuple(f"s{i}" for i in range(n)))
+
+
 def complete_with_fresh_sink(a: Nfa) -> Nfa:
     """Route every undefined (state, letter) to a new non-accepting sink."""
     sink = a.n_states

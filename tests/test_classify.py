@@ -17,13 +17,7 @@ from poset_automata.sampling import (random_complete_po_sld, random_nfa,
                                      random_saturated, random_unary_po)
 
 from conftest import (accepting_machine, chain_nfa, complete_with_fresh_sink, reach_order,
-                      rejecting_machine)
-
-
-def simple_nfa(n, letters, trans, initial, accepting):
-    return Nfa(n, tuple(f"a{i + 1}" for i in range(letters)),
-               tuple(trans), tuple(initial), tuple(accepting),
-               tuple(f"s{i}" for i in range(n)))
+                      rejecting_machine, simple_nfa)
 
 
 def fig1_pattern():

@@ -18,7 +18,7 @@ from poset_automata.core import (Nfa, accepts, format_word, parse_automaton,
 from poset_automata.dtm import Dtm
 from poset_automata.errors import InputError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn
-from poset_automata.reduction import encode_run, reduce
+from poset_automata.reduction import PairAlphabet, encode_run, reduce
 from poset_automata.sampling import (random_complete_po_sld, random_dag, random_nfa,
                                      random_saturated, random_unary_po)
 from poset_automata.selftest import random_dtm
@@ -68,17 +68,35 @@ def test_samplers_match_the_checked_constructor(sample):
         _assert_checked_rebuild(sample(rng))
 
 
-def test_reduction_checks_the_machine_names_in_its_letters():
+def _clash() -> Dtm:
     """Tape symbol 'x.y' unmarked and tape symbol 'x' under state 'y' spell
-    one pair letter; a state name with a space spells a bad one."""
-    clash = Dtm(("q0", "y", "qf"), "q0", "qf", ("x", "x.y", "_"), ("x",), "_",
-                (("q0", "x", "qf", "x", "S"), ("q0", "_", "q0", "_", "S")))
-    with pytest.raises(InputError, match=r"^duplicate letter name '\(a1,<x\.y>\)'$"):
-        reduce(clash, "x", 1)
-    spaced = Dtm(("q 0", "qf"), "q 0", "qf", ("_", "1"), ("1",), "_",
-                 (("q 0", "1", "qf", "1", "S"),))
-    with pytest.raises(InputError, match=r"^bad letter name '\(a1,<_\.q 0>\)'"):
-        reduce(spaced, "1", 1)
+    one pair letter."""
+    return Dtm(("q0", "y", "qf"), "q0", "qf", ("x", "x.y", "_"), ("x",), "_",
+               (("q0", "x", "qf", "x", "S"), ("q0", "_", "q0", "_", "S")))
+
+
+_CLASH = r"^duplicate letter name '\(a1,<x\.y>\)'$"
+
+
+def test_reduction_checks_the_machine_names_in_its_letters():
+    """Two cells that spell one pair letter are refused; a machine name
+    that would spell a bad letter is refused by ``Dtm`` itself."""
+    with pytest.raises(InputError, match=_CLASH):
+        reduce(_clash(), "x", 1)
+    with pytest.raises(InputError, match=r"^bad machine state name 'q 0'"):
+        Dtm(("q 0", "qf"), "q 0", "qf", ("_", "1"), ("1",), "_",
+            (("q 0", "1", "qf", "1", "S"),))
+    with pytest.raises(InputError, match=r"^bad tape symbol name '#'"):
+        Dtm(("q0", "qf"), "q0", "qf", ("_", "#"), ("#",), "_", (("q0", "#", "qf", "#", "S"),))
+
+
+def test_pair_alphabet_checks_the_letters_it_spells():
+    """``PairAlphabet`` owns the letter check, so every door into the pair
+    letters refuses the clash: the alphabet itself and ``encode_run``."""
+    with pytest.raises(InputError, match=_CLASH):
+        PairAlphabet(_clash(), 1)
+    with pytest.raises(InputError, match=_CLASH):
+        encode_run(_clash(), "x", 1, 4, 2)
 
 
 def _nfa(n=2, trans=((0, 0, 1),), initial=(0,), accepting=(1,), names=("p", "q")):
@@ -117,7 +135,10 @@ PROBES = {
     "format_word 99": (lambda: format_word(_A22, (99,)),
                        "^letter id 99 not in alphabet of size 2$"),
     "format_word 1.5": (lambda: format_word(_A22, (1.5,)), "^letter id 1.5 not in"),
+    "format_word 1.0": (lambda: format_word(_A22, (1.0,)),
+                        "^letter id 1.0 not in alphabet of size 2$"),
     "accepts 99": (lambda: accepts(_A22, (99,)), "^letter id 99 not in"),
+    "accepts 1.0": (lambda: accepts(_A22, (1.0,)), "^letter id 1.0 not in alphabet of size 2$"),
     "encode_run too small": (lambda: encode_run(accepting_machine(), "1", 1, 1, 1),
                              r"^\|W_\{1,1\}\| = 1 is too short for the run$"),
     "encode_run one block short": (lambda: encode_run(accepting_machine(), "1", 1, 1, 3),

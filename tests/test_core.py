@@ -12,13 +12,8 @@ from poset_automata.errors import InputError
 from poset_automata.hardness import build_aknn
 from poset_automata.sampling import random_nfa
 
-from conftest import reach_order, reference_nfa_fields, reference_parse_automaton
-
-
-def simple_nfa(n, letters, trans, initial, accepting):
-    return Nfa(n, tuple(f"a{i + 1}" for i in range(letters)),
-               tuple(trans), tuple(initial), tuple(accepting),
-               tuple(f"s{i}" for i in range(n)))
+from conftest import (reach_order, reference_nfa_fields, reference_parse_automaton,
+                      simple_nfa)
 
 
 @st.composite
@@ -206,6 +201,9 @@ def test_format_word():
     a = parse_automaton(GOLDEN)
     assert format_word(a, (0, 1)) == "a1 a2"
     assert format_word(a, ()) == ""
+    # bools are ints to ``operator.index``, as in the constructor
+    assert format_word(a, (False, True)) == "a1 a2"
+    assert accepts(a, (False, True)) == accepts(a, (0, 1))
 
 
 @given(st.integers(0, 10**9))

@@ -106,8 +106,8 @@ def test_every_documented_export_is_its_home_modules_object(first):
     the package; an export named like its submodule (``classify``) must
     still be the function."""
     names = _readme_exports()
-    assert len(names) == len(set(names)) == 44
-    assert {"classify", "reduce", "parse_dtm", "Word", "SimulationError"} <= set(names)
+    assert len(names) == len(set(names)) == 43
+    assert {"classify", "reduce", "parse_dtm", "Word", "ResourceLimitError"} <= set(names)
     homes = {name: _home(name) for name in names}
     assert _fresh(_EXPORTS, FIRST=first, HOMES=homes) == [dict.fromkeys(names, True)]
 

@@ -9,7 +9,7 @@ from poset_automata.caps import default_caps
 from poset_automata.classify import classify
 from poset_automata.core import accepts
 from poset_automata.dtm import Dtm, parse_dtm, simulate_dtm
-from poset_automata.errors import InputError, ResourceLimitError, SimulationError
+from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import build_aknn, w_word
 from poset_automata.reduction import (PairAlphabet, _Backbone,
                                       build_part_a, build_part_b,
@@ -106,10 +106,16 @@ def test_simulate_rejects_on_missing_rule():
 
 
 def test_simulate_out_of_bounds():
+    """A head that leaves the tape halts the run without accepting; the
+    move that left counts as a step, and its configuration is not kept."""
     m = Dtm(("q0", "qf"), "q0", "qf", ("_", "1"), ("1",), "_",
             (("q0", "1", "q0", "1", "L"), ("q0", "_", "q0", "_", "L")))
-    with pytest.raises(SimulationError):
-        simulate_dtm(m, "1", 2)
+    rec = simulate_dtm(m, "1", 2)
+    assert (rec.verdict, rec.steps) == ("off-tape", 1)
+    assert rec.configs == ((("1", "q0"), ("_", None)),)
+    assert simulate_dtm(incrementing_machine(), "1", 1).verdict == "off-tape"
+    rec = simulate_dtm(incrementing_machine(), "11", 2)
+    assert (rec.verdict, rec.steps, len(rec.configs)) == ("off-tape", 2, 2)
 
 
 def test_simulate_input_checks(tm_accepting):
@@ -489,10 +495,10 @@ def test_reduce_three_state_machine():
 
 
 def test_reduce_out_of_bounds_run_is_reported():
-    """A machine whose run leaves the tape is a simulation error, not a
-    silently wrong encoding."""
+    """A run that leaves the tape does not accept, so it has no encoding:
+    ``encode_run`` refuses it rather than encode a wrong word."""
     inc = incrementing_machine()
-    with pytest.raises(SimulationError):
+    with pytest.raises(InputError, match="verdict off-tape"):
         encode_run(inc, "1", 1, 4, 2)  # walks right off a 1-cell tape
 
 
@@ -507,10 +513,8 @@ def test_reduce_agrees_with_simulation_on_random_machines():
     for i in range(200):
         m, pval = random_dtm(rng, rng.randint(2, 4)), 1 + i % 2
         x = "".join(rng.choice("01") for _ in range(rng.randint(0, pval)))
-        try:
-            accepted = simulate_dtm(m, x, pval, config_count(m, pval) + 1).verdict == "accept"
-        except SimulationError:
-            accepted, left = False, left + 1
+        verdict = simulate_dtm(m, x, pval, config_count(m, pval) + 1).verdict
+        accepted, left = verdict == "accept", left + (verdict == "off-tape")
         art = reduce(m, x, pval)
         res = universal(art.automaton)
         assert res.universal == (not accepted), (m, x, pval)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (accepting_machine, chain_nfa, reference_universal_state_mask,
-                      rejecting_machine)
+                      rejecting_machine, simple_nfa)
 from poset_automata.core import Nfa, accepts
 from poset_automata.errors import InputError, ResourceLimitError
 from poset_automata.hardness import Dag, build_aknn, dag_gadget, trim_aknn, w_word
@@ -20,12 +20,6 @@ from poset_automata.universality import (UniversalityResult, format_result,
                                          universal_brute, universal_sponfa,
                                          universal_state_mask, universal_subset,
                                          universal_unary_po)
-
-
-def simple_nfa(n, letters, trans, initial, accepting):
-    return Nfa(n, tuple(f"a{i + 1}" for i in range(letters)),
-               tuple(trans), tuple(initial), tuple(accepting),
-               tuple(f"s{i}" for i in range(n)))
 
 
 def saturated_chain(n, accept_initial):
