@@ -13,12 +13,13 @@ names, are checked where ``PairAlphabet`` spells them.
 ``tests/test_constructors.py`` rebuilds each maker's output through the
 constructor and compares.
 
-Text is read in bulk: all lines split at once, the comment cut only on
-lines that contain '#', the directives and ``trans:`` rows checked over
-whole columns, names resolved with dict lookups.  Only a text that fails
-the bulk check runs the per-line loop (``tokenize``), and only a repeated
-name runs ``_check_names``, to word the error; so a rejected text gets the
-same message either way.
+Text is read in bulk: one compiled pattern, ``_COMMENT``, owns the comment
+rule and cuts every comment in one pass over the whole text; all lines are
+split at once, the directives and ``trans:`` rows checked over whole
+columns, names resolved with dict lookups.  Only a text that fails the bulk
+check runs the per-line loop (``tokenize``, which cuts by the same
+pattern), and only a repeated name runs ``_check_names``, to word the
+error; so a rejected text gets the same message either way.
 
 Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
@@ -44,9 +45,9 @@ POSET_AUTOMATA_CAPS environment variable, which sets the resource caps (see
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import contains, index, lt
+from operator import index, lt
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -70,14 +71,19 @@ def _check_names(names: Sequence[str], kind: str) -> None:
 
 
 def sorted_unique(items: Sequence) -> tuple:
-    """``items`` as a sorted, duplicate-free tuple; one linear test skips
-    the sort when they already are.  The sort sees the items in their given
-    order, so it can use the sorted runs that generators emit, and equal
-    items end up adjacent for ``dict.fromkeys`` to drop."""
+    """``items`` as a sorted, duplicate-free tuple, sorted at most once.  One
+    linear test skips the sort when the items already are; otherwise the
+    sort sees them in their given order, so it can use the sorted runs that
+    generators emit, and the same test on its result returns it when it is
+    strictly ascending.  Only a repeat, left adjacent by the sort, sends the
+    items to ``dict.fromkeys``."""
     items = tuple(items)
     if all(map(lt, items, items[1:])):
         return items
-    return tuple(dict.fromkeys(sorted(items)))
+    items = sorted(items)
+    if all(map(lt, items, items[1:])):
+        return tuple(items)
+    return tuple(dict.fromkeys(items))
 
 
 class derived:
@@ -245,24 +251,19 @@ def accepts(a: Nfa, word: Sequence[int]) -> bool:
 # text format
 
 
-def _uncomment(tokens: list[str]) -> list[str]:
-    """The tokens before the first one that starts with '#', which opens a
-    comment to the end of its line; a '#' inside a token, as in the pair
-    letter ``(a1,#)``, does not."""
-    for i, tok in enumerate(tokens):
-        if tok[0] == "#":
-            return tokens[:i]
-    return tokens
+# The one comment rule: a '#' that starts a token opens a comment to the end
+# of its line; a '#' inside a token, as in the pair letter ``(a1,#)``, does
+# not.  ``\S`` and ``str.split`` agree on whitespace, and the class is the
+# set of breaks at which ``str.splitlines`` ends a line.
+_COMMENT = re.compile(r"#(?<!\S#)[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
 def tokenize(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """The line tokenizer of every text format: (line number, raw line,
-    tokens) for each line that keeps a token once its comment is cut off.
-    Each line is split once."""
+    tokens) for each line that keeps a token once ``_COMMENT`` has cut its
+    comment off.  Each line is cut and split once."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if "#" in raw:
-            tokens = _uncomment(tokens)
+        tokens = _COMMENT.sub("", raw).split()
         if tokens:
             yield lineno, raw, tokens
 
@@ -274,12 +275,13 @@ _HEADS = {key + ":" for key in _DIRECTIVES}
 def parse_automaton(text: str) -> Nfa:
     """Parse the line-oriented automaton format (see print_automaton).
 
-    The text is read in bulk: all lines are split at once, the comment cut
-    runs only on lines that contain '#', and the structure is checked over
-    whole columns (the four directives, each once, and four tokens in every
-    ``trans:`` row).  A text that fails this check goes through the
-    ``tokenize`` loop of ``_misformatted``, which reports the first fault
-    with its line number.
+    The text is read in bulk: ``_COMMENT`` cuts every comment in one pass
+    over the whole text (when it holds a '#'), all lines are split at once,
+    and the structure is checked over whole columns (the four directives,
+    each once, and four tokens in every ``trans:`` row).  A text that fails
+    this check goes through the ``tokenize`` loop of ``_misformatted``,
+    which cuts comments by the same pattern line by line and reports the
+    first fault with its line number.
 
     The text checks imply the ``Nfa`` constructor's, so the automaton is
     made by ``Nfa._build`` and not checked again.  A token from
@@ -289,12 +291,8 @@ def parse_automaton(text: str) -> Nfa:
     lookups, so its indices are in range, and ``_build`` normalises the
     index columns.  Only the state count is left to check, after the
     lookups as in the constructor."""
-    lines = text.splitlines()
-    rows = list(map(str.split, lines))
-    if "#" in text:
-        for i in compress(range(len(lines)), map(contains, lines, repeat("#"))):
-            rows[i] = _uncomment(rows[i])
-    rows = list(filter(None, rows))
+    cut = _COMMENT.sub("", text) if "#" in text else text
+    rows = list(filter(None, map(str.split, cut.splitlines())))
     trans_lines = [row for row in rows if row[0] == "trans:"]
     heads = {row[0]: row[1:] for row in rows if row[0] != "trans:"}
     if not (len(rows) - len(trans_lines) == len(heads) and heads.keys() == _HEADS

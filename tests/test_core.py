@@ -1,18 +1,22 @@
 import dataclasses
 import random
+import sys
+from itertools import filterfalse
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poset_automata import cli
 from poset_automata.classify import is_partially_ordered
-from poset_automata.core import (Nfa, accepts, format_word, parse_automaton,
+from poset_automata.core import (_COMMENT, Nfa, accepts, format_word, parse_automaton,
                                  print_automaton)
 from poset_automata.errors import InputError
 from poset_automata.hardness import build_aknn
 from poset_automata.sampling import random_nfa
 
-from conftest import (reach_order, reference_nfa_fields, reference_parse_automaton,
+from conftest import (accepting_machine, incrementing_machine, reach_order,
+                      reference_nfa_fields, reference_parse_automaton, rejecting_machine,
                       simple_nfa)
 
 
@@ -362,6 +366,50 @@ def test_parser_matches_reference_on_printed_automata(seed):
     assert parsed.accepting_mask == checked.accepting_mask
 
 
+def _dtm_text(m) -> str:
+    rules = [f"delta: {q} {a} -> {r} {b} {d}" for (q, a, r, b, d) in m.rules]
+    return "\n".join([f"states: {' '.join(m.states)}", f"initial: {m.initial}",
+                      f"accepting: {m.accepting}", f"tape: {' '.join(m.tape_alphabet)}",
+                      f"input: {' '.join(m.input_alphabet)}", f"blank: {m.blank}",
+                      *rules, ""])
+
+
+@pytest.mark.parametrize("pval", [1, 2])
+@pytest.mark.parametrize("machine", [accepting_machine, rejecting_machine,
+                                     incrementing_machine])  # the last runs off the tape at p = 1
+def test_parser_matches_reference_on_reductions(machine, pval, tmp_path, capsys):
+    """The ``reduce`` command's own output: header comments, and ``#`` inside
+    the pair letters ``(a1,#)`` and ``(a2,#)``."""
+    path = tmp_path / "m.tm"
+    path.write_text(_dtm_text(machine()))
+    assert cli.main(["reduce", "--tm", str(path), "--input", "1", "--space", str(pval)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("# reduction: ") and "(a1,#)" in text and "(a2,#)" in text
+    parsed = parse_automaton(text)
+    assert parsed == reference_parse_automaton(text)
+    assert print_automaton(parsed) == "".join(line for line in text.splitlines(True)
+                                              if not line.startswith("#"))
+
+
+def test_comment_pattern_agrees_with_split_and_splitlines():
+    """Over every code point c: a '#' after c opens a comment iff ``str.split``
+    splits at c (iff ``c.isspace()``), and a comment ends at c iff
+    ``str.splitlines`` breaks there.  One string of all code points, checked
+    by whole-string and set comparisons."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    space = set(filter(str.isspace, chars))
+    assert "".join(chars.split()) == "".join(filterfalse(str.isspace, chars))
+    breaks = {line[-1] for line in chars.splitlines(True)[:-1]}
+    assert len(breaks) == len(chars.splitlines()) - 1 and breaks <= space
+    # c, then '#', then a break that ends the comment before the next c
+    text = "#\n".join(chars)
+    assert {text[m.start() - 1] for m in _COMMENT.finditer(text)} == space
+    assert _COMMENT.sub("", "x## y##") == "x## y##" and _COMMENT.sub("", "#x\n #y") == "\n "
+    # one comment runs on until a break, which survives, and the next " #" opens one again
+    text = " #" + " #".join(chars)
+    assert set(_COMMENT.sub("", text)) == breaks | {" "}
+
+
 _BAD_NAMES = st.sampled_from(["", "#x", "a b", "t\n", "\tu", "s0"])
 
 
@@ -416,6 +464,11 @@ def test_constructor_keeps_sorted_transitions_and_sorts_the_rest():
     assert listed == ordered and hash(listed) == hash(ordered)
     assert listed.alphabet == alphabet and listed.state_names == names
     assert parse_automaton(print_automaton(listed)) == listed
+    repeated = ((0, 0, 1), (0, 0, 1), (1, 0, 0))  # sorted, with an adjacent repeat
+    for built in (Nfa(2, alphabet, repeated, (0, 0), (1,), names),
+                  Nfa._build(2, alphabet, repeated, (0, 0), (1,), names)):
+        assert built == ordered and built.transitions == ((0, 0, 1), (1, 0, 0))
+        assert built.initial == (0,)
     for bad in (((0, 0, 1), (0, 0, 1, 0)), ((0, 0),)):
         with pytest.raises(InputError, match="triples"):
             Nfa(2, alphabet, bad, (0,), (1,), names)
