@@ -134,7 +134,7 @@ def _cmd_reduce(args) -> int:
     from .dtm import parse_dtm
     from .reduction import reduce
     machine = parse_dtm(_read(args.tm))
-    word = [tok for tok in args.input.replace(",", " ").split() if tok]
+    word = args.input.replace(",", " ").split()
     artifact = reduce(machine, word, args.space)
     header = [
         f"reduction: k={artifact.k} n={artifact.n} space={artifact.pval} "

@@ -5,7 +5,9 @@ accepting state with no outgoing rules, a blank outside the input alphabet,
 state and tape-symbol names that are good automaton names (the reduction
 spells them into its letters), and an explicit space bound supplied per
 run.  A head that leaves the tape halts the run without accepting, as in
-the reduction; ``simulate_dtm`` reports it as the verdict "off-tape".
+the reduction; ``simulate_dtm`` reports it as the verdict "off-tape".  A
+run that comes back to a configuration it has been in never halts;
+``simulate_dtm`` stops at the repeat with the verdict "loop".
 Configurations are recorded as tuples of (tape symbol, state-or-None)
 cells, the marker sitting under the head.
 """
@@ -77,9 +79,8 @@ class Dtm:
 
 @dataclass(frozen=True)
 class RunRecord:
-    verdict: str          # "accept" | "reject" | "cap" | "off-tape"
+    verdict: str          # "accept" | "reject" | "off-tape" | "loop"
     configs: tuple[Config, ...]
-    steps: int
 
 
 def check_run_args(m: Dtm, x: Sequence[str], pval: int) -> None:
@@ -94,13 +95,14 @@ def check_run_args(m: Dtm, x: Sequence[str], pval: int) -> None:
             raise InputError(f"input symbol {sym!r} not in the input alphabet")
 
 
-def simulate_dtm(m: Dtm, x: Sequence[str], pval: int, step_cap: int = 10**5) -> RunRecord:
+def simulate_dtm(m: Dtm, x: Sequence[str], pval: int) -> RunRecord:
     """Deterministic simulation on a pval-cell tape (cells 1..pval).
 
     Verdicts: "accept" once the accepting state is entered, "reject" when no
-    rule applies, "off-tape" when the head leaves the tape (``steps`` counts
-    that move, ``configs`` ends before it), "cap" when step_cap steps pass
-    without any of these.
+    rule applies, "off-tape" when the head leaves the tape (``configs`` ends
+    before that move), "loop" when a configuration comes round again
+    (``configs`` ends before the repeat).  A pval-cell tape has finitely
+    many configurations, so every run ends in one of these.
     """
     check_run_args(m, x, pval)
     tape = list(x) + [m.blank] * (pval - len(x))
@@ -111,21 +113,20 @@ def simulate_dtm(m: Dtm, x: Sequence[str], pval: int, step_cap: int = 10**5) -> 
         return tuple((sym, state if i + 1 == head else None)
                      for i, sym in enumerate(tape))
 
-    configs = [config()]
-    steps = 0
+    configs = {config(): None}  # insertion-ordered, and a set for the repeat test
     while state != m.accepting:
-        if steps >= step_cap:
-            return RunRecord("cap", tuple(configs), steps)
         rule = m.delta.get((state, tape[head - 1]))
         if rule is None:
-            return RunRecord("reject", tuple(configs), steps)
+            return RunRecord("reject", tuple(configs))
         state, tape[head - 1], move = rule
         head += MOVES[move]
         if not 1 <= head <= pval:
-            return RunRecord("off-tape", tuple(configs), steps + 1)
-        steps += 1
-        configs.append(config())
-    return RunRecord("accept", tuple(configs), steps)
+            return RunRecord("off-tape", tuple(configs))
+        cfg = config()
+        if cfg in configs:
+            return RunRecord("loop", tuple(configs))
+        configs[cfg] = None
+    return RunRecord("accept", tuple(configs))
 
 
 def parse_dtm(text: str) -> Dtm:

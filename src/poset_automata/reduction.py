@@ -196,10 +196,12 @@ def encode_run(m: Dtm, x: Sequence[str], pval: int, k: int, n: int) -> Word:
     """The unique word over Pi spelling W_{k,n} in the first components and
     the padded accepting-run encoding # w_1 # ... # w_r # $^j in the second.
     The accepting configuration is repeated until fewer than p+1 places
-    remain, which are then filled with $ (so j <= p).  A (k, n) whose
-    |W_{k,n}| cannot hold the run is refused; ``choose_kn``'s always can."""
+    remain, which are then filled with $ (so j <= p).  A run that does not
+    accept (``simulate_dtm``'s "reject", "off-tape" or "loop") has no
+    encoding and is refused with its verdict, and so is a (k, n) whose
+    |W_{k,n}| cannot hold the run; ``choose_kn``'s always can."""
     pa = PairAlphabet(m, n)
-    record = simulate_dtm(m, x, pval, step_cap=config_count(m, pval) + 1)
+    record = simulate_dtm(m, x, pval)
     if record.verdict != "accept":
         raise InputError(f"machine does not accept the input (verdict {record.verdict})")
     word = w_word(k, n)

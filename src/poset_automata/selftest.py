@@ -10,7 +10,7 @@ from .core import Nfa, Word, accepts
 from .dtm import Dtm, simulate_dtm
 from .errors import InputError
 from .hardness import build_aknn, dag_gadget, dag_reachable, trim_aknn, w_word
-from .reduction import config_count, encode_run, reduce
+from .reduction import encode_run, reduce
 from .sampling import random_complete_po_sld, random_dag
 from .universality import universal, universal_subset
 
@@ -99,15 +99,15 @@ def _suite_dag(seed: int, samples: int) -> tuple[int, int]:
 def _suite_reduction(seed: int, samples: int) -> tuple[int, int]:
     """The reduction against simulation on up to 50 random machines at
     space bound 1: the output is a ptNFA, universal iff the run does not
-    accept (an off-tape run does not), and on acceptance its
-    counterexample is ``encode_run``'s word."""
+    accept (a run that rejects, leaves the tape or loops does not), and on
+    acceptance its counterexample is ``encode_run``'s word."""
     rng = random.Random(seed + 2)
     passed = 0
     total = min(samples, 50)
     for _ in range(total):
         m = random_dtm(rng, rng.randint(2, 4))
         x = rng.choice(("", "0", "1"))
-        accepted = simulate_dtm(m, x, 1, config_count(m, 1) + 1).verdict == "accept"
+        accepted = simulate_dtm(m, x, 1).verdict == "accept"
         art = reduce(m, x, 1)
         res = universal(art.automaton)
         ok = res.universal != accepted and classify(art.automaton).label == "ptNFA"
@@ -127,7 +127,7 @@ SUITES: tuple[tuple[str, Callable[[int, int], tuple[int, int]]], ...] = (
 )
 
 
-def run_selftest(seed: int = 0, samples: int = 1000) -> bool:
+def run_selftest(seed: int, samples: int) -> bool:
     if samples < 0:
         raise InputError("the sample count must be nonnegative")
     ok = True

@@ -161,6 +161,32 @@ def expected_next_reference(m: Dtm, pa, dl: int, dc: int, dr: int):
     return pa.cell_id(theta, None)
 
 
+def reference_simulate_dtm(m: Dtm, x, pval: int) -> tuple[str, list]:
+    """The machine run by the counting bound: at most C(x)+1 steps, where
+    C(x) = (|T|(|Q|+1))^p counts the configuration words, and the verdict
+    "cap" when they pass without a halt.  A run of more steps than there
+    are configurations repeats one and never halts, so "cap" means the run
+    loops.  The oracle for ``simulate_dtm``'s repeat test, written apart
+    from it: a 0-based head, the rules read from ``m.rules``, and every
+    configuration kept in a list.  Returns the verdict and the
+    configurations."""
+    tape = list(x) + [m.blank] * (pval - len(x))
+    pos, q = 0, m.initial
+    rules = {(r[0], r[1]): r[2:] for r in m.rules}
+    configs = [tuple(zip(tape, [None] * pos + [q] + [None] * (pval - pos - 1)))]
+    for _ in range((len(m.tape_alphabet) * (len(m.states) + 1)) ** pval + 1):
+        if q == m.accepting:
+            break
+        if (q, tape[pos]) not in rules:
+            return "reject", configs
+        q, tape[pos], move = rules[q, tape[pos]]
+        pos += {"L": -1, "R": 1, "S": 0}[move]
+        if not 0 <= pos < pval:
+            return "off-tape", configs
+        configs.append(tuple(zip(tape, [None] * pos + [q] + [None] * (pval - pos - 1))))
+    return ("accept" if q == m.accepting else "cap"), configs
+
+
 def accepting_machine() -> Dtm:
     """Enters the accepting state on the first input symbol."""
     return Dtm(states=("q0", "qf"), initial="q0", accepting="qf",

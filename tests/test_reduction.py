@@ -23,7 +23,7 @@ from poset_automata.universality import (universal, universal_antichain,
 
 from conftest import (accepting_machine, accepts_with_cutoff, expected_next_reference,
                       head_moving_machine, incrementing_machine, is_ptnfa,
-                      rejecting_machine, w_reference)
+                      reference_simulate_dtm, rejecting_machine, w_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +63,9 @@ def test_parse_dtm_errors():
         parse_dtm("states: q0\ninitial: q0\naccepting: q0\ntape: _\nblank: _\n")
     with pytest.raises(InputError, match=r"^duplicate rule for \(q0, 1\)$"):
         parse_dtm(TM_TEXT + "delta: q0 1 -> qf 1 S\n")
+    for rule in ("q1 1 -> qf 1", "q1 1 => qf 1 S"):  # five tokens; no arrow
+        with pytest.raises(InputError, match=r"^line 10: delta needs `q a -> q' b D`$"):
+            parse_dtm(TM_TEXT + f"delta: {rule}\n")
 
 
 def test_dtm_validation():
@@ -79,13 +82,20 @@ def test_dtm_validation():
 
 def test_simulate_immediate_accept(tm_accepting):
     rec = simulate_dtm(tm_accepting, "1", 1)
-    assert rec.verdict == "accept" and rec.steps == 1
+    assert rec.verdict == "accept"
     assert rec.configs == ((("1", "q0"),), (("1", "qf"),))
 
 
-def test_simulate_loop_hits_cap(tm_rejecting):
-    rec = simulate_dtm(tm_rejecting, "1", 1, step_cap=25)
-    assert rec.verdict == "cap" and rec.steps == 25
+def test_simulate_loop_stops_at_the_repeat(tm_rejecting):
+    """The looping machine's first step gives back its first
+    configuration: the run ends there, at any tape length, and the repeat
+    is not kept."""
+    rec = simulate_dtm(tm_rejecting, "1", 1)
+    assert (rec.verdict, rec.configs) == ("loop", ((("1", "q0"),),))
+    rec = simulate_dtm(tm_rejecting, "1", 12)
+    assert (rec.verdict, rec.configs) == ("loop", ((("1", "q0"),) + (("_", None),) * 11,))
+    with pytest.raises(InputError, match="verdict loop"):
+        encode_run(tm_rejecting, "1", 12, 9, 9)
 
 
 def test_simulate_incrementing_hand_trace(tm_incrementing):
@@ -107,15 +117,15 @@ def test_simulate_rejects_on_missing_rule():
 
 def test_simulate_out_of_bounds():
     """A head that leaves the tape halts the run without accepting; the
-    move that left counts as a step, and its configuration is not kept."""
+    run ends with the configuration before the move that left."""
     m = Dtm(("q0", "qf"), "q0", "qf", ("_", "1"), ("1",), "_",
             (("q0", "1", "q0", "1", "L"), ("q0", "_", "q0", "_", "L")))
     rec = simulate_dtm(m, "1", 2)
-    assert (rec.verdict, rec.steps) == ("off-tape", 1)
+    assert rec.verdict == "off-tape"
     assert rec.configs == ((("1", "q0"), ("_", None)),)
     assert simulate_dtm(incrementing_machine(), "1", 1).verdict == "off-tape"
     rec = simulate_dtm(incrementing_machine(), "11", 2)
-    assert (rec.verdict, rec.steps, len(rec.configs)) == ("off-tape", 2, 2)
+    assert (rec.verdict, len(rec.configs)) == ("off-tape", 2)
 
 
 def test_simulate_input_checks(tm_accepting):
@@ -123,6 +133,29 @@ def test_simulate_input_checks(tm_accepting):
         simulate_dtm(tm_accepting, "11", 1)  # longer than the tape
     with pytest.raises(InputError):
         simulate_dtm(tm_accepting, "x", 2)
+
+
+def test_simulate_matches_the_counting_bound_on_random_machines():
+    """3,000 seeded random machines at p = 1..4 against a run of C(x)+1
+    steps: the verdicts agree, with "loop" exactly where the bounded run
+    ends in "cap", and so do the configurations, except that a loop ends
+    before the repeat: its configurations are the bounded run's prefix up
+    to the first configuration seen twice."""
+    rng = random.Random(29)
+    seen = dict.fromkeys(("accept", "reject", "off-tape", "loop"), 0)
+    for i in range(3000):
+        m, pval = random_dtm(rng, rng.randint(2, 4)), 1 + i % 4
+        x = "".join(rng.choice("01") for _ in range(rng.randint(0, pval)))
+        verdict, configs = reference_simulate_dtm(m, x, pval)
+        rec = simulate_dtm(m, x, pval)
+        seen[rec.verdict] += 1
+        if verdict == "cap":
+            assert rec.verdict == "loop", (m, x, pval)
+            assert rec.configs == tuple(configs[:len(rec.configs)]), (m, x, pval)
+            assert configs[len(rec.configs)] in rec.configs, (m, x, pval)
+        else:
+            assert (rec.verdict, rec.configs) == (verdict, tuple(configs)), (m, x, pval)
+    assert min(seen.values()) >= 50, seen
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +546,7 @@ def test_reduce_agrees_with_simulation_on_random_machines():
     for i in range(200):
         m, pval = random_dtm(rng, rng.randint(2, 4)), 1 + i % 2
         x = "".join(rng.choice("01") for _ in range(rng.randint(0, pval)))
-        verdict = simulate_dtm(m, x, pval, config_count(m, pval) + 1).verdict
+        verdict = simulate_dtm(m, x, pval).verdict
         accepted, left = verdict == "accept", left + (verdict == "off-tape")
         art = reduce(m, x, pval)
         res = universal(art.automaton)
