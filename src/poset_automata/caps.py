@@ -3,7 +3,7 @@
 Every cap can be overridden through the environment variable
 POSET_AUTOMATA_CAPS, a comma-separated list of key=value pairs, e.g.
 
-    POSET_AUTOMATA_CAPS="antichain_nodes=200000,enum_len=32"
+    POSET_AUTOMATA_CAPS="antichain_nodes=200000,enum_nodes=50000"
 
 Every function that runs under a cap reads ``default_caps()`` at the check
 it guards; the variable is the only way to set a cap.
@@ -37,7 +37,6 @@ ENV_VAR = "POSET_AUTOMATA_CAPS"
 @dataclass(frozen=True)
 class Caps:
     antichain_nodes: int = 10**6  # explored nodes in the antichain/subset deciders
-    enum_len: int = 64           # maximum word length for brute-force enumeration
     enum_nodes: int = 10**6      # words checked by brute-force enumeration
     word_len: int = 10**7        # maximum |W_{k,n}| the word generator will build
     reduce_n: int = 16           # largest k and n of the TM reduction's backbone A_{k,n}
@@ -46,7 +45,8 @@ class Caps:
     confluence_nodes: int = 2 * 10**6  # state pairs held by the confluence search
 
     def with_overrides(self, spec: str) -> "Caps":
-        """Apply a ``key=value,key=value`` override string."""
+        """Apply a ``key=value,key=value`` override string; each value is a
+        nonnegative integer."""
         if not spec.strip():
             return self
         known = {f.name for f in fields(self)}
@@ -63,6 +63,8 @@ class Caps:
                 updates[key] = int(value.strip())
             except ValueError:
                 raise InputError(f"cap {key} needs an integer value, got {value!r}") from None
+            if updates[key] < 0:
+                raise InputError(f"cap {key} must be nonnegative, got {value.strip()}")
         return replace(self, **updates)
 
 

@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", default="auto",
                    choices=("auto", "sponfa", "unary", "antichain", "subset", "brute"))
-    p.add_argument("--max-len", type=int, default=None,
-                   help="word-length bound for --method brute")
 
     p = sub.add_parser("gen-word", help="print the word W_{k,n}")
     p.set_defaults(run=_cmd_gen_word)
@@ -100,14 +98,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_universal(args) -> int:
     a = parse_automaton(_read(args.file))
-    if args.method == "brute":
-        max_len = args.max_len
-        if max_len is None:
-            max_len = min(2 ** a.n_states, default_caps().enum_len)
-        res = universal_brute(a, max_len)
-    else:
-        res = {"auto": universal, "sponfa": universal_sponfa, "unary": universal_unary_po,
-               "antichain": universal_antichain, "subset": universal_subset}[args.method](a)
+    res = {"auto": universal, "sponfa": universal_sponfa, "unary": universal_unary_po,
+           "antichain": universal_antichain, "subset": universal_subset,
+           "brute": universal_brute}[args.method](a)
     sys.stdout.write(format_result(a, res))
     return 0 if res.universal else 1
 

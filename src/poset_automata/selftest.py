@@ -45,16 +45,16 @@ def random_dtm(rng: random.Random, n_states: int = 4) -> Dtm:
 def _suite_lemma2(seed: int, samples: int) -> tuple[int, int]:
     """Confluence and UMS must agree on complete partially ordered
     self-loop deterministic automata (both directions of the rpoNFA/ptNFA
-    equivalence).  ``classify`` reads confluence off UMS in this class, so
-    the pair search ``is_confluent`` is asked directly, and ``classify``
-    must give its answer."""
+    equivalence).  A sample outside that class fails.  ``classify`` reads
+    confluence off UMS in this class, so the pair search ``is_confluent`` is
+    asked directly, and ``classify`` must give its answer."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(samples):
         a = random_complete_po_sld(rng)
         rep = classify(a)
-        assert rep.complete and rep.partially_ordered and rep.self_loop_deterministic
-        passed += is_confluent(a)[0] == is_ums(a)[0] == rep.confluent
+        passed += (rep.complete and rep.partially_ordered and rep.self_loop_deterministic
+                   and is_confluent(a)[0] == is_ums(a)[0] == rep.confluent)
     return passed, samples
 
 

@@ -288,23 +288,21 @@ def _word_at(index: int, length: int, n_letters: int) -> Word:
     return tuple(reversed(word))
 
 
-def universal_brute(a: Nfa, max_len: int) -> UniversalityResult:
-    """Literal enumeration of every word up to max_len in length-lex order.
-    A 'universal' verdict only certifies the explored bound; with
-    max_len >= 2^|Q| it is exact.
+def universal_brute(a: Nfa) -> UniversalityResult:
+    """Literal enumeration of every word of length at most 2^|Q| in
+    length-lex order.  The verdict is exact: a word's state set is one of
+    2^|Q| subsets, so the shortest rejected word, if any, is shorter than
+    2^|Q|.  With no letters the only word is the empty one, and the
+    enumeration stops after it.
 
     The words go level by level: ``level`` holds the state sets the words
     of one length reach, in lex order, so the word at index i is i in base
     |Sigma|.  Each word of the next length steps its parent's set once
     through ``Nfa.succ``, never through the step table the searches use, and
-    equal images share one frozenset.  ``enum_nodes`` is checked before a
-    set joins the level, so the list never holds more sets than the cap."""
-    if max_len < 0:
-        raise InputError("max_len must be nonnegative")
-    caps = default_caps()
-    if max_len > caps.enum_len:
-        raise ResourceLimitError(f"brute-force length {max_len} exceeds enum_len cap "
-                                 f"({caps.enum_len})")
+    equal images share one frozenset.  ``enum_nodes``, the one bound on the
+    enumeration, is checked before a set joins the level, so the list never
+    holds more sets than the cap."""
+    limit = default_caps().enum_nodes
     succ, acc, letters = a.succ, frozenset(a.accepting), range(a.n_letters)
     images: dict[tuple[frozenset[int], int], frozenset[int]] = {}
 
@@ -318,12 +316,12 @@ def universal_brute(a: Nfa, max_len: int) -> UniversalityResult:
     checked = 0
     level: list[frozenset[int]] = []
     new = iter((frozenset(a.initial),))  # the one word of length 0
-    for length in range(max_len + 1):
+    for length in range(2 ** a.n_states + 1 if a.n_letters else 1):
         for states in new:
             checked += 1
-            if checked > caps.enum_nodes:
+            if checked > limit:
                 raise ResourceLimitError(
-                    f"brute-force enumeration exceeded enum_nodes cap ({caps.enum_nodes})")
+                    f"brute-force enumeration exceeded enum_nodes cap ({limit})")
             if not states & acc:
                 word = _word_at(len(level), length, a.n_letters)
                 return UniversalityResult(False, word, "brute-force", checked, 1)

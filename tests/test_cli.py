@@ -7,12 +7,15 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poset_automata import selftest
+from poset_automata.caps import Caps
 from poset_automata.cli import main
 from poset_automata.core import parse_automaton, print_automaton
 from poset_automata.hardness import build_aknn, trim_aknn, w_word
@@ -75,18 +78,49 @@ def test_universal_methods_and_max_len(capsys, tmp_path):
         code, out, _ = run_main(capsys, ["universal", "--method", method, str(path)])
         assert code == 1
         assert "universal: no" in out
-    code, out, _ = run_main(capsys, ["universal", "--method", "brute",
-                                     "--max-len", "0", str(path)])
-    assert code == 0  # epsilon is accepted; bounded verdict
+    with pytest.raises(SystemExit) as exc:  # brute force has no length bound to set
+        main(["universal", "--method", "brute", "--max-len", "3", str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-len" in capsys.readouterr().err
 
 
-def test_universal_brute_negative_max_len_exit_two(capsys, tmp_path):
-    path = tmp_path / "a.aut"
-    path.write_text(print_automaton(build_aknn(2, 2)))
-    code, out, err = run_main(capsys, ["universal", "--method", "brute",
-                                       "--max-len", "-1", str(path)])
-    assert code == 2 and out == ""
-    assert "max_len must be nonnegative" in err
+def _crt_automaton() -> str:
+    """Unary cycles of lengths 2, 3, 5 and 7, 17 states, each accepting all
+    but its last state: a^m is rejected iff m = 209 (mod 210)."""
+    cycles = [[f"c{p}_{i}" for i in range(p)] for p in (2, 3, 5, 7)]
+    lines = ["alphabet: a", "states: " + " ".join(q for c in cycles for q in c),
+             "initial: " + " ".join(c[0] for c in cycles),
+             "accepting: " + " ".join(q for c in cycles for q in c[:-1])]
+    lines += [f"trans: {q} a {c[(i + 1) % len(c)]}" for c in cycles for i, q in enumerate(c)]
+    return "\n".join(lines) + "\n"
+
+
+def test_universal_brute_is_exact_past_64_letters(capsys, monkeypatch):
+    """The shortest word the 17-state CRT automaton rejects has 209 letters,
+    more than 64; brute force enumerates to 2^17 and finds it as the subset
+    search does."""
+    text = _crt_automaton()
+    code, out, err = run_main(capsys, ["universal", "--method", "subset", "-"], stdin=text,
+                              monkeypatch=monkeypatch)
+    assert code == 1 and err == ""
+    assert out.splitlines()[1] == "counterexample: " + " ".join(["a"] * 209)
+    code, brute, err = run_main(capsys, ["universal", "--method", "brute", "-"], stdin=text,
+                                monkeypatch=monkeypatch)
+    assert code == 1 and err == ""
+    assert brute.splitlines() == ["universal: no", out.splitlines()[1], "method: brute-force",
+                                  "explored: 210"]
+
+
+def test_universal_brute_with_no_letters_checks_only_the_empty_word(capsys, monkeypatch):
+    """With an empty alphabet the only word is the empty one, so 64 states
+    end the enumeration after one word, not after 2^64 empty levels."""
+    text = ("alphabet:\nstates: " + " ".join(f"q{i}" for i in range(64))
+            + "\ninitial: q0\naccepting: q0\n")
+    start = time.perf_counter()
+    assert run_main(capsys, ["universal", "--method", "brute", "-"], stdin=text,
+                    monkeypatch=monkeypatch) == (
+        0, "universal: yes\nmethod: brute-force\nexplored: 1\n", "")
+    assert time.perf_counter() - start < 1
 
 
 def test_classify_expect_mismatch(capsys, tmp_path):
@@ -337,6 +371,8 @@ _INPUT_CHECKS = {
                                  "cap (1)"),
     "caps-non-integer": (["universal", "F"], _AKNN_2_2, "antichain_nodes=many", 2,
                          "error: cap antichain_nodes needs an integer value, got 'many'"),
+    "caps-enum-len-removed": (["universal", "F"], _AKNN_2_2, "enum_len=64", 2,
+                              "error: unknown resource cap 'enum_len' in POSET_AUTOMATA_CAPS"),
     "subset-node-cap": (["universal", "F", "--method", "subset"], _AKNN_2_2,
                         "antichain_nodes=1", 3,
                         "resource limit: subset search exceeded antichain_nodes cap (1)"),
@@ -388,6 +424,26 @@ def test_malformed_caps_exit_two_on_every_subcommand(capsys, monkeypatch, tmp_pa
     monkeypatch.setenv("POSET_AUTOMATA_CAPS", "bogus=1")
     assert run_main(capsys, argv) == (
         2, "", "error: unknown resource cap 'bogus' in POSET_AUTOMATA_CAPS\n")
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(Caps)])
+def test_negative_cap_exit_two(capsys, monkeypatch, key):
+    """A negative cap is refused before any subcommand runs; 0 is valid."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", f"{key}=-1")
+    assert run_main(capsys, ["gen-word", "--k", "1", "--n", "1"]) == (
+        2, "", f"error: cap {key} must be nonnegative, got -1\n")
+    assert Caps().with_overrides(f"{key}=0") == replace(Caps(), **{key: 0})
+
+
+def test_selftest_counts_a_sample_outside_the_class_as_failed(capsys, monkeypatch):
+    """The lemma-2 suite checks its class precondition as part of each
+    sample, so an incomplete sample fails the suite instead of raising."""
+    monkeypatch.setattr(selftest, "random_complete_po_sld", lambda rng: trim_aknn(2, 2))
+    code, out, err = run_main(capsys, ["selftest", "--samples", "3"])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "suite lemma2-equivalence: 0/3 pass"
+    assert lines[-1] == "selftest: FAIL (4 suites)"
 
 
 def test_selftest_cli(capsys):
@@ -509,6 +565,7 @@ _VOCABULARY = ["alphabet:", "states:", "initial:", "accepting:", "trans:", "node
                "2", "-1", "7", "300000000", "99999999999999999999999", "#", "b#k",
                "x\u00a0y", "\u2028", "\x00", "é"]
 _COMMANDS = ((["universal", "-"], _AUTOMATON_TEXT), (["classify", "-"], _AUTOMATON_TEXT),
+             (["universal", "--method", "brute", "-"], _AUTOMATON_TEXT),
              (["gen-dag", "-"], DAG_TEXT),
              (["reduce", "--tm", "-", "--input", "1", "--space", "1"], TM_TEXT))
 
@@ -546,7 +603,7 @@ def hostile_runs(draw):
 def test_main_on_hostile_stdin_never_raises(run):
     argv, text = run
     out, err = io.StringIO(), io.StringIO()
-    caps = {"POSET_AUTOMATA_CAPS": "dag_nodes=64,antichain_nodes=20000"}
+    caps = {"POSET_AUTOMATA_CAPS": "dag_nodes=64,antichain_nodes=20000,enum_nodes=5000"}
     with mock.patch.dict(os.environ, caps), mock.patch("sys.stdin", io.StringIO(text)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -565,7 +622,7 @@ def test_main_on_hostile_stdin_never_raises(run):
 
 
 _NUMBERS = st.sampled_from([-10**30, -1, 0, 1, 2, 3, 10**9, 10**30]).map(str)
-_LOW_CAPS = ("antichain_nodes=2000,enum_len=12,enum_nodes=5000,word_len=1000,"
+_LOW_CAPS = ("antichain_nodes=2000,enum_nodes=5000,word_len=1000,"
              "reduce_n=3,dag_nodes=64,aknn_arcs=500,confluence_nodes=5000")
 
 
@@ -582,8 +639,7 @@ def numeric_runs(draw):
             argv.append("--trim")
         return argv, ""
     if kind == "brute":
-        return (["universal", "--method", "brute", "--max-len", draw(_NUMBERS), "-"],
-                _AUTOMATON_TEXT)
+        return ["universal", "--method", "brute", "-"], _AUTOMATON_TEXT
     samples = draw(st.sampled_from(["-1", "0", "1", "2"]))
     return ["selftest", "--samples", samples, "--seed", draw(_NUMBERS)], ""
 

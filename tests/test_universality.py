@@ -130,30 +130,21 @@ def test_antichain_counterexample_is_wkn_slow(k, n):
 
 
 def test_brute_force_bounded():
-    a = build_aknn(1, 1)
-    res = universal_brute(a, 4)
+    res = universal_brute(build_aknn(1, 1))
     assert not res.universal and res.counterexample == (0,)
-    assert universal_brute(a, 0).universal  # epsilon only: accepted
-
-
-def test_brute_caps(monkeypatch):
-    a = saturated_chain(2, accept_initial=True)
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_len=10")
-    with pytest.raises(ResourceLimitError):
-        universal_brute(a, 100)
 
 
 def test_brute_node_cap_counts_every_word(monkeypatch):
     """enum_nodes is checked before a word's set joins the level list: a
-    universal two-letter automaton checks 1 + 2 + 4 + 8 words up to length
-    3, so a cap of 15 suffices and a cap of 14 fires."""
+    universal one-state two-letter automaton checks 1 + 2 + 4 words up to
+    length 2^1, so a cap of 7 suffices and a cap of 6 fires."""
     a = simple_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], [0], [0])
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_nodes=15")
-    res = universal_brute(a, 3)
-    assert res.universal and res.explored == 15
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_nodes=14")
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_nodes=7")
+    res = universal_brute(a)
+    assert res.universal and res.explored == 7
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "enum_nodes=6")
     with pytest.raises(ResourceLimitError, match="enum_nodes cap"):
-        universal_brute(a, 3)
+        universal_brute(a)
 
 
 def test_brute_counterexample_and_count_in_length_lex_order():
@@ -161,13 +152,7 @@ def test_brute_counterexample_and_count_in_length_lex_order():
     checked after e, a1, a2, a1 a1 and a1 a2."""
     trans = [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0), (2, 0, 0), (2, 1, 0)]
     a = simple_nfa(3, 2, trans, [0], [0, 1])
-    assert universal_brute(a, 4) == UniversalityResult(False, (1, 0), "brute-force", 6, 1)
-
-
-def test_brute_rejects_negative_bound():
-    """A negative bound checks no word; it must not certify universality."""
-    with pytest.raises(InputError):
-        universal_brute(build_aknn(2, 2), -1)
+    assert universal_brute(a) == UniversalityResult(False, (1, 0), "brute-force", 6, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +208,8 @@ def test_subset_oracle_agrees_with_literal_enumeration(seed):
     rng = random.Random(seed)
     a = random_nfa(rng, max_states=4, max_letters=2)
     oracle = universal_subset(a)
-    with mock.patch.dict(os.environ, {"POSET_AUTOMATA_CAPS": "enum_len=64,enum_nodes=1000000"}):
-        brute = universal_brute(a, 2 ** a.n_states)
+    with mock.patch.dict(os.environ, {"POSET_AUTOMATA_CAPS": "enum_nodes=1000000"}):
+        brute = universal_brute(a)
     assert oracle.universal == brute.universal
     if not oracle.universal:
         assert oracle.counterexample == brute.counterexample  # both length-lex first
@@ -249,8 +234,8 @@ def test_unary_pumping_agrees_with_literal_brute(seed):
     rng = random.Random(seed)
     a = random_unary_po(rng, max_states=6)
     res = universal_unary_po(a)
-    with mock.patch.dict(os.environ, {"POSET_AUTOMATA_CAPS": "enum_len=256,enum_nodes=1000000"}):
-        brute = universal_brute(a, 2 ** a.n_states)
+    with mock.patch.dict(os.environ, {"POSET_AUTOMATA_CAPS": "enum_nodes=1000000"}):
+        brute = universal_brute(a)
     assert res.universal == brute.universal
     if not res.universal:
         assert len(res.counterexample) == len(brute.counterexample)
