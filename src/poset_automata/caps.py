@@ -20,8 +20,8 @@ The confluence search holds unordered pairs of distinct states, one set of
 pairs known to meet per pair of letters: at most |Sigma|(|Sigma|+1)/2 *
 |Q|(|Q|-1)/2, about |Sigma|^2*|Q|^2/4, in all; ``confluence_nodes`` bounds
 them.  The reductions of the micro machines in
-``scripts/antichain_scaling.py`` at space bound 5 hold about 650,000 pairs
-(roughly 50 bytes each); the default leaves three times that.
+``scripts/antichain_scaling.py`` at space bound 6 hold about 210,000 pairs
+(roughly 50 bytes each); the default leaves nine times that.
 """
 
 from __future__ import annotations

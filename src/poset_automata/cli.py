@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 meaningful negative (non-universal, class mismatch
-against --expect, failed selftest), 2 input error, 3 resource-cap error or
-an exhausted interpreter resource (MemoryError, RecursionError).
+against --expect, failed selftest), 2 input error (usage errors included),
+3 resource-cap error, an exhausted interpreter resource (MemoryError,
+RecursionError) or a standard output closed before all of it was written.
+Every failure prints one line on stderr; ``-h`` prints its usage text and
+exits 0.
 ``-`` names stdin for any file argument.  Resource caps come from the
 POSET_AUTOMATA_CAPS environment variable (comma-separated key=value pairs).
 """
@@ -10,6 +13,7 @@ POSET_AUTOMATA_CAPS environment variable (comma-separated key=value pairs).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -33,13 +37,32 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``InputError`` with argparse's message, so that
+    ``main`` prints it as one line and returns 2; subparsers are made of
+    the same class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout, its last character apart.  One write larger
+    than the stream's buffer goes straight to the file, and into a pipe
+    whose reader has gone it can come back short without an error; the last
+    character then waits in the buffer, and ``main``'s flush shows the
+    closed pipe."""
+    sys.stdout.write(text[:-1])
+    sys.stdout.write(text[-1:])
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first call and reused.  Each subcommand's ``run`` default
     is its ``_cmd_`` function; ``_cmd_universal`` finds ``universal`` at call
     time, and ``_cmd_reduce`` and ``_cmd_selftest`` import their modules when
     they run, so the other commands never load them."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poset-automata",
         description="Partially ordered NFA toolkit: classify, decide "
                     "universality, generate hardness constructions.")
@@ -90,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args) -> int:
     a = parse_automaton(_read(args.file))
     report = classify(a)
-    sys.stdout.write(format_report(a, report))
+    _write(format_report(a, report))
     if args.expect and report.label != args.expect:
         return 1
     return 0
@@ -101,25 +124,25 @@ def _cmd_universal(args) -> int:
     res = {"auto": universal, "sponfa": universal_sponfa, "unary": universal_unary_po,
            "antichain": universal_antichain, "subset": universal_subset,
            "brute": universal_brute}[args.method](a)
-    sys.stdout.write(format_result(a, res))
+    _write(format_result(a, res))
     return 0 if res.universal else 1
 
 
 def _cmd_gen_word(args) -> int:
     word = w_word(args.k, args.n)
-    print(" ".join(f"a{x + 1}" for x in word))
+    _write(" ".join(f"a{x + 1}" for x in word) + "\n")
     return 0
 
 
 def _cmd_gen_aknn(args) -> int:
     a = trim_aknn(args.k, args.n) if args.trim else build_aknn(args.k, args.n)
-    sys.stdout.write(print_automaton(a))
+    _write(print_automaton(a))
     return 0
 
 
 def _cmd_gen_dag(args) -> int:
     gadget = dag_gadget(parse_dag(_read(args.file)))
-    sys.stdout.write(print_automaton(gadget))
+    _write(print_automaton(gadget))
     return 0
 
 
@@ -136,7 +159,7 @@ def _cmd_reduce(args) -> int:
     header.extend(f"component {name}: offset={off} states={count}"
                   for (name, off, count) in artifact.components)
     header.append("attachment states: " + " ".join(artifact.attachment_states))
-    sys.stdout.write(print_automaton(artifact.automaton, header=header))
+    _write(print_automaton(artifact.automaton, header=header))
     return 0
 
 
@@ -146,10 +169,14 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command = "poset-automata"  # until the arguments name one
     try:
+        args = _build_parser().parse_args(argv)
+        command = args.command
         default_caps()  # up front: a malformed value exits 2 even where no cap is reached
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -157,11 +184,18 @@ def main(argv=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print(f"resource limit: {args.command} ran out of memory", file=sys.stderr)
+        print(f"resource limit: {command} ran out of memory", file=sys.stderr)
         return 3
     except RecursionError:
-        print(f"resource limit: {args.command} exceeded the recursion limit",
-              file=sys.stderr)
+        print(f"resource limit: {command} exceeded the recursion limit", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at exit
+        # cannot fail again (the note on SIGPIPE in the ``signal`` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"output closed: {command} could not write all of its output", file=sys.stderr)
         return 3
 
 

@@ -76,6 +76,13 @@ language stays the same:
     run of the paper's chain for position t.  Words of length <= p+1 need
     no automaton of their own: ``choose_kn`` makes |W_{k,n}| >= 1 +
     C(x)(p+1) > p+1, so the backbone accepts them.
+(4) W_{k,n} need only hold runs that visit no configuration twice, so C(x)
+    counts configurations, not configuration words.  A deterministic run
+    that comes back to a configuration never halts (``simulate_dtm``'s
+    "loop"), so an accepting run visits each of its configurations once:
+    at most (|Q|-1)*p*|T|^p with a non-accepting state, then the accepting
+    one, where the run ends.  The count reads only M's signature and p,
+    never the run, so choosing (k, n) decides nothing.
 
 The ptNFA property carries over from the parts: arcs lead from the backbone
 into the checks and from the checks into U, never back, and from a shared
@@ -188,8 +195,11 @@ def initial_config_symbols(m: Dtm, x: Sequence[str], pval: int,
 
 
 def config_count(m: Dtm, pval: int) -> int:
-    """C(x): number of distinct configuration words on a pval-cell tape."""
-    return (len(m.tape_alphabet) * (len(m.states) + 1)) ** pval
+    """C(x) = (|Q|-1)*p*|T|^p + 1: the most configurations an accepting run
+    on a pval-cell tape can visit.  A configuration is a state, a head cell
+    in 1..p and a tape in T^p; the run visits none twice (a repeat loops),
+    and only its last has the accepting state, which has no rules."""
+    return (len(m.states) - 1) * pval * len(m.tape_alphabet) ** pval + 1
 
 
 def encode_run(m: Dtm, x: Sequence[str], pval: int, k: int, n: int) -> Word:
@@ -435,17 +445,25 @@ def choose_kn(m: Dtm, x: Sequence[str], pval: int) -> tuple[int, int]:
     fewest states n(2k+1)+1 in A_{k,n}, on a tie the smaller n (fewer
     letters); k and n are at most the ``reduce_n`` cap.  For each n the
     least fitting k is the best, so the search makes at most reduce_n^2
-    ``comb`` calls.  C(x) >= 3^p (two states, a blank) and C(k+n,n) <=
-    C(2L,L) < 4^L for k, n <= L = reduce_n, so a p of 2L or more is refused
-    before C(x) is computed."""
+    ``comb`` calls.
+
+    A p of 2L or more, L = reduce_n, is refused before C(x) is computed, as
+    a guard on the cost of the output, which grows with p whatever (k, n)
+    is.  Where the tape has two symbols or more the refusal is also forced:
+    C(x) >= p*2^p + 1 then, so 1 + C(x)(p+1) > 2^p >= 4^L > C(2L,L) >
+    |W_{L,L}|, the longest word under the cap.  A one-symbol tape (no input
+    symbols) makes C(x) polynomial in p, and there the guard refuses bounds
+    that some A(k,n) under the cap holds."""
     limit = default_caps().reduce_n
+    if pval >= 2 * limit:
+        raise ResourceLimitError(f"space bound {pval} is at least twice the reduce_n cap "
+                                 f"({limit})")
+    need = 1 + config_count(m, pval) * (pval + 1)
     fits = []  # (states - 1, n, k)
-    if pval < 2 * limit:
-        need = 1 + config_count(m, pval) * (pval + 1)
-        for n in range(1, limit + 1):
-            k = next((k for k in range(1, limit + 1) if comb(k + n, n) - 1 >= need), None)
-            if k is not None:
-                fits.append((n * (2 * k + 1), n, k))
+    for n in range(1, limit + 1):
+        k = next((k for k in range(1, limit + 1) if comb(k + n, n) - 1 >= need), None)
+        if k is not None:
+            fits.append((n * (2 * k + 1), n, k))
     if not fits:
         raise ResourceLimitError(f"reduction needs k or n above the reduce_n cap ({limit})")
     _states, n, k = min(fits)

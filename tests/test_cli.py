@@ -19,10 +19,11 @@ from poset_automata.caps import Caps
 from poset_automata.cli import main
 from poset_automata.core import parse_automaton, print_automaton
 from poset_automata.hardness import build_aknn, trim_aknn, w_word
+from poset_automata.reduction import reduce
 from poset_automata.sampling import (random_complete_po_sld, random_nfa,
                                      random_saturated, random_unary_po)
 
-from conftest import w_reference
+from conftest import rejecting_machine, w_reference
 
 TM_TEXT = """states: q0 qf
 initial: q0
@@ -78,10 +79,11 @@ def test_universal_methods_and_max_len(capsys, tmp_path):
         code, out, _ = run_main(capsys, ["universal", "--method", method, str(path)])
         assert code == 1
         assert "universal: no" in out
-    with pytest.raises(SystemExit) as exc:  # brute force has no length bound to set
-        main(["universal", "--method", "brute", "--max-len", "3", str(path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-len" in capsys.readouterr().err
+    # brute force has no length bound to set
+    code, out, err = run_main(capsys, ["universal", "--method", "brute", "--max-len", "3",
+                                       str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: --max-len {path}\n"  # 3 is the file
 
 
 def _crt_automaton() -> str:
@@ -150,9 +152,10 @@ def test_gen_trim_alias_matches_flag(capsys):
     code, out_flag, _ = run_main(capsys, ["gen-aknn", "--k", "2", "--n", "2", "--trim"])
     assert code == 0
     assert parse_automaton(out_flag) == trim_aknn(2, 2)
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-trim", "--k", "2", "--n", "2"])
-    assert exc.value.code == 2
+    code, out, err = run_main(capsys, ["gen-trim", "--k", "2", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument command: invalid choice: 'gen-trim'")
+    assert err.count("\n") == 1
 
 
 def test_gen_dag(capsys, tmp_path):
@@ -177,18 +180,18 @@ def test_reduce_cli(capsys, monkeypatch, tmp_path):
     code, out, _ = run_main(capsys, ["reduce", "--tm", str(path),
                                      "--input", "1", "--space", "1"])
     assert code == 0
-    assert out.startswith("# reduction: k=4 n=2 space=1 pi-letters=16\n")
+    assert out.startswith("# reduction: k=3 n=2 space=1 pi-letters=16\n")
     components = [line.split(":")[0].removeprefix("# component ")
                   for line in out.splitlines() if line.startswith("# component ")]
     assert components == ["enc-backbone", "part-a", "part-b", "part-c1",
                           "part-c2", "part-c3", "part-c4"]
-    assert "# component enc-backbone: offset=0 states=19\n" in out
+    assert "# component enc-backbone: offset=0 states=15\n" in out
     automaton = parse_automaton(out)
     code, out2, _ = run_main(capsys, ["universal", "-"], stdin=out,
                              monkeypatch=monkeypatch)
     assert code == 1  # the machine accepts, so the output is not universal
     word = out2.splitlines()[1].removeprefix("counterexample: ").split()
-    assert len(word) == len(w_word(4, 2))
+    assert len(word) == len(w_word(3, 2))
 
 
 # SHA-256 of the generators' output bytes: state order, names and arcs
@@ -198,11 +201,11 @@ _PINNED_OUTPUTS = [
     (["gen-aknn", "--k", "3", "--n", "3", "--trim"],
      "1178af9e3935946facc5b4d6c553a87c6114b438c463bb6ac3f0044328a9bdf0"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "1"],
-     "d096326f352f313eb02b0209acfdba81a78718dcc1e34e33ae76c1d1fadc6670"),
+     "8257a065b94d99788bbcf0c2b5b79acc7e5acd6825d6dc3d9df2a8a34477025e"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "2"],
-     "0f4000a810530e4bbfb459ab833138e39aff828cab12e9a3b3674ac28b904460"),
+     "b8ffb3ba5d5ed68bfcb22aca0fb8eb2a673f3a66a76cf9db771e6f6ad698b68a"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "3"],
-     "6b854584c1740aba454a1bb7ee61ab3f2b8c5f13a0db5726b19ff7dc56702981"),
+     "8e31d0ac9baff09ead18be52a5f443a1ebb90d6a7c4091bcc5c014d1767012ce"),
 ]
 
 
@@ -218,7 +221,7 @@ def test_generator_output_bytes_are_pinned(capsys, tmp_path, argv, digest):
 
 
 def test_reduce_refuses_what_no_backbone_under_the_cap_holds(capsys, monkeypatch, tmp_path):
-    """At p = 2 the run needs |W| >= 109, and the longest word under
+    """At p = 2 the run needs |W| >= 28, and the longest word under
     reduce_n = 3, W(3,3), has 19 letters: exit 3 with one line.  (A huge
     --space is refused in ``test_huge_size_arguments_are_refused_at_once``.)"""
     path = tmp_path / "m.tm"
@@ -503,9 +506,106 @@ def test_universal_command_looks_up_the_decider_at_call_time(capsys, monkeypatch
 
 
 def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-word", "--k", "1", "--n", "1", "--bogus"])
-    assert exc.value.code == 2
+    code, out, err = run_main(capsys, ["gen-word", "--k", "1", "--n", "1", "--bogus"])
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --bogus\n")
+
+
+# argv shapes that argparse refuses: each is one "error:" line and exit 2
+_BAD_ARGV = [
+    [],
+    ["bogus"],
+    ["--bogus"],
+    ["universal"],
+    ["universal", "--bogus", "x"],
+    ["universal", "--method"],
+    ["universal", "--method", "nope", "F"],
+    ["universal", "F", "extra"],
+    ["classify", "--expect", "nope", "F"],
+    ["gen-word"],
+    ["gen-word", "--k", "1"],
+    ["gen-word", "--k", "x", "--n", "1"],
+    ["gen-word", "--k", "1.5", "--n", "1"],
+    ["gen-word", "--k", "--n", "1"],
+    ["gen-aknn", "--k", "1", "--n", "1", "--trim", "yes"],
+    ["reduce", "--tm", "F", "--input", "1"],
+    ["reduce", "--tm", "F", "--input", "1", "--space", ""],
+    ["selftest", "--seed", "s"],
+    ["selftest", "--samples"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_ARGV, ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_errors_are_one_line_and_exit_two(capsys, tmp_path, argv):
+    """Unknown commands and flags, missing and malformed values, and an
+    empty argv: ``main`` returns 2, prints nothing on stdout and one
+    ``error:`` line on stderr, and raises nothing."""
+    path = tmp_path / "a.aut"
+    path.write_text(print_automaton(build_aknn(1, 1)))
+    code, out, err = run_main(capsys, [str(path) if tok == "F" else tok for tok in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_keeps_its_usage_text_and_exit_zero(capsys):
+    for argv in (["-h"], ["universal", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: poset-automata") and err == ""
+
+
+@pytest.mark.parametrize("argv", [["gen-word", "--k", "10", "--n", "10"],
+                                  ["gen-aknn", "--k", "20", "--n", "20"]],
+                         ids=["gen-word", "gen-aknn"])
+def test_closed_pipe_is_one_line_and_exit_three(argv):
+    """The reader takes 10 bytes of an output far larger than a pipe holds
+    (554 and 508 KB) and closes its end: the writer stops with the
+    "output closed" line and exit 3, and no traceback."""
+    proc = subprocess.Popen([sys.executable, "-m", "poset_automata", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert len(head) == 10
+    assert err == f"output closed: {argv[0]} could not write all of its output\n"
+
+
+_CYCLE5 = ("alphabet: a\nstates: c0 c1 c2 c3 c4\ninitial: c0\naccepting: c0 c1 c2 c3 c4\n"
+           + "".join(f"trans: c{i} a c{(i + 1) % 5}\n" for i in range(5)))
+
+
+@pytest.mark.parametrize("method, text, code, explored", [
+    ("antichain", print_automaton(build_aknn(3, 3)), 1, 19),
+    ("subset", print_automaton(build_aknn(3, 3)), 1, 218),
+    ("antichain", print_automaton(reduce(rejecting_machine(), "1", 1).automaton), 0, 16),
+    ("subset", _CYCLE5, 0, 5),
+], ids=["antichain-A(3,3)", "subset-A(3,3)", "antichain-looping-p1", "subset-cycle"])
+def test_search_cap_admits_exactly_the_explored_count(capsys, monkeypatch, tmp_path,
+                                                      method, text, code, explored):
+    """``antichain_nodes`` bounds the nodes a search pops, and ``explored``
+    counts them: a cap equal to the count lets the run finish with the
+    same report, and one less exits 3 with one line."""
+    path = tmp_path / "a.aut"
+    path.write_text(text)
+    argv = ["universal", "--method", method, str(path)]
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", f"antichain_nodes={explored}")
+    got, out, err = run_main(capsys, argv)
+    assert (got, err) == (code, "")
+    assert out.endswith(f"method: {method}\nexplored: {explored}\n")
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", f"antichain_nodes={explored - 1}")
+    assert run_main(capsys, argv) == (
+        3, "", f"resource limit: {method} search exceeded antichain_nodes cap "
+               f"({explored - 1})\n")
+
+
+def test_subset_search_reports_no_node_when_the_start_rejects(capsys, monkeypatch):
+    text = "alphabet: a\nstates: p\ninitial: p\naccepting:\ntrans: p a p\n"
+    assert run_main(capsys, ["universal", "--method", "subset", "-"], stdin=text,
+                    monkeypatch=monkeypatch) == (
+        1, "universal: no\ncounterexample: \nmethod: subset\nexplored: 0\n", "")
 
 
 def test_subprocess_entry_point(tmp_path):

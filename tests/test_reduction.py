@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from math import comb
@@ -166,9 +167,9 @@ def test_choose_n_is_minimal(tm_accepting, monkeypatch):
     """Brute force over every (k, n) up to the ``reduce_n`` cap, for every
     run length bound 1 + 2C(x) with C(x) < 2000: the pick fits the run and
     has the fewest states n(2k+1)+1 of A_{k,n}, on a tie the smaller n."""
-    assert choose_kn(tm_accepting, "1", 1) == (4, 2)
-    assert choose_kn(tm_accepting, "1", 2) == (5, 4)
-    assert choose_kn(tm_accepting, "1", 3) == (6, 6)
+    assert choose_kn(tm_accepting, "1", 1) == (3, 2)
+    assert choose_kn(tm_accepting, "1", 2) == (4, 3)
+    assert choose_kn(tm_accepting, "1", 3) == (5, 4)
     limit = default_caps().reduce_n
     for count in range(1, 2000):
         monkeypatch.setattr(reduction, "config_count", lambda m, pval: count)
@@ -337,7 +338,8 @@ def test_part_c_behaviour(setup_p1):
     assert not accepts(part, word)
     # final configuration not in the accepting state -> accepted via C.2
     c2 = parts_alone(m, "1", 1, k, n, build_part_c2)
-    pos = len(word) - 3  # the last cell: |W_{4,2}| = 14 ends in '# $'
+    pos = max(i for i, pi in enumerate(word)  # the last cell
+              if pi % pa.n_delta not in (pa.hash_id, pa.dollar_id))
     assert word[pos] % pa.n_delta == pa.cell_id("1", "qf")
     ending_bad = word[:pos] + (pa.pi_id(word[pos] // pa.n_delta, pa.cell_id("1", "q0")),) + word[pos + 1:]
     assert accepts(c2, ending_bad)
@@ -366,18 +368,18 @@ def test_reduce_validates_input(tm_accepting, monkeypatch):
 
 def test_reduce_backbone_obeys_the_aknn_arcs_cap(tm_accepting, monkeypatch):
     """The backbone A(k,n) is built under the same caps as the rest of the
-    reduction: at p = 1, (k, n) = (4, 2) and A(4,2) has 42 arcs."""
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=41")
-    with pytest.raises(ResourceLimitError, match=r"A_\{4,2\} has 42 transitions"):
+    reduction: at p = 1, (k, n) = (3, 2) and A(3,2) has 33 arcs."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=32")
+    with pytest.raises(ResourceLimitError, match=r"A_\{3,2\} has 33 transitions"):
         reduce(tm_accepting, "1", 1)
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=42")
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=33")
     art = reduce(tm_accepting, "1", 1)
-    assert (art.k, art.n) == (4, 2)
+    assert (art.k, art.n) == (3, 2)
 
 
 def test_reduce_artifact_inventory(tm_accepting):
     art = reduce(tm_accepting, "1", 1)
-    assert (art.k, art.n, art.pval) == (4, 2, 1)
+    assert (art.k, art.n, art.pval) == (3, 2, 1)
     names = [name for (name, _o, _c) in art.components]
     assert names == ["enc-backbone", "part-a", "part-b", "part-c1", "part-c2",
                      "part-c3", "part-c4"]
@@ -448,7 +450,9 @@ def test_reduce_corruption_sample(tm_accepting):
     pa = PairAlphabet(tm_accepting, art.n)
     word = encode_run(tm_accepting, "1", 1, art.k, art.n)
     u = universal_state_mask(art.automaton)
-    for pos in (0, 1, 2, 9, len(word) - 2, len(word) - 1):
+    last_cell = max(i for i, pi in enumerate(word)
+                    if pi % pa.n_delta not in (pa.hash_id, pa.dollar_id))
+    for pos in sorted({0, 1, 2, last_cell, len(word) - 2, len(word) - 1}):
         a_idx, d_orig = divmod(word[pos], pa.n_delta)
         for d in range(pa.n_delta):
             if d != d_orig:
@@ -555,6 +559,89 @@ def test_reduce_agrees_with_simulation_on_random_machines():
         if accepted:
             assert res.counterexample == encode_run(m, x, pval, art.k, art.n)
     assert left > 50
+
+
+def all_rules(states):
+    """Every rule a machine with working states ``states`` over tape {_, 1}
+    can have for one (state, read) pair: a next state (working or qf), a
+    written symbol and a move."""
+    return [(q, w, move) for q in states + ("qf",) for w in ("_", "1") for move in "LRS"]
+
+
+def micro_machine(states, rules) -> Dtm:
+    return Dtm(states + ("qf",), "q0", "qf", ("_", "1"), ("1",), "_", rules)
+
+
+@pytest.mark.parametrize("pval", [1, 2, 3])
+def test_reduce_agrees_with_simulation_on_every_one_state_machine(pval):
+    """All 169 machines with the one working state q0 over tape {_, 1} (each
+    of the two rules absent or one of 12) on the inputs empty, 1 and 1^p:
+    ``reduce | universal`` says "not universal" exactly when the run
+    accepts, and then its counterexample is ``encode_run``'s word.  The
+    longest accepting run reaches the configuration count at p = 1, where
+    one working state has 2 configurations and the accepting one a third."""
+    options = [None] + all_rules(("q0",))
+    longest = 0
+    for blank_rule, one_rule in itertools.product(options, repeat=2):
+        rules = [("q0", read) + rule for read, rule in (("_", blank_rule), ("1", one_rule))
+                 if rule is not None]
+        m = micro_machine(("q0",), rules)
+        for x in dict.fromkeys(("", "1", "1" * pval)):
+            record = simulate_dtm(m, x, pval)
+            art = reduce(m, x, pval)
+            res = universal(art.automaton)
+            accepted = record.verdict == "accept"
+            assert res.universal == (not accepted), (rules, x)
+            if accepted:
+                assert res.counterexample == encode_run(m, x, pval, art.k, art.n), (rules, x)
+                longest = max(longest, len(record.configs))
+    assert longest <= config_count(m, pval)
+    assert pval > 1 or longest == config_count(m, pval) == 3
+
+
+def machine_runs(states, x, pval):
+    """The run on x of every machine with working states ``states`` over
+    tape {_, 1}, one per class of machines that share it.  A rule is fixed
+    only when a run first reads its (state, symbol) pair, so a class is the
+    machines that agree on the pairs its run reads, and the classes
+    partition the machines.  Yields (record, fixed): the run and the number
+    of pairs whose rule, or its absence, the run reads."""
+    options = all_rules(states)
+    todo = [()]
+    while todo:
+        rules = todo.pop()
+        record = simulate_dtm(micro_machine(states, rules), x, pval)
+        if record.verdict != "reject":
+            yield record, len(rules)
+            continue
+        yield record, len(rules) + 1  # the rule it reads is absent
+        (read, q), = (cell for cell in record.configs[-1] if cell[1] is not None)
+        todo += [rules + ((q, read) + rule,) for rule in options]
+
+
+@pytest.mark.parametrize("pval", [1, 2, 3, 4])
+def test_every_two_state_accepting_run_fits_the_chosen_word(pval):
+    """Every machine with working states q0, q1 over tape {_, 1}, 19^4 rule
+    sets, on the inputs empty, 1 and 1^p: an accepting run visits at most
+    C(x) configurations, and the W_{k,n} that ``choose_kn`` picks holds its
+    encoding, one block of p + 1 letters per configuration after the
+    leading #.  The run classes of ``machine_runs`` cover the rule sets
+    exactly once.  At p = 1 the longest accepting run meets C(x) = 5."""
+    states = ("q0", "q1")
+    m = micro_machine(states, ())
+    k, n = choose_kn(m, "", pval)
+    blocks = (len(w_word(k, n)) - 1) // (pval + 1)
+    options, pairs = len(all_rules(states)) + 1, 2 * len(states)
+    longest = 0
+    for x in dict.fromkeys(("", "1", "1" * pval)):
+        covered = 0
+        for record, fixed in machine_runs(states, x, pval):
+            covered += options ** (pairs - fixed)
+            if record.verdict == "accept":
+                longest = max(longest, len(record.configs))
+        assert covered == options ** pairs == 19 ** 4, x
+    assert longest <= config_count(m, pval) <= blocks
+    assert pval > 1 or longest == config_count(m, pval) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -702,23 +789,31 @@ def test_reduce_language_is_exact_at_p1():
 
 
 def test_reduce_trailing_dollar_checks_at_p2():
-    """At space bound 2 the accepting run's encoding ends in one $, which
-    p = 1 encodings never do, so this reaches the trailing-$ checks (C.1 to
-    C.3): the word is rejected, and each of its one-edit neighbours within
-    the last p + 1 letters is accepted ($ appended, a letter deleted, or a
-    letter replaced)."""
+    """At space bound 2 the accepting micro machine's encoding fills W(4,3)
+    with whole blocks and ends in #, but a machine on a one-symbol tape,
+    accepting the empty input in one step, gets W(4,2) and an encoding that
+    ends in one $, which p = 1 encodings never do.  So this reaches the
+    trailing-$ checks (C.1 to C.3): the word is rejected, and each of its
+    one-edit neighbours within the last p + 1 letters is accepted ($
+    appended, a letter deleted, or a letter replaced)."""
     m, pval = accepting_machine(), 2
-    art = reduce(m, "1", pval)
-    a, pa = art.automaton, PairAlphabet(m, art.n)
+    art, pa = reduce(m, "1", pval), PairAlphabet(m, 3)
     word = encode_run(m, "1", pval, art.k, art.n)
-    assert (art.k, art.n, len(word)) == (5, 4, 125)
+    assert (art.k, art.n, len(word)) == (4, 3, 34)
+    assert word[-1] % pa.n_delta == pa.hash_id
+    m = Dtm(states=("q0", "qf"), initial="q0", accepting="qf", tape_alphabet=("_",),
+            input_alphabet=(), blank="_", rules=(("q0", "_", "qf", "_", "S"),))
+    art = reduce(m, "", pval)
+    a, pa = art.automaton, PairAlphabet(m, art.n)
+    word = encode_run(m, "", pval, art.k, art.n)
+    assert (art.k, art.n, len(word)) == (4, 2, 14)
     assert word[-1] % pa.n_delta == pa.dollar_id != word[-2] % pa.n_delta
     assert not accepts(a, word)
     edits = [word + (pa.pi_id(word[-1] // pa.n_delta, pa.dollar_id),)]
     for i in range(len(word) - pval - 1, len(word)):
         edits.append(word[:i] + word[i + 1:])
         edits += [word[:i] + (x,) + word[i + 1:] for x in range(a.n_letters) if x != word[i]]
-    assert len(edits) == 1 + (pval + 1) * a.n_letters == 97
+    assert len(edits) == 1 + (pval + 1) * a.n_letters == 31
     assert all(accepts(a, edit) for edit in edits)
 
 
