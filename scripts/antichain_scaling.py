@@ -11,9 +11,10 @@ complete, self-loop deterministic poNFAs, so it runs no pair search; the
 label must be ptNFA at p <= 3 and the pair search must find the automaton
 confluent.  The accepting machine's counterexample must be ``encode_run``'s
 word.  Prints one row per machine and bound: the backbone's (k, n), states,
-size of the printed text in KB, parse seconds, explored nodes, peak queue
-length (``max_frontier``), counterexample length (``-`` for a universal
-automaton), antichain seconds, classify seconds and confluence seconds.
+arcs, size of the printed text in KB, parse seconds, explored nodes, peak
+queue length (``max_frontier``), counterexample length (``-`` for a
+universal automaton), antichain seconds, classify seconds and confluence
+seconds.
 
 Each time is the best of 5 runs at p <= 3, and one run above that.  Each
 antichain, classify and confluence run gets an automaton parsed afresh, as
@@ -61,7 +62,7 @@ def best(repeats, fn, arg):
 
 def main():
     pmax = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    print(f"{'machine':>9} {'p':>2} {'(k, n)':>8} {'states':>6} {'text KB':>7} {'parse s':>7} {'explored':>8} "
+    print(f"{'machine':>9} {'p':>2} {'(k, n)':>8} {'states':>6} {'arcs':>6} {'text KB':>7} {'parse s':>7} {'explored':>8} "
           f"{'frontier':>8} {'ce len':>6} {'seconds':>8} {'classify s':>10} {'confluence s':>12}")
     for pval in range(1, pmax + 1):
         for label, machine in machines():
@@ -79,7 +80,7 @@ def main():
             confluence_s, (confluent, _) = best(repeats, is_confluent, fresh)
             assert confluent
             ce = "-" if res.universal else len(res.counterexample)
-            print(f"{label:>9} {pval:>2} {f'({art.k}, {art.n})':>8} {a.n_states:>6} {len(text.encode()) / 1000:>7.1f} "
+            print(f"{label:>9} {pval:>2} {f'({art.k}, {art.n})':>8} {a.n_states:>6} {len(a.transitions):>6} {len(text.encode()) / 1000:>7.1f} "
                   f"{parse_s:>7.4f} {res.explored:>8} "
                   f"{res.max_frontier:>8} {ce:>6} "
                   f"{elapsed:>8.4f} {classify_s:>10.4f} {confluence_s:>12.4f}", flush=True)

@@ -179,10 +179,15 @@ def is_self_loop_deterministic(a: Nfa) -> tuple[bool, Optional[tuple[int, int, i
 
 def is_saturated(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
     """Self-loop under every letter in every state; witness is the first
-    (state, letter) without one."""
-    bits = [1 << q for q in range(a.n_states)]
-    w = _first_zero([list(map(and_, row, bits)) for row in a.step_rows])
-    return w is None, w
+    (state, letter) without one.  Scans the pairs in that order and stops
+    at the first miss."""
+    rows = a.step_rows
+    for q in range(a.n_states):
+        bit = 1 << q
+        for x, row in enumerate(rows):
+            if not row[q] & bit:
+                return False, (q, x)
+    return True, None
 
 
 def is_deterministic(a: Nfa) -> bool:

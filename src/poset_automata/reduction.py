@@ -6,8 +6,12 @@ ptNFA over the pair alphabet Pi = Sigma_n x Delta_{#$} that accepts every
 word except the ones spelling W_{k,n} in their first components while
 encoding an accepting run of M on x in their second components.  Hence the
 output is universal iff M does not accept x within space p.  ``choose_kn``
-picks the A_{k,n} with the fewest states n(2k+1)+1 whose |W_{k,n}| holds
-the run.
+picks, among the A_{k,n} whose |W_{k,n}| holds the run, the one with the
+least estimated work S*(4*n*|Delta_{#$}| + |W_{k,n}|), S = n(2k+1)+1 its
+states: the printed table, n*|Delta_{#$}| letters per emitted state, plus
+the search, about |W_{k,n}| subsets of about S states each.  Any factor
+from 1.5 to 12 in place of 4 picks the same backbones for the micro
+machines at p = 1..6.
 
 Components, in the output's state order:
   enc-backbone  enc(A_{k,n}): A_{k,n} with every a_i transition duplicated
@@ -442,10 +446,16 @@ class ReductionArtifact:
 
 def choose_kn(m: Dtm, x: Sequence[str], pval: int) -> tuple[int, int]:
     """The (k, n) with |W_{k,n}| = C(k+n,n)-1 >= 1 + C(x)(p+1) and the
-    fewest states n(2k+1)+1 in A_{k,n}, on a tie the smaller n (fewer
-    letters); k and n are at most the ``reduce_n`` cap.  For each n the
-    least fitting k is the best, so the search makes at most reduce_n^2
-    ``comb`` calls.
+    least estimated work S*(4*n*|Delta_{#$}| + |W_{k,n}|), S = n(2k+1)+1
+    the states of A_{k,n}; on a tie the smaller n (fewer letters); k and n
+    are at most the ``reduce_n`` cap.  The first term is the printed table:
+    each of the n first components adds |Delta_{#$}| letters to every
+    emitted state's row, which the reduction, printing, parsing and the
+    step table all pay for.  The second is the search: it steps about |W|
+    subsets, each costing about S.  Every factor from 1.5 to 12 in place of
+    4 picks the same (k, n) for the micro machines at p = 1..6.  The cost
+    grows with k, so for each n the least fitting k is the best, and the
+    search makes at most reduce_n^2 ``comb`` calls.
 
     A p of 2L or more, L = reduce_n, is refused before C(x) is computed, as
     a guard on the cost of the output, which grows with p whatever (k, n)
@@ -459,14 +469,16 @@ def choose_kn(m: Dtm, x: Sequence[str], pval: int) -> tuple[int, int]:
         raise ResourceLimitError(f"space bound {pval} is at least twice the reduce_n cap "
                                  f"({limit})")
     need = 1 + config_count(m, pval) * (pval + 1)
-    fits = []  # (states - 1, n, k)
+    n_delta = len(m.tape_alphabet) * (len(m.states) + 1) + 2
+    fits = []  # (cost, n, k)
     for n in range(1, limit + 1):
         k = next((k for k in range(1, limit + 1) if comb(k + n, n) - 1 >= need), None)
         if k is not None:
-            fits.append((n * (2 * k + 1), n, k))
+            states = n * (2 * k + 1) + 1
+            fits.append((states * (4 * n * n_delta + comb(k + n, n) - 1), n, k))
     if not fits:
         raise ResourceLimitError(f"reduction needs k or n above the reduce_n cap ({limit})")
-    _states, n, k = min(fits)
+    _cost, n, k = min(fits)
     return k, n
 
 

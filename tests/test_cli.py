@@ -180,18 +180,18 @@ def test_reduce_cli(capsys, monkeypatch, tmp_path):
     code, out, _ = run_main(capsys, ["reduce", "--tm", str(path),
                                      "--input", "1", "--space", "1"])
     assert code == 0
-    assert out.startswith("# reduction: k=3 n=2 space=1 pi-letters=16\n")
+    assert out.startswith("# reduction: k=7 n=1 space=1 pi-letters=8\n")
     components = [line.split(":")[0].removeprefix("# component ")
                   for line in out.splitlines() if line.startswith("# component ")]
     assert components == ["enc-backbone", "part-a", "part-b", "part-c1",
                           "part-c2", "part-c3", "part-c4"]
-    assert "# component enc-backbone: offset=0 states=15\n" in out
+    assert "# component enc-backbone: offset=0 states=16\n" in out
     automaton = parse_automaton(out)
     code, out2, _ = run_main(capsys, ["universal", "-"], stdin=out,
                              monkeypatch=monkeypatch)
     assert code == 1  # the machine accepts, so the output is not universal
     word = out2.splitlines()[1].removeprefix("counterexample: ").split()
-    assert len(word) == len(w_word(3, 2))
+    assert len(word) == len(w_word(7, 1))
 
 
 # SHA-256 of the generators' output bytes: state order, names and arcs
@@ -201,11 +201,11 @@ _PINNED_OUTPUTS = [
     (["gen-aknn", "--k", "3", "--n", "3", "--trim"],
      "1178af9e3935946facc5b4d6c553a87c6114b438c463bb6ac3f0044328a9bdf0"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "1"],
-     "8257a065b94d99788bbcf0c2b5b79acc7e5acd6825d6dc3d9df2a8a34477025e"),
+     "65a922c6b8a8d0acb6da74caa66948faa7931a558539088edabb5ae28a56b9c9"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "2"],
-     "b8ffb3ba5d5ed68bfcb22aca0fb8eb2a673f3a66a76cf9db771e6f6ad698b68a"),
+     "4e57d4709a9844865f293f744c36a7378cb132d78403f0331448fd2b67fbcb59"),
     (["reduce", "--tm", "TM", "--input", "1", "--space", "3"],
-     "8e31d0ac9baff09ead18be52a5f443a1ebb90d6a7c4091bcc5c014d1767012ce"),
+     "679112f145dae0d71d86783a4f89b33489bd458b7867aa789422d47391c3f978"),
 ]
 
 
@@ -580,7 +580,7 @@ _CYCLE5 = ("alphabet: a\nstates: c0 c1 c2 c3 c4\ninitial: c0\naccepting: c0 c1 c
 @pytest.mark.parametrize("method, text, code, explored", [
     ("antichain", print_automaton(build_aknn(3, 3)), 1, 19),
     ("subset", print_automaton(build_aknn(3, 3)), 1, 218),
-    ("antichain", print_automaton(reduce(rejecting_machine(), "1", 1).automaton), 0, 16),
+    ("antichain", print_automaton(reduce(rejecting_machine(), "1", 1).automaton), 0, 12),
     ("subset", _CYCLE5, 0, 5),
 ], ids=["antichain-A(3,3)", "subset-A(3,3)", "antichain-looping-p1", "subset-cycle"])
 def test_search_cap_admits_exactly_the_explored_count(capsys, monkeypatch, tmp_path,

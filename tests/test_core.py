@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 from itertools import filterfalse
 
@@ -379,12 +380,15 @@ def _dtm_text(m) -> str:
                                      incrementing_machine])  # the last runs off the tape at p = 1
 def test_parser_matches_reference_on_reductions(machine, pval, tmp_path, capsys):
     """The ``reduce`` command's own output: header comments, and ``#`` inside
-    the pair letters ``(a1,#)`` and ``(a2,#)``."""
+    the pair letters ``(a1,#)`` .. ``(an,#)``, n read from the header (one
+    first component at p = 1, two at p = 2)."""
     path = tmp_path / "m.tm"
     path.write_text(_dtm_text(machine()))
     assert cli.main(["reduce", "--tm", str(path), "--input", "1", "--space", str(pval)]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("# reduction: ") and "(a1,#)" in text and "(a2,#)" in text
+    n = int(re.match(r"# reduction: k=\d+ n=(\d+) ", text).group(1))
+    assert n == pval
+    assert all(f"(a{i},#)" in text for i in range(1, n + 1))
     parsed = parse_automaton(text)
     assert parsed == reference_parse_automaton(text)
     assert print_automaton(parsed) == "".join(line for line in text.splitlines(True)

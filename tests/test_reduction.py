@@ -166,17 +166,19 @@ def test_simulate_matches_the_counting_bound_on_random_machines():
 def test_choose_n_is_minimal(tm_accepting, monkeypatch):
     """Brute force over every (k, n) up to the ``reduce_n`` cap, for every
     run length bound 1 + 2C(x) with C(x) < 2000: the pick fits the run and
-    has the fewest states n(2k+1)+1 of A_{k,n}, on a tie the smaller n."""
-    assert choose_kn(tm_accepting, "1", 1) == (3, 2)
-    assert choose_kn(tm_accepting, "1", 2) == (4, 3)
-    assert choose_kn(tm_accepting, "1", 3) == (5, 4)
+    has the least estimated work S*(4*n*|Delta_{#$}| + |W_{k,n}|), S =
+    n(2k+1)+1 the states of A_{k,n}, on a tie the smaller n."""
+    assert [choose_kn(tm_accepting, "1", p) for p in range(1, 7)] == [
+        (7, 1), (7, 2), (13, 2), (7, 4), (10, 4), (8, 6)]
     limit = default_caps().reduce_n
+    n_delta = PairAlphabet(tm_accepting, 1).n_delta
     for count in range(1, 2000):
         monkeypatch.setattr(reduction, "config_count", lambda m, pval: count)
         need = 1 + count * 2
-        fitting = [(n * (2 * k + 1) + 1, n, k) for k in range(1, limit + 1)
-                   for n in range(1, limit + 1) if comb(k + n, n) - 1 >= need]
-        _states, n, k = min(fitting)
+        fitting = [((n * (2 * k + 1) + 1) * (4 * n * n_delta + comb(k + n, n) - 1), n, k)
+                   for k in range(1, limit + 1) for n in range(1, limit + 1)
+                   if comb(k + n, n) - 1 >= need]
+        _cost, n, k = min(fitting)
         assert choose_kn(tm_accepting, "1", 1) == (k, n), count
 
 
@@ -310,16 +312,16 @@ def test_part_b_behaviour(setup_p1):
     ok, failures = is_ptnfa(part)
     assert ok, failures
     assert not accepts(part, word)
-    # violate the transition relation at a cell deep in the run:
-    # config cells sit at odd positions for pval=1; flip a marker cell to
-    # an unmarked one, contradicting the forced successor
-    pos = 7
-    assert word[pos] % pa.n_delta == pa.cell_id("1", "qf")
+    # violate the transition relation at the run's last marker cell: flip
+    # it to an unmarked one, contradicting the forced successor
+    accepting_cell = pa.cell_id("1", "qf")
+    pos = max(i for i, pi in enumerate(word) if pi % pa.n_delta == accepting_cell)
+    assert pos > 2
     corrupted = word[:pos] + (pa.pi_id(word[pos] // pa.n_delta, pa.cell_id("1", None)),) + word[pos + 1:]
     assert accepts(part, corrupted)
-    # first projection off the W-track -> accepted by the backbone
-    other = (word[0] + pa.n_delta,) if word[0] // pa.n_delta == 0 else (word[0] - pa.n_delta,)
-    assert accepts(part, other + word[1:])
+    # first projection off the W-track (a proper prefix of W_{k,n}, which
+    # n = 1 leaves as the only way off) -> accepted by the backbone
+    assert accepts(part, word[:-1])
 
 
 def test_each_c_part_is_ptnfa(setup_p1):
@@ -368,18 +370,18 @@ def test_reduce_validates_input(tm_accepting, monkeypatch):
 
 def test_reduce_backbone_obeys_the_aknn_arcs_cap(tm_accepting, monkeypatch):
     """The backbone A(k,n) is built under the same caps as the rest of the
-    reduction: at p = 1, (k, n) = (3, 2) and A(3,2) has 33 arcs."""
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=32")
-    with pytest.raises(ResourceLimitError, match=r"A_\{3,2\} has 33 transitions"):
+    reduction: at p = 1, (k, n) = (7, 1) and A(7,1) has 16 arcs."""
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=15")
+    with pytest.raises(ResourceLimitError, match=r"A_\{7,1\} has 16 transitions"):
         reduce(tm_accepting, "1", 1)
-    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=33")
+    monkeypatch.setenv("POSET_AUTOMATA_CAPS", "aknn_arcs=16")
     art = reduce(tm_accepting, "1", 1)
-    assert (art.k, art.n) == (3, 2)
+    assert (art.k, art.n) == (7, 1)
 
 
 def test_reduce_artifact_inventory(tm_accepting):
     art = reduce(tm_accepting, "1", 1)
-    assert (art.k, art.n, art.pval) == (3, 2, 1)
+    assert (art.k, art.n, art.pval) == (7, 1, 1)
     names = [name for (name, _o, _c) in art.components]
     assert names == ["enc-backbone", "part-a", "part-b", "part-c1", "part-c2",
                      "part-c3", "part-c4"]
@@ -461,10 +463,12 @@ def test_reduce_corruption_sample(tm_accepting):
 
 
 def test_backbone_law_first_projection_perturbations(tm_accepting):
-    """Any word whose first projection differs from W_{k,n} is accepted."""
-    art = reduce(tm_accepting, "1", 1)
+    """Any word whose first projection differs from W_{k,n} is accepted.
+    At p = 2 the backbone has two first components (p = 1 has one)."""
+    art = reduce(tm_accepting, "1", 2)
+    assert art.n == 2
     pa = PairAlphabet(tm_accepting, art.n)
-    word = encode_run(tm_accepting, "1", 1, art.k, art.n)
+    word = encode_run(tm_accepting, "1", 2, art.k, art.n)
     u = universal_state_mask(art.automaton)
     rng = random.Random(5)
     for _ in range(60):
@@ -559,6 +563,44 @@ def test_reduce_agrees_with_simulation_on_random_machines():
         if accepted:
             assert res.counterexample == encode_run(m, x, pval, art.k, art.n)
     assert left > 50
+
+
+def fewest_states_kn(m, x, pval):
+    """The reference backbone rule that ``choose_kn`` replaced: the fitting
+    (k, n) with the fewest states n(2k+1)+1, on a tie the smaller n."""
+    limit = default_caps().reduce_n
+    need = 1 + config_count(m, pval) * (pval + 1)
+    _states, n, k = min((n * (2 * k + 1) + 1, n, k) for k in range(1, limit + 1)
+                        for n in range(1, limit + 1) if comb(k + n, n) - 1 >= need)
+    return k, n
+
+
+def test_backbone_choice_changes_the_cost_only(monkeypatch):
+    """The micro machines at p = 1..4 and 40 seeded random machines at
+    p = 1, each reduced under ``choose_kn`` and under the fewest-states
+    rule: both outputs are universal iff the run does not accept, and an
+    accepting run's counterexample is ``encode_run``'s word for the
+    output's own (k, n).  The two rules pick different backbones for the
+    micro machines at p = 1..3 (the same A(7,4) at p = 4) and for 30 of
+    the 40 random machines."""
+    rng = random.Random(32)
+    cases = [(m, "1", pval) for pval in range(1, 5)
+             for m in (accepting_machine(), rejecting_machine())]
+    cases += [(random_dtm(rng, rng.randint(2, 4)), rng.choice(("", "0", "1")), 1)
+              for _ in range(40)]
+    picks = {}
+    for rule in (choose_kn, fewest_states_kn):
+        monkeypatch.setattr(reduction, "choose_kn", rule)
+        for i, (m, x, pval) in enumerate(cases):
+            accepted = simulate_dtm(m, x, pval).verdict == "accept"
+            art = reduce(m, x, pval)
+            res = universal(art.automaton)
+            assert res.universal == (not accepted), (m, x, pval, rule)
+            if accepted:
+                assert res.counterexample == encode_run(m, x, pval, art.k, art.n)
+            picks.setdefault(i, []).append((art.k, art.n))
+    moved = [i for i, (new, old) in picks.items() if new != old]
+    assert moved[:6] == list(range(6)) and len(moved) == 6 + 30, picks
 
 
 def all_rules(states):
@@ -789,31 +831,23 @@ def test_reduce_language_is_exact_at_p1():
 
 
 def test_reduce_trailing_dollar_checks_at_p2():
-    """At space bound 2 the accepting micro machine's encoding fills W(4,3)
-    with whole blocks and ends in #, but a machine on a one-symbol tape,
-    accepting the empty input in one step, gets W(4,2) and an encoding that
-    ends in one $, which p = 1 encodings never do.  So this reaches the
-    trailing-$ checks (C.1 to C.3): the word is rejected, and each of its
-    one-edit neighbours within the last p + 1 letters is accepted ($
-    appended, a letter deleted, or a letter replaced)."""
+    """At space bound 2 the accepting micro machine's encoding fills W(7,2)
+    with eleven blocks and ends in one $, so this reaches the trailing-$
+    checks (C.1 to C.3): the word is rejected, and each of its one-edit
+    neighbours within the last p + 1 letters is accepted ($ appended, a
+    letter deleted, or a letter replaced)."""
     m, pval = accepting_machine(), 2
-    art, pa = reduce(m, "1", pval), PairAlphabet(m, 3)
-    word = encode_run(m, "1", pval, art.k, art.n)
-    assert (art.k, art.n, len(word)) == (4, 3, 34)
-    assert word[-1] % pa.n_delta == pa.hash_id
-    m = Dtm(states=("q0", "qf"), initial="q0", accepting="qf", tape_alphabet=("_",),
-            input_alphabet=(), blank="_", rules=(("q0", "_", "qf", "_", "S"),))
-    art = reduce(m, "", pval)
+    art = reduce(m, "1", pval)
     a, pa = art.automaton, PairAlphabet(m, art.n)
-    word = encode_run(m, "", pval, art.k, art.n)
-    assert (art.k, art.n, len(word)) == (4, 2, 14)
+    word = encode_run(m, "1", pval, art.k, art.n)
+    assert (art.k, art.n, len(word)) == (7, 2, 35)
     assert word[-1] % pa.n_delta == pa.dollar_id != word[-2] % pa.n_delta
     assert not accepts(a, word)
     edits = [word + (pa.pi_id(word[-1] // pa.n_delta, pa.dollar_id),)]
     for i in range(len(word) - pval - 1, len(word)):
         edits.append(word[:i] + word[i + 1:])
         edits += [word[:i] + (x,) + word[i + 1:] for x in range(a.n_letters) if x != word[i]]
-    assert len(edits) == 1 + (pval + 1) * a.n_letters == 31
+    assert len(edits) == 1 + (pval + 1) * a.n_letters == 49
     assert all(accepts(a, edit) for edit in edits)
 
 
