@@ -95,12 +95,15 @@ def is_partially_ordered(a: Nfa) -> tuple[bool, Optional[tuple[int, int]]]:
 
     A depth-first search over ``_out_masks`` keeps the states on its path in
     the mask ``on`` and the finished ones in ``done``; an arc into ``on``
-    closes a cycle.  Only then does ``_first_cycle_pair`` run, to name the
-    witness: the two lowest states of the first component of two or more
-    states in Tarjan's order."""
+    closes a cycle.  Its roots go from the highest state down, so in an
+    automaton whose arcs lead to higher states each root's successors are
+    done before it and it finishes in one step.  Only on a cycle does
+    ``_first_cycle_pair`` run, to name the witness: the two lowest states of
+    the first component of two or more states in Tarjan's order, whatever
+    the root order here."""
     out = _out_masks(a.step_rows or [[0] * a.n_states])
     done = 0
-    for root in range(a.n_states):
+    for root in reversed(range(a.n_states)):
         if done >> root & 1:
             continue
         path, on = [root], 1 << root

@@ -19,7 +19,8 @@ split at once, the directives and ``trans:`` rows checked over whole
 columns, names resolved with dict lookups.  Only a text that fails the bulk
 check runs the per-line loop (``tokenize``, which cuts by the same
 pattern), and only a repeated name runs ``_check_names``, to word the
-error; so a rejected text gets the same message either way.
+error; so a rejected text gets the same message either way.  ``parse_dag``
+reads DAG files in the same way.
 
 Every search and every structural predicate reads the automaton through one
 letter-major table, ``Nfa.step_rows[a][q]`` = successor bitmask of q under
@@ -27,8 +28,9 @@ a, built whole from ``transitions`` on first use; a state set is an int
 bitmask (bit q set for state q).  The antichain decider packs the rows into
 one column per state and ORs a set's columns once, when it keeps the set;
 the same columns name the letters that lead into a universal state, and
-only the others are stepped.  The other searches step a set one letter at a
-time with ``Nfa.step_mask``, and the class tests OR a state's entries over
+only the others are stepped.  The subset search steps a set one letter at a
+time with ``Nfa.step_mask``, the unary pumping check ORs the entries of its
+one row in its own loop, and the class tests OR a state's entries over
 letters into one successor mask.  ``Nfa.succ`` maps (state, letter) to the
 successor tuple and feeds only ``accepts`` and the literal-enumeration
 oracle, so that oracle shares no code with the step table it checks.
@@ -110,7 +112,7 @@ class Nfa:
     Transitions are stored duplicate-free and sorted by (src, letter, dst).
     The searches and the structural predicates read the automaton through
     ``step_rows``, one tuple of successor bitmasks per letter indexed by
-    state, most searches via ``step_mask`` (the image of one state set
+    state; the subset search via ``step_mask`` (the image of one state set
     under one letter).  ``succ`` feeds only ``accepts`` and the
     literal-enumeration oracle.
 
@@ -259,7 +261,8 @@ _COMMENT = re.compile(r"#(?<!\S#)[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
 def tokenize(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """The line tokenizer of every text format: (line number, raw line,
+    """The line tokenizer of ``parse_dtm`` and of the error paths that word
+    the first fault of an automaton or DAG text: (line number, raw line,
     tokens) for each line that keeps a token once ``_COMMENT`` has cut its
     comment off.  Each line is cut and split once."""
     for lineno, raw in enumerate(text.splitlines(), start=1):

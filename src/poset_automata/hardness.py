@@ -6,7 +6,9 @@
 * ``trim_aknn``: the incomplete rpoNFA variant accepting the same language,
   obtained by deleting the states (k+1;i)..(2k;i).
 * ``dag_gadget``: the unary ptNFA that is universal iff a target node is
-  reachable from a source node in a DAG.
+  reachable from a source node in a DAG, given as a ``Dag`` (which runs
+  Kahn's algorithm only when some edge does not lead to a higher node) or
+  as text for ``parse_dag`` (one streaming pass).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import comb
 from operator import index
 
 from .caps import default_caps
-from .core import Nfa, Word, sorted_unique, tokenize
+from .core import _COMMENT, Nfa, Word, sorted_unique, tokenize
 from .errors import InputError, ResourceLimitError
 
 
@@ -131,7 +133,11 @@ def trim_aknn(k: int, n: int) -> Nfa:
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph with a source and a target node; its node
-    count is checked against the ``dag_nodes`` cap before anything is built."""
+    count is checked against the ``dag_nodes`` cap before anything is built.
+    The edges are kept sorted and duplicate-free.  A cycle needs an edge to
+    an equal or lower node, so a graph whose edges all lead, in range, to
+    higher nodes is acyclic, and one pass shows it; only another graph pays
+    for the range check on its own and for Kahn's algorithm."""
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
@@ -149,16 +155,20 @@ class Dag:
         if n <= 0:
             raise InputError("DAG needs at least one node")
         try:  # a wrong length fails the unpacking, a non-integer ``index``
-            edges = sorted_unique((index(u), index(v)) for (u, v) in self.edges)
+            edges = sorted_unique([(index(u), index(v)) for (u, v) in self.edges])
         except (TypeError, ValueError):
             raise InputError("edges must be (u, v) pairs of node indices") from None
         vars(self).update(n_nodes=n, edges=edges, source=source, target=target)
-        for (u, v) in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge {(u, v)} out of range")
+        upward = all(0 <= u < v < n for (u, v) in edges)
+        if not upward:
+            for (u, v) in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"edge {(u, v)} out of range")
         for node in (source, target):
             if not 0 <= node < n:
                 raise InputError(f"node {node} out of range")
+        if upward:
+            return
         # Kahn's algorithm; leftovers mean a cycle
         indeg = [0] * n
         succ: dict[int, list[int]] = {}
@@ -178,30 +188,64 @@ class Dag:
             raise InputError("graph has a cycle; a DAG is required")
 
 
+_DAG_HEADS = ("nodes:", "source:", "target:")
+
+
 def parse_dag(text: str) -> Dag:
     """Line format: ``nodes: n``, ``source: s`` and ``target: t`` once
     each, repeated ``edge: u v``; '#' starts a comment token.  The node
-    count's cap is the value's: ``Dag`` checks it before it builds anything."""
+    count's cap is the value's: ``Dag`` checks it before it builds anything.
+
+    The text is read in one streaming pass, as ``parse_automaton`` reads:
+    ``_COMMENT`` cuts every comment over the whole text (when it holds a
+    '#'), and each line is split once and its integers read as it comes.
+    The first row that does not fit, a bad integer, or a missing directive
+    sends the text to ``_dag_misformatted``, which reads it line by line to
+    word the first fault."""
+    cut = _COMMENT.sub("", text) if "#" in text else text
     single: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
+    append = edges.append
+    fits = True
+    try:
+        for row in map(str.split, cut.splitlines()):
+            if not row:
+                continue
+            head = row[0]
+            if head == "edge:" and len(row) == 3:
+                append((int(row[1]), int(row[2])))
+            elif head in _DAG_HEADS and len(row) == 2 and head not in single:
+                single[head] = int(row[1])
+            else:
+                fits = False
+                break
+    except ValueError:
+        fits = False
+    if not (fits and len(single) == 3):
+        _dag_misformatted(text)
+        raise AssertionError("the line loop passed a text the one-pass reader refused")
+    return Dag(single["nodes:"], tuple(edges), single["source:"], single["target:"])
+
+
+def _dag_misformatted(text: str) -> None:
+    """Raise about the first line that breaks the DAG format, read line by
+    line with ``tokenize``, or else about the missing directives."""
+    single = set()
     for lineno, raw, tokens in tokenize(text):
         head, rest = tokens[0], tokens[1:]
         key = head[:-1]
         if key in single:
             raise InputError(f"line {lineno}: duplicate directive {key!r}")
+        if not (head == "edge:" and len(rest) == 2 or head in _DAG_HEADS and len(rest) == 1):
+            raise InputError(f"line {lineno}: cannot parse {raw!r}")
         try:
-            if head == "edge:" and len(rest) == 2:
-                edges.append((int(rest[0]), int(rest[1])))
-                continue
-            if head in ("nodes:", "source:", "target:") and len(rest) == 1:
-                single[key] = int(rest[0])
-                continue
+            list(map(int, rest))  # raises on the first token that is no integer
         except ValueError:
             raise InputError(f"line {lineno}: expected integers in {raw!r}") from None
-        raise InputError(f"line {lineno}: cannot parse {raw!r}")
+        if head != "edge:":
+            single.add(key)
     if len(single) < 3:
         raise InputError("DAG file needs nodes:, source: and target: lines")
-    return Dag(single["nodes"], tuple(edges), single["source"], single["target"])
 
 
 def dag_reachable(g: Dag) -> bool:
@@ -232,13 +276,23 @@ def dag_gadget(g: Dag) -> Nfa:
     the chain re-enters the target.  Universal iff the target is reachable
     from the source; the edges out of the target are dropped because each
     would close a cycle through the chain, and reaching the target already
-    decides the question."""
+    decides the question.  The arcs are emitted in (src, letter, dst)
+    order from the sorted ``g.edges``, so ``Nfa._build`` only checks the
+    order and sorts nothing."""
     n, t = g.n_nodes, g.target
-    # node v is state v, f_i is state n + i - 1
-    arcs = [(u, 0, v) for (u, v) in g.edges if u != t]
-    arcs += [(v, 0, n) for v in range(n) if v != t]
+    # node v is state v, f_i is state n + i - 1.  Each node's edges come
+    # sorted from ``g.edges``, then its last arc: to f1, or the target's
+    # self-loop; the chain comes after every node.
+    arcs = []
+    node = 0  # the lowest node whose last arc is not out yet
+    for (u, v) in g.edges:
+        while node < u:
+            arcs.append((node, 0, n if node != t else t))
+            node += 1
+        if u != t:
+            arcs.append((u, 0, v))
+    arcs += [(v, 0, n if v != t else t) for v in range(node, n)]
     arcs += [(i, 0, i + 1) for i in range(n, 2 * n - 2)]
-    arcs.append((t, 0, t))
     if n > 1:
         arcs.append((2 * n - 2, 0, t))
     names = [f"n{v}" for v in range(n)] + [f"f{i}" for i in range(1, n)]

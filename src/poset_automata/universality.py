@@ -52,12 +52,21 @@ def universal_unary_po(a: Nfa) -> UniversalityResult:
 
 
 def _unary_pumping(a: Nfa) -> UniversalityResult:
+    """The pumping check on a unary partially ordered automaton: the state
+    set of a^m for m = 0..|Q|, each stepped by ORing the members' entries of
+    ``step_rows[0]``."""
+    row = a.step_rows[0]
     mask = a.initial_mask
     acc = a.accepting_mask
     for m in range(a.n_states + 1):
         if not mask & acc:
             return UniversalityResult(False, (0,) * m, "unary-pumping", m, 1)
-        mask = a.step_mask(mask, 0)
+        img = 0
+        while mask:
+            q = mask.bit_length() - 1
+            img |= row[q]
+            mask ^= 1 << q
+        mask = img
     return UniversalityResult(True, None, "unary-pumping", a.n_states + 1, 1)
 
 

@@ -7,7 +7,7 @@ from poset_automata.classify import is_complete, is_partially_ordered, is_ums
 from poset_automata.core import Nfa
 from poset_automata.dtm import Dtm
 from poset_automata.errors import InputError
-from poset_automata.hardness import build_aknn, w_word
+from poset_automata.hardness import Dag, build_aknn, w_word
 from poset_automata.universality import universal_state_mask
 
 
@@ -295,6 +295,35 @@ def reference_parse_automaton(text: str) -> Nfa:
     initial = tuple(state(tok) for tok in directives["initial"])
     accepting = tuple(state(tok) for tok in directives["accepting"])
     return Nfa(len(names), alphabet, trans, initial, accepting, names)
+
+
+def reference_parse_dag(text: str) -> Dag:
+    """The DAG reader as it was before the one-pass reader, kept as the
+    reference the differential reader test checks against: the same loop,
+    with comments cut by ``_strip_comment`` in place of ``tokenize``."""
+    single: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _strip_comment(raw.split())
+        if not tokens:
+            continue
+        head, rest = tokens[0], tokens[1:]
+        key = head[:-1]
+        if key in single:
+            raise InputError(f"line {lineno}: duplicate directive {key!r}")
+        try:
+            if head == "edge:" and len(rest) == 2:
+                edges.append((int(rest[0]), int(rest[1])))
+                continue
+            if head in ("nodes:", "source:", "target:") and len(rest) == 1:
+                single[key] = int(rest[0])
+                continue
+        except ValueError:
+            raise InputError(f"line {lineno}: expected integers in {raw!r}") from None
+        raise InputError(f"line {lineno}: cannot parse {raw!r}")
+    if len(single) < 3:
+        raise InputError("DAG file needs nodes:, source: and target: lines")
+    return Dag(single["nodes"], tuple(edges), single["source"], single["target"])
 
 
 _REFERENCE_NAME_RE = re.compile(r"[^\s#][^\s]*")

@@ -1,8 +1,11 @@
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poset_automata.classify import classify
 from poset_automata.core import Nfa, accepts, print_automaton
@@ -15,7 +18,7 @@ from conftest import w_reference
 from poset_automata.selftest import rejects_exactly
 from poset_automata.universality import universal, universal_subset
 
-from conftest import check_suffix_rejection
+from conftest import check_suffix_rejection, reference_parse_dag
 
 
 def words_up_to(n_letters, max_len):
@@ -332,3 +335,212 @@ def test_parse_dag_rejects_duplicate_directives():
         parse_dag(body + "source: 1\n")
     with pytest.raises(InputError, match="^line 6: duplicate directive 'target'$"):
         parse_dag(body + "# comment\ntarget: 2\n")
+
+
+# ---------------------------------------------------------------------------
+# the one-pass DAG reader, the forward-edge cycle test and the gadget's arc
+# order, each against a reference
+
+
+def _dag_outcome(f, text):
+    """The ``Dag`` that ``f`` reads, or the type and message of its error."""
+    try:
+        return f(text)
+    except (InputError, ResourceLimitError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_DAG_CORPUS = [
+    "# a DAG\nnodes: 3 # three\nedge: 0 1\nedge: 1 2 #\n#edge: 2 0\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 0 1#2\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 0 1 #2\nsource: 0\ntarget: 2\n",
+    "\n\nnodes: 3\r\n\r\nedge:\t0\t2\r\nsource: 0\x85target: 2\u2028edge: 1 2",
+    "\tnodes:  3 \n  source:\t0\n\ttarget: 1 \n\n",
+    "nodes: +8\nedge: 007 ٣\nsource: 0\ntarget: 2\n",
+    "nodes: 4\nedge: +0 ٣\nedge: 0 3\nedge: 0 3\nsource: 000\ntarget: 3\n",
+    "nodes: 3\nnodes: 3\nsource: 0\ntarget: 1\n",
+    "nodes: 3\nsource: 0\ntarget: 1\nsource: 1\n",
+    "nodes: 3\nbogus: 1\nsource: 0\ntarget: 1\n",
+    "nodes: 3\nnodes 3\nsource: 0\ntarget: 1\n",
+    "nodes: 3\nnodes? 1\nsource: 0\ntarget: 1\n",
+    "nodes: 3\nsource: 0\n",
+    "edge: 0 1\n",
+    "",
+    "# only a comment\n",
+    "nodes: 3\nedge: 1\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 0 1 2\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nsource: 0 1\ntarget: 2\n",
+    "nodes: 3\nnodes: 3\nedge: 0 x\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 0 x\nnodes: 3\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nsource: 0\nsource: x\ntarget: 2\n",
+    "nodes: x\nedge: 1\n",
+    "nodes: 3\nedge: 0 1.0\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 0 5\nsource: 0\ntarget: 9\n",
+    "nodes: 3\nedge: -1 2\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 1 3\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 2 1\nedge: 1 2\nsource: 0\ntarget: 7\n",
+    "nodes: 3\nedge: 2 1\nedge: 1 2\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 1 1\nsource: 0\ntarget: 2\n",
+    "nodes: 3\nedge: 2 0\nedge: 1 0\nsource: 2\ntarget: 0\n",
+    "nodes: 0\nsource: 0\ntarget: 0\n",
+    "nodes: 10000000\nsource: 0\ntarget: 0\n",
+]
+
+_DAG_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", "\u3000"])
+_DAG_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"])
+
+
+def _spellings(i):
+    """Ways to write the integer i that ``int`` reads: plain, with a sign,
+    with leading zeros, and in Arabic-Indic digits."""
+    return [str(i), f"+{i}", f"00{i}", chr(0x660 + i)]
+
+
+_DAG_BAD_INTS = st.sampled_from(["0", "1", "2", "3", "+3", "007", "٣", "-1", "x", "1#2",
+                                 "1.0", "#"])
+
+
+@st.composite
+def dag_texts(draw):
+    """DAG texts, valid and not: each directive once, twice or missing, edges
+    of two and four tokens beside the usual three, integers written with a
+    sign, leading zeros or other digits, or not integers at all, unknown
+    directives, comments at line start and mid-line next to ``1#2`` tokens,
+    blank lines, tabs and other whitespace, and several line breaks.  About
+    half the texts are drawn clean (each directive once, nodes in range,
+    three tokens to an edge, no junk lines), so that many of them parse or
+    fail only on a cycle."""
+    clean = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    ints = (st.integers(0, n - 1).map(_spellings).flatmap(st.sampled_from) if clean
+            else _DAG_BAD_INTS)
+    lines = [["nodes:", draw(st.sampled_from(_spellings(n)))]] if clean else []
+    for key in ("source:", "target:") if clean else ("nodes:", "source:", "target:"):
+        for _ in range(1 if clean else draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            lines.append([key, draw(ints)])
+    for _ in range(draw(st.integers(0, 6))):
+        size = 2 if clean else draw(st.sampled_from([1, 2, 2, 2, 3]))
+        lines.append(["edge:", *draw(st.lists(ints, min_size=size, max_size=size))])
+    junk = ["", "# note"] + ([] if clean else ["bogus: 1", "edge", "nodes: 1 2"])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(draw(st.sampled_from(junk)).split())
+    lines = draw(st.permutations(lines))
+    out = []
+    for tokens in lines:
+        if draw(st.integers(0, 5)) == 0:
+            at = len(tokens) if clean else draw(st.integers(0, len(tokens)))
+            tokens = tokens[:at] + [draw(st.sampled_from(["#", "#c", "# c"]))] + tokens[at:]
+        out.append(draw(st.sampled_from(["", "", "\t"])) + draw(_DAG_SEPARATORS).join(tokens))
+    return "".join(line + draw(_DAG_BREAKS) for line in out)
+
+
+@pytest.mark.parametrize("text", _DAG_CORPUS)
+def test_dag_reader_matches_reference_on_corpus(text):
+    assert _dag_outcome(parse_dag, text) == _dag_outcome(reference_parse_dag, text)
+
+
+def test_dag_reader_corpus_reaches_every_outcome():
+    """The corpus parses some texts and words every fault the reader knows."""
+    outcomes = [_dag_outcome(parse_dag, text) for text in _DAG_CORPUS]
+    faults = {re.sub(r"^line \d+: (\w+) .*", r"\1", out[1])
+              for out in outcomes if isinstance(out, tuple)}
+    assert sum(isinstance(out, Dag) for out in outcomes) == 7
+    assert faults == {"duplicate", "cannot", "expected", "graph has a cycle; a DAG is required",
+                      "DAG file needs nodes:, source: and target: lines",
+                      "edge (0, 5) out of range", "edge (-1, 2) out of range",
+                      "edge (1, 3) out of range",
+                      "node 7 out of range", "DAG needs at least one node",
+                      "DAG node count 10000000 exceeds dag_nodes cap (1000000)"}
+    # a bad integer after a duplicate directive: the duplicate's line comes first
+    body = "edge: 0 x\nsource: 0\ntarget: 2\n"
+    assert _dag_outcome(parse_dag, "nodes: 3\nnodes: 3\n" + body) == (
+        "InputError", "line 2: duplicate directive 'nodes'")
+    assert _dag_outcome(parse_dag, "nodes: 3\n" + body + "nodes: 3\n") == (
+        "InputError", "line 2: expected integers in 'edge: 0 x'")
+
+
+@given(dag_texts())
+@example("nodes: 2\nedge: 0 1\nsource: 0\ntarget: 1")
+@settings(max_examples=400, deadline=None)
+def test_dag_reader_matches_reference(text):
+    assert _dag_outcome(parse_dag, text) == _dag_outcome(reference_parse_dag, text)
+
+
+def _acyclic(n, edges):
+    """Three-colour depth-first search: no edge reaches a node on the path."""
+    succ = [[] for _ in range(n)]
+    for (u, v) in edges:
+        succ[u].append(v)
+    colour = [0] * n  # 0 unseen, 1 on the path, 2 done
+    for root in range(n):
+        if colour[root]:
+            continue
+        colour[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, rest = stack[-1]
+            for v in rest:
+                if colour[v] == 1:
+                    return False
+                if colour[v] == 0:
+                    colour[v] = 1
+                    stack.append((v, iter(succ[v])))
+                    break
+            else:
+                colour[node] = 2
+                stack.pop()
+    return True
+
+
+def _reference_gadget_arcs(g):
+    """The gadget's arcs as three comprehensions and two appends, then sorted."""
+    n, t = g.n_nodes, g.target
+    arcs = [(u, 0, v) for (u, v) in g.edges if u != t]
+    arcs += [(v, 0, n) for v in range(n) if v != t]
+    arcs += [(i, 0, i + 1) for i in range(n, 2 * n - 2)]
+    arcs.append((t, 0, t))
+    if n > 1:
+        arcs.append((2 * n - 2, 0, t))
+    return tuple(sorted(arcs))
+
+
+def test_cycle_test_and_gadget_order_on_permuted_dags(monkeypatch):
+    """2,000 seeded DAGs with their nodes relabelled, so edges run both ways,
+    each also with a planted self-loop, a 2-cycle, and a back edge from the
+    last node to the first of the original numbering, which closes a cycle
+    iff the first reaches the last.  ``Dag`` accepts exactly the acyclic
+    graphs; each gadget's arcs reach ``Nfa._build`` already in order, equal
+    to the sorted reference arcs, and the gadget is universal iff the
+    target is reachable."""
+    passed = []  # the arcs that ``dag_gadget`` hands to ``Nfa._build``
+    build = Nfa._build.__func__
+
+    def recording_build(cls, n, alphabet, arcs, *rest):
+        passed.append(list(arcs))
+        return build(cls, n, alphabet, arcs, *rest)
+
+    monkeypatch.setattr(Nfa, "_build", classmethod(recording_build))
+    rng = random.Random(33)
+    sides = {"upward": 0, "kahn": 0, "cycle": 0}
+    for _ in range(2000):
+        g = random_dag(rng)
+        n = g.n_nodes
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[v]) for (u, v) in g.edges]
+        u, v = rng.choice(g.edges) if g.edges else (0, 1)
+        for extra in ((), ((1, 1),), ((label[u], label[v]), (label[v], label[u])),
+                      ((label[n - 1], label[0]),)):
+            graph = edges + list(extra)
+            if not _acyclic(n, graph):
+                sides["cycle"] += 1
+                with pytest.raises(InputError, match="^graph has a cycle; a DAG is required$"):
+                    Dag(n, graph, label[g.source], label[g.target])
+                continue
+            h = Dag(n, graph, label[g.source], label[g.target])
+            sides["upward" if all(a < b for (a, b) in h.edges) else "kahn"] += 1
+            del passed[:]
+            gadget = dag_gadget(h)
+            assert passed == [list(gadget.transitions)]
+            assert gadget.transitions == _reference_gadget_arcs(h)
+            assert universal(gadget).universal == dag_reachable(h)
+    assert min(sides.values()) >= 500, sides
