@@ -225,7 +225,16 @@ class Nfa:
 def _check_word(a: Nfa, word: Sequence[int]) -> None:
     """Every letter id of ``word`` is an integer by the constructor's rule
     (``operator.index``, so 1.0 and '1' are refused, True is 1) and names a
-    letter of ``a``."""
+    letter of ``a``.
+
+    A tuple or list of plain ``int``s in range is accepted by one pass of
+    ``set(map(type, ...))`` and ``min``/``max`` in C.  Such a word is one
+    that the loop accepts too; any other word, bools and iterators
+    included, goes through the loop, so a refused word gets the loop's
+    message for its first bad letter."""
+    if type(word) in (tuple, list) and set(map(type, word)) <= {int} and (
+            not word or 0 <= min(word) and max(word) < a.n_letters):
+        return
     letters = range(a.n_letters)
     for x in word:
         try:

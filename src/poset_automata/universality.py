@@ -164,6 +164,10 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
     puts the states of the most kept sets first (re-sorted whenever the
     kept count doubles) so that it stops sooner.  ``order`` holds
     (1 << q, q) pairs, so a state outside img is found with one AND.
+    The scan is skipped when img has no more states than ``least``, the
+    fewest states of any kept set: a kept set inside img would then have
+    as many states as img, so it would equal img.  But every kept set is a
+    key of ``parents`` and img is not, so img is kept.
     Kept supersets of a newly kept set are not removed: each still contains
     a kept set, so "some kept v <= img" has the same answer with or without
     them, and the queue, ``parents``, the counts and the counterexample are
@@ -195,6 +199,7 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
     queue = deque()
     explored = 0
     max_frontier = 0
+    least = start.bit_count()  # the fewest states of any kept set
     limit = default_caps().antichain_nodes
     live = 0  # the popped node's letters not yet stepped whose image misses u_mask
     img = start
@@ -223,7 +228,8 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
             resort *= 2
             order.sort(key=lambda pair: has[pair[1]].bit_count(), reverse=True)
         queue.append((img, packed))
-        max_frontier = max(max_frontier, len(queue))
+        if len(queue) > max_frontier:
+            max_frontier = len(queue)
         while True:
             while not live:
                 if not queue:
@@ -243,6 +249,10 @@ def universal_antichain(a: Nfa) -> UniversalityResult:
             if not img & acc:
                 word = _reconstruct(parents, img)
                 return UniversalityResult(False, word, "antichain", explored, max_frontier)
+            size = img.bit_count()
+            if size <= least:  # a kept set inside img would equal it, but img is not kept
+                least = size
+                break
             hit = 0  # kept sets with a member outside img
             for qbit, q in order:
                 if not img & qbit:

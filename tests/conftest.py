@@ -1,4 +1,5 @@
 import functools
+import operator
 import re
 
 import pytest
@@ -366,3 +367,17 @@ def reference_nfa_fields(n_states, alphabet, transitions, initial, accepting,
             raise InputError(f"state index {q} out of range")
     return (n_states, tuple(alphabet), transitions, initial, accepting,
             tuple(state_names))
+
+
+def reference_check_word(n_letters: int, word) -> None:
+    """The letter check of ``core._check_word`` as one loop over every word:
+    each letter must pass ``operator.index`` and name one of ``n_letters``
+    letters.  Iterating consumes an iterator up to its first bad letter."""
+    letters = range(n_letters)
+    for x in word:
+        try:
+            ok = operator.index(x) in letters
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InputError(f"letter id {x!r} not in alphabet of size {n_letters}")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import re
 import sys
@@ -10,15 +11,15 @@ from hypothesis import strategies as st
 
 from poset_automata import cli
 from poset_automata.classify import is_partially_ordered
-from poset_automata.core import (_COMMENT, Nfa, accepts, format_word, parse_automaton,
-                                 print_automaton)
+from poset_automata.core import (_COMMENT, Nfa, _check_word, accepts, format_word,
+                                 parse_automaton, print_automaton)
 from poset_automata.errors import InputError
 from poset_automata.hardness import build_aknn
 from poset_automata.sampling import random_nfa
 
 from conftest import (accepting_machine, incrementing_machine, reach_order,
-                      reference_nfa_fields, reference_parse_automaton, rejecting_machine,
-                      simple_nfa)
+                      reference_check_word, reference_nfa_fields, reference_parse_automaton,
+                      rejecting_machine, simple_nfa)
 
 
 @st.composite
@@ -209,6 +210,48 @@ def test_format_word():
     # bools are ints to ``operator.index``, as in the constructor
     assert format_word(a, (False, True)) == "a1 a2"
     assert accepts(a, (False, True)) == accepts(a, (0, 1))
+
+
+class _Letter(int):
+    """An int subclass: ``operator.index`` takes it, the plain-int path does not."""
+
+
+def _check_word_corpus(n_letters):
+    long = tuple(i % n_letters for i in range(10_000))
+    return [
+        (), (0,), (n_letters - 1, 0), (n_letters,), (-1,), (0, -1), (2**100,),
+        (False,), (True,), (0, True), (1.0,), (1.5,), ("1",), (None,), (_Letter(0),),
+        long, long + (n_letters,), (-1,) + long, long[:-1] + (1.0,),
+        [0, 1], [0, n_letters], [False, 1], [], range(n_letters), "0",
+    ]
+
+
+def _outcome(check, word):
+    try:
+        check(word)
+    except InputError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("n_letters", [1, 2, 3])
+def test_check_word_matches_reference_loop(n_letters):
+    """The plain-int fast path of ``_check_word`` accepts and refuses what
+    the reference loop does, with the same message; an iterator keeps the
+    loop's behaviour and is consumed up to its first bad letter."""
+    a = simple_nfa(1, n_letters, [], [0], [0])
+    ours = functools.partial(_check_word, a)
+    ref = functools.partial(reference_check_word, n_letters)
+    accepted = set()
+    for word in _check_word_corpus(n_letters):
+        got = _outcome(ours, word)
+        assert got == _outcome(ref, word), word
+        accepted.add(got is None)
+    assert accepted == {True, False}
+    for word in [(0, 0), (0, n_letters, 0, 0), (True, 1.0, 0), ()]:
+        it_ours, it_ref = iter(word), iter(word)
+        assert _outcome(ours, it_ours) == _outcome(ref, it_ref)
+        assert list(it_ours) == list(it_ref)
 
 
 @given(st.integers(0, 10**9))

@@ -351,6 +351,47 @@ def test_antichain_matches_linear_scan_reference_on_reductions(machine, pval):
 
 
 # ---------------------------------------------------------------------------
+# the size bound: an image with no more states than the smallest kept set is
+# kept without the domination scan
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_size_bound_matches_linear_scan_on_trimmed_aknn(k):
+    """Trimmed A(k,n), n <= 6: no image that reaches the domination test
+    has more states than the start set, so the bound, not the scan,
+    answers every test."""
+    for n in range(1, 7):
+        t = trim_aknn(k, n)
+        res = universal_antichain(t)
+        assert res == _linear_scan_antichain(t)
+        assert res.counterexample == w_word(k, n)
+
+
+def test_size_bound_scans_an_image_one_state_larger():
+    """From the start set {p, r}, letter b leads to {p, q, r}: one state
+    more than the smallest kept set, which it contains, so the scan must
+    skip it, and the search ends after the start node."""
+    p, q, r = 0, 1, 2
+    a = simple_nfa(3, 2, [(p, 0, p), (p, 1, q), (p, 1, r), (r, 0, r), (r, 1, p)],
+                   [p, r], [r])
+    res = universal_antichain(a)
+    assert res == _linear_scan_antichain(a)
+    assert res == UniversalityResult(True, None, "antichain", 1, 1)
+
+
+def test_size_bound_keeps_a_least_size_image_unlike_every_kept_set():
+    """From the start set {p, r}, letter a leads to {q, r}: as few states as
+    the start set, which it does not equal, so it is kept, and the search
+    explores it too."""
+    p, q, r = 0, 1, 2
+    a = simple_nfa(3, 2, [(p, 1, q), (r, 0, q), (r, 0, r), (r, 1, q), (r, 1, r)],
+                   [p, r], [p, q])
+    res = universal_antichain(a)
+    assert res == _linear_scan_antichain(a)
+    assert res == UniversalityResult(True, None, "antichain", 2, 1)
+
+
+# ---------------------------------------------------------------------------
 # the letter skip: wide alphabets with planted universal states
 
 
